@@ -5,7 +5,7 @@ PYTHON ?= python
 # targets work from a fresh checkout without `make install`
 export PYTHONPATH := src
 
-.PHONY: install lint test bench bench-smoke bench-record bench-gate profile chaos slo-smoke corruption-drill shard-drill examples ci all clean
+.PHONY: install lint test bench bench-smoke bench-record bench-gate profile chaos slo-smoke corruption-drill shard-drill gridbench-smoke examples ci all clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -71,9 +71,15 @@ corruption-drill:
 shard-drill:
 	$(PYTHON) tools/shard_drill.py
 
+# the served-bank benchmark with 2 s windows: every workload over loopback
+# TCP against real `gridbank serve` children, exits non-zero if any
+# correctness check after the SIGKILL/restart fails (timings not gated)
+gridbench-smoke:
+	$(PYTHON) gridbench/run.py --seed 7 --smoke
+
 # exactly what .github/workflows/ci.yml runs, in the same order — keep the
 # two in lockstep so "it passed locally" means "it will pass in CI"
-ci: lint test chaos slo-smoke corruption-drill shard-drill bench-smoke bench-gate
+ci: lint test chaos slo-smoke corruption-drill shard-drill gridbench-smoke bench-smoke bench-gate
 	@echo "ci: all gates green"
 
 examples:
@@ -88,7 +94,7 @@ outputs:
 	$(PYTHON) -m pytest tests/ 2>&1 | tee test_output.txt
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only 2>&1 | tee bench_output.txt
 
-all: lint test chaos slo-smoke corruption-drill shard-drill bench-smoke bench-gate
+all: lint test chaos slo-smoke corruption-drill shard-drill gridbench-smoke bench-smoke bench-gate
 
 clean:
 	find . -name __pycache__ -type d -exec rm -rf {} + 2>/dev/null; true

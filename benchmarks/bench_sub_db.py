@@ -1,13 +1,20 @@
 """SUB-DB — relational-engine micro-benchmarks.
 
 The accounts layer's substrate: row insertion, indexed vs scan selects,
-transaction commit/rollback, WAL append, and recovery replay.
+transaction commit/rollback, WAL append, and recovery replay — plus the
+two request-path accesses that must not scale with their table: a
+statement over a fixed 80-entry history beside 500 vs 5,000 unrelated
+transfers (flat when the join is by key), and a reply-cache store at the
+10,000-row bound (a round is 64 stores, so it holds exactly one eviction).
 """
 
 import pytest
 
+from repro.bank.accounts import GBAccounts
+from repro.bank.replies import ReplyCache
 from repro.db import Column, Database, Float, TableSchema, VarChar, eq, gt
-from repro.util.gbtime import VirtualClock
+from repro.util.gbtime import Timestamp, VirtualClock
+from repro.util.money import Credits
 
 
 def schema():
@@ -115,3 +122,47 @@ def test_db_recovery_replay(benchmark, tmp_path):
 
     replayed = benchmark.pedantic(recover, rounds=5, iterations=1)
     assert replayed == 2_000
+
+
+def _statement_history80(benchmark, unrelated_transfers):
+    clock = VirtualClock()
+    bank = GBAccounts(Database(), clock=clock)
+    crowd = [bank.create_account(f"/O=X/CN=user{i}") for i in range(4)]
+    mine = bank.create_account("/O=A/CN=alice")
+    for account in crowd + [mine]:
+        bank.deposit(account, Credits(1_000_000))
+    for i in range(unrelated_transfers):
+        bank.transfer(crowd[i % 4], crowd[(i + 1) % 4], Credits(1))
+    for _ in range(79):  # + the deposit = 80 history entries
+        bank.transfer(mine, crowd[0], Credits(1))
+    statement = benchmark(bank.statement, mine, Timestamp(0.0), clock.now())
+    assert len(statement["transactions"]) == 80
+    assert len(statement["transfers"]) == 79
+
+
+def test_statement_history80_at_500_transfers(benchmark):
+    _statement_history80(benchmark, 500)
+
+
+def test_statement_history80_at_5000_transfers(benchmark):
+    _statement_history80(benchmark, 5_000)
+
+
+def test_reply_store_at_bound(benchmark):
+    db = Database()
+    cache = ReplyCache(db, VirtualClock())
+    seq = [0]
+
+    def store():
+        seq[0] += 1
+        with db.transaction():
+            cache.store(f"key-{seq[0]}", "/O=A/CN=alice", "RequestDirectTransfer", {"txn": seq[0]})
+
+    def eviction_cycle():  # 64 stores = the eviction batch: exactly one eviction a round
+        for _ in range(64):
+            store()
+
+    for _ in range(cache.max_entries):
+        store()
+    benchmark(eviction_cycle)
+    assert len(cache) <= cache.max_entries

@@ -418,12 +418,12 @@ class GBAccounts:
         transactions = self.db.select(
             "transactions", [eq("AccountID", account_id), window], order_by="EntryID"
         )
-        txn_ids = {t["TransactionID"] for t in transactions}
-        transfers = [
-            row
-            for row in self.db.select("transfers", [window], order_by="TransactionID")
-            if row["TransactionID"] in txn_ids
-        ]
+        # join by primary key: only deposits/withdrawals lack a TRANSFER row
+        candidates = (
+            self.db.find("transfers", (txn_id,))
+            for txn_id in sorted({t["TransactionID"] for t in transactions})
+        )
+        transfers = [row for row in candidates if row is not None and window(row)]
         return {"account": account, "transactions": transactions, "transfers": transfers}
 
     def transfer_record(self, txn_id: int) -> dict:

@@ -201,7 +201,7 @@ def reply_schema() -> TableSchema:
             Column.make("Body", Blob()),
         ],
         primary_key=["IdempotencyKey"],
-        indexes=["Seq"],
+        ordered=["Seq"],
     )
 
 

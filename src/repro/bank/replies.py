@@ -12,8 +12,10 @@ second execution. This is what upgrades the instrument registry's
 "retried redemption fails loudly" into "retried redemption returns the
 original confirmation".
 
-The cache is bounded: when it reaches ``max_entries`` the oldest rows (by
-insertion sequence) are evicted in batches. An evicted key's retry falls
+The cache is bounded: a store that finds ``max_entries`` rows first evicts
+the oldest (by insertion sequence) in batches, inside the same
+transaction, so the table never holds more than ``max_entries`` rows
+(see DESIGN.md "Bounds"). An evicted key's retry falls
 back to ordinary execution — safe for instrument operations (the
 double-spend registry still refuses), and in practice retries arrive
 within seconds while eviction horizons are thousands of operations away.
@@ -21,6 +23,7 @@ within seconds while eviction horizons are thousands of operations away.
 
 from __future__ import annotations
 
+import threading
 from typing import Any, Optional
 
 from repro.bank.records import reply_schema
@@ -35,7 +38,7 @@ __all__ = ["ReplyCache"]
 
 _log = get_logger("bank.replies")
 
-# evict this many rows at once when full, amortizing the ordered scan
+# evict this many rows at once when full: one eviction per 64 stores
 _EVICTION_BATCH = 64
 
 
@@ -48,6 +51,7 @@ class ReplyCache:
         self.db = db
         self.clock = clock
         self.max_entries = max_entries
+        self._store_lock = threading.Lock()  # makes check-evict-insert one step
         if reply_schema().name not in db.table_names():
             db.create_table(reply_schema())
         self.rescan()
@@ -55,10 +59,7 @@ class ReplyCache:
     def rescan(self) -> None:
         """Re-derive the insertion sequence from persisted rows (called at
         construction and again after WAL recovery replays the journal)."""
-        highest = 0
-        for row in self.db.table("replies").all_rows():
-            highest = max(highest, row["Seq"])
-        self._seq = IdGenerator(start=highest + 1)
+        self._seq = IdGenerator(start=self.db.table("replies").max_of("Seq", 0) + 1)
 
     def lookup(self, idempotency_key: str, subject: str, method: str) -> Optional[dict]:
         """The cached reply row for *idempotency_key*, if any.
@@ -96,28 +97,23 @@ class ReplyCache:
         describes; calling it outside a transaction raises.
         """
         self.db.require_transaction("reply cache writes")
-        count = len(self.db.table("replies"))  # O(1), vs count()'s full scan
-        if count >= self.max_entries:
-            self._evict(count - self.max_entries + 1)
-        self.db.insert(
-            "replies",
-            {
-                "IdempotencyKey": idempotency_key,
-                "Seq": self._seq.next_int(),
-                "Subject": subject,
-                "Method": method,
-                "Date": self.clock.now(),
-                "Body": canonical_dumps(result),
-            },
-        )
-
-    def _evict(self, need: int) -> None:
-        victims = self.db.select(
-            "replies", order_by="Seq", limit=max(need, _EVICTION_BATCH)
-        )
-        for row in victims:
-            self.db.delete("replies", (row["IdempotencyKey"],))
-        _log.debug("replies.evicted", count=len(victims))
+        body = canonical_dumps(result)  # serialized before taking the lock
+        with self._store_lock:
+            excess = len(self) - self.max_entries + 1
+            if excess > 0:
+                evicted = self.db.evict_lowest("replies", "Seq", max(excess, _EVICTION_BATCH))
+                _log.debug("replies.evicted", count=evicted)
+            self.db.insert(
+                "replies",
+                {
+                    "IdempotencyKey": idempotency_key,
+                    "Seq": self._seq.next_int(),
+                    "Subject": subject,
+                    "Method": method,
+                    "Date": self.clock.now(),
+                    "Body": body,
+                },
+            )
 
     def __len__(self) -> int:
         return len(self.db.table("replies"))

@@ -457,6 +457,25 @@ class Database:
         if pending:
             self._write_journal(pending)
 
+    def evict_lowest(self, table_name: str, column: str, n: int) -> int:
+        """Delete the *n* rows lowest in ordered-index *column*; returns
+        how many went.
+
+        The one eviction step of every bounded table (reply cache, span
+        store, usage rollups). Victims are picked and deleted under a
+        single hold of the table lock, so two writers at the bound can
+        never pick the same rows. The deletes form one record set: inside
+        a transaction they join its WAL line and roll back with it;
+        outside one they commit as a single line, written after the lock
+        is released.
+        """
+        with self.transaction(), self._lock:
+            table = self.table(table_name)
+            victims = table.select(order_by=column, limit=n)
+            for row in victims:
+                self.delete(table_name, table.schema.pk_of(row))
+            return len(victims)
+
     # -- reads --------------------------------------------------------------------
 
     def get(self, table_name: str, pk: tuple) -> dict:

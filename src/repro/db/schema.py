@@ -44,7 +44,10 @@ class TableSchema:
     """Schema for one table.
 
     *primary_key* columns must exist and be non-nullable; *indexes* name
-    single columns to maintain secondary hash indexes over.
+    single columns to maintain secondary hash indexes over (equality
+    lookups); *ordered* names NOT NULL columns to keep a sorted index
+    over (lowest/highest rows and min/max without touching the rest of
+    the table — see :class:`~repro.db.table.Table`).
     """
 
     def __init__(
@@ -53,6 +56,7 @@ class TableSchema:
         columns: Sequence[Column],
         primary_key: Sequence[str],
         indexes: Sequence[str] = (),
+        ordered: Sequence[str] = (),
     ) -> None:
         if not name:
             raise SchemaError("table name must be non-empty")
@@ -75,6 +79,12 @@ class TableSchema:
             if idx_col not in self.columns:
                 raise SchemaError(f"index column {idx_col!r} not in table {name!r}")
         self.indexes: tuple[str, ...] = tuple(indexes)
+        for ord_col in ordered:
+            if ord_col not in self.columns:
+                raise SchemaError(f"ordered index column {ord_col!r} not in table {name!r}")
+            if self.columns[ord_col].nullable:
+                raise SchemaError(f"ordered index column {ord_col!r} must be NOT NULL")
+        self.ordered: tuple[str, ...] = tuple(ordered)
 
     def column_names(self) -> list[str]:
         return list(self.columns)

@@ -1,13 +1,17 @@
-"""Table storage: primary-key map plus secondary hash indexes.
+"""Table storage: primary-key map plus secondary hash and ordered indexes.
 
-Rows are stored as canonicalized dicts keyed by primary-key tuple. Secondary
-indexes map column value -> set of pks and are maintained on every mutation.
-Mutation methods return undo entries so the database's transaction layer can
-roll back.
+Rows are stored as canonicalized dicts keyed by primary-key tuple. Hash
+indexes map column value -> set of pks; ordered indexes are sorted lists
+of ``(value, pk)``. Both are maintained by ``insert``/``update``/``delete``
+and nowhere else, so they stay correct through rollback (undo replays
+those same three calls), WAL replay and snapshot load; they are derived
+state and never journalled. Mutation methods return undo entries so the
+database's transaction layer can roll back.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from typing import Any, Iterable, Iterator, Optional, Sequence
 
 from repro.db.query import Condition
@@ -22,14 +26,19 @@ class Table:
         self.schema = schema
         self._rows: dict[tuple, dict] = {}
         self._indexes: dict[str, dict[Any, set[tuple]]] = {col: {} for col in schema.indexes}
+        self._ordered: dict[str, list[tuple]] = {col: [] for col in schema.ordered}
 
     # -- index maintenance ---------------------------------------------------
 
     def _index_add(self, pk: tuple, row: dict) -> None:
         for col, index in self._indexes.items():
             index.setdefault(row[col], set()).add(pk)
+        for col, keys in self._ordered.items():
+            insort(keys, (row[col], pk))
 
     def _index_remove(self, pk: tuple, row: dict) -> None:
+        for col, keys in self._ordered.items():
+            del keys[bisect_left(keys, (row[col], pk))]
         for col, index in self._indexes.items():
             bucket = index.get(row[col])
             if bucket is not None:
@@ -117,7 +126,14 @@ class Table:
         descending: bool = False,
         limit: Optional[int] = None,
     ) -> list[dict]:
-        """All rows satisfying every condition (row copies)."""
+        """All rows satisfying every condition (row copies).
+
+        An unconditional ascending select over an ordered-index column is
+        served from the index — cost proportional to *limit*, not to the
+        table — with equal values ordered by primary key.
+        """
+        if not conditions and not descending and order_by in self._ordered:
+            return [dict(self._rows[pk]) for _, pk in self._ordered[order_by][:limit]]
         out = [dict(row) for row in self._iter_matching(conditions)]
         if order_by is not None:
             out.sort(key=lambda r: r[order_by], reverse=descending)
@@ -133,6 +149,16 @@ class Table:
     def exists(self, conditions: Sequence[Condition] = ()) -> bool:
         """True iff any row matches (short-circuits; no copies)."""
         return next(self._iter_matching(conditions), None) is not None
+
+    def min_of(self, column: str, default: Any = None) -> Any:
+        """Lowest value of an ordered-index column (*default* when empty); O(1)."""
+        keys = self._ordered[column]
+        return keys[0][0] if keys else default
+
+    def max_of(self, column: str, default: Any = None) -> Any:
+        """Highest value of an ordered-index column (*default* when empty); O(1)."""
+        keys = self._ordered[column]
+        return keys[-1][0] if keys else default
 
     def all_rows(self) -> list[dict]:
         return [dict(row) for row in self._rows.values()]

@@ -88,7 +88,8 @@ def span_schema() -> TableSchema:
             Column.make("Events", Blob(), default=b""),
         ],
         primary_key=["TraceID", "SpanID"],
-        indexes=["Seq", "Name"],
+        indexes=["Name"],
+        ordered=["Seq"],
     )
 
 
@@ -132,10 +133,7 @@ class SpanStore:
     def rescan(self) -> None:
         """Re-derive the insertion sequence from persisted rows (call
         after WAL recovery, like the reply cache's rescan)."""
-        highest = 0
-        for row in self.db.table(SPAN_TABLE).all_rows():
-            highest = max(highest, row["Seq"])
-        self._seq = IdGenerator(start=highest + 1)
+        self._seq = IdGenerator(start=self.db.table(SPAN_TABLE).max_of("Seq", 0) + 1)
 
     # -- sink side ---------------------------------------------------------
 
@@ -175,25 +173,18 @@ class SpanStore:
             "Attrs": canonical_dumps(_jsonable(record.get("attrs", {}))),
             "Events": canonical_dumps(_jsonable(record.get("events", []))),
         }
-        count = self.db.count(SPAN_TABLE)
-        if count >= self.max_rows:
-            self._evict(count - self.max_rows + 1)
+        excess = len(self) - self.max_rows + 1
+        if excess > 0:
+            # audit history destroyed by capacity, not by choice — keep
+            # the loss observable (sampling exists to keep this near zero)
+            obs_metrics.counter("obs.spans_dropped").inc(
+                self.db.evict_lowest(SPAN_TABLE, "Seq", max(excess, _EVICTION_BATCH))
+            )
         try:
             self.db.insert(SPAN_TABLE, row)
         except IntegrityError:
             # duplicate (trace, span) — keep the first record, drop this one
             pass
-
-    def _evict(self, need: int) -> None:
-        victims = self.db.select(
-            SPAN_TABLE, order_by="Seq", limit=max(need, _EVICTION_BATCH)
-        )
-        for row in victims:
-            self.db.delete(SPAN_TABLE, (row["TraceID"], row["SpanID"]))
-        if victims:
-            # audit history destroyed by capacity, not by choice — keep
-            # the loss observable (sampling exists to keep this near zero)
-            obs_metrics.counter("obs.spans_dropped").inc(len(victims))
 
     # -- query side --------------------------------------------------------
 

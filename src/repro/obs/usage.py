@@ -33,7 +33,6 @@ import threading
 from typing import Callable, Optional
 
 from repro.db.database import Database
-from repro.db.query import eq
 from repro.db.schema import Column, TableSchema
 from repro.db.types import BigIntUnsigned, Blob, Float, VarChar
 from repro.errors import IntegrityError
@@ -108,7 +107,7 @@ def usage_schema() -> TableSchema:
             Column.make("RUR", Blob(), default=b""),
         ],
         primary_key=["Principal", "PeriodStart"],
-        indexes=["PeriodStart"],
+        ordered=["PeriodStart"],
     )
 
 
@@ -283,12 +282,9 @@ class UsageMeter:
 
     def _merge_existing(self, principal: str, period_start: float,
                         period_end: float, accum: _Accum) -> None:
-        rows = self.db.select(
-            USAGE_TABLE, [eq("Principal", principal), eq("PeriodStart", period_start)]
-        )
-        if not rows:  # pragma: no cover - insert raced a delete
+        existing = self.db.find(USAGE_TABLE, (principal, period_start))
+        if existing is None:  # pragma: no cover - insert raced a delete
             return
-        existing = rows[0]
         op_counts = canonical_loads(existing["OpCounts"]) if existing["OpCounts"] else {}
         for op, count in accum.op_counts.items():
             op_counts[op] = op_counts.get(op, 0) + count
@@ -310,16 +306,11 @@ class UsageMeter:
         self.db.update(USAGE_TABLE, (principal, period_start), merged)
 
     def _evict_persisted(self) -> None:
-        count = self.db.count(USAGE_TABLE)
-        if count <= self.max_rows:
-            return
-        victims = self.db.select(
-            USAGE_TABLE, order_by="PeriodStart", limit=count - self.max_rows
-        )
-        for row in victims:
-            self.db.delete(USAGE_TABLE, (row["Principal"], row["PeriodStart"]))
-        if victims:
-            obs_metrics.counter("usage.rollups_evicted").inc(len(victims))
+        excess = self.db.count(USAGE_TABLE) - self.max_rows
+        if excess > 0:
+            obs_metrics.counter("usage.rollups_evicted").inc(
+                self.db.evict_lowest(USAGE_TABLE, "PeriodStart", excess)
+            )
 
     def _export_top_gauges(self, k: int = 5) -> None:
         # bounded cardinality: only the current top-K principals become

@@ -1,5 +1,8 @@
 """Unit + property tests for GB Accounts and GB Admin."""
 
+import dataclasses
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,6 +10,7 @@ from repro.bank.accounts import GBAccounts
 from repro.bank.admin import GBAdmin
 from repro.bank.records import AccountID
 from repro.db.database import Database
+from repro.db.query import between, eq
 from repro.errors import (
     AccountClosedError,
     AccountError,
@@ -14,8 +18,9 @@ from repro.errors import (
     NotFoundError,
     ValidationError,
 )
-from repro.util.gbtime import VirtualClock
+from repro.util.gbtime import Timestamp, VirtualClock
 from repro.util.money import Credits, ZERO
+from repro.util.serialize import canonical_dumps
 
 
 @pytest.fixture()
@@ -239,6 +244,108 @@ class TestStatements:
         clock.advance(10)
         with pytest.raises(ValidationError):
             bank.statement(account, clock.now(), end)
+
+
+def reference_statement(bank, account_id, start, end):
+    """The scan-join ``statement()`` replaced in PR 12, kept as the oracle:
+    every TRANSFER row in the window, filtered against the account's ids."""
+    account = bank.get_account(account_id)
+    window = between("Date", start.stamp14, end.stamp14)
+    transactions = bank.db.select(
+        "transactions", [eq("AccountID", account_id), window], order_by="EntryID"
+    )
+    txn_ids = {t["TransactionID"] for t in transactions}
+    transfers = [
+        row
+        for row in bank.db.select("transfers", [window], order_by="TransactionID")
+        if row["TransactionID"] in txn_ids
+    ]
+    return {"account": account, "transactions": transactions, "transfers": transfers}
+
+
+class TestStatementKeyJoin:
+    @pytest.mark.parametrize("seed", [11, 21, 22])
+    def test_byte_identical_to_the_scan_join(self, bank, admin, clock, seed):
+        rng = random.Random(seed)
+        # the first two accounts share an owner: a self-owned drawer/recipient pair
+        owners = ["/O=A/CN=alice", "/O=A/CN=alice", "/O=B/CN=gsp", "/O=C/CN=carol"]
+        accounts = [funded(bank, admin, owner, 1_000) for owner in owners]
+        clock.advance(30)
+        quiet = clock.now()  # nothing happens in this second
+        clock.advance(30)
+        moments = [clock.now()]
+        for _ in range(150):
+            src, dst = rng.sample(accounts, 2)
+            roll = rng.random()
+            if roll < 0.15:
+                admin.deposit(src, Credits(rng.randint(1, 50)))
+            elif roll < 0.25:
+                admin.withdraw(src, Credits(1))
+            elif roll < 0.35:
+                bank.lock_funds(src, Credits(2))
+                bank.transfer_from_locked(src, dst, Credits(2), rur_blob=b"rur")
+            else:
+                bank.transfer(src, dst, Credits(rng.randint(1, 5)))
+            clock.advance(rng.choice([0, 0, 1, 3]))  # several entries share a second
+            moments.append(clock.now())
+        windows = [(moments[0], moments[-1]), (quiet, quiet)]
+        windows += [(moment, moment) for moment in rng.sample(moments, 5)]
+        windows += [tuple(sorted(rng.sample(moments, 2), key=lambda t: t.stamp14)) for _ in range(10)]
+        compared = 0
+        for start, end in windows:
+            for account in accounts:
+                got = bank.statement(account, start, end)
+                assert canonical_dumps(got) == canonical_dumps(
+                    reference_statement(bank, account, start, end)
+                )
+                compared += len(got["transfers"])
+        assert compared > 100  # the windows did cut through real history
+        assert bank.statement(accounts[0], quiet, quiet)["transactions"] == []
+        with pytest.raises(ValidationError):
+            bank.statement(accounts[0], moments[-1], quiet)
+
+    def test_visits_only_the_accounts_own_transfer_rows(self, bank, admin, clock, monkeypatch):
+        crowd = [funded(bank, admin, f"/O=X/CN=user{i}", 10_000) for i in range(4)]
+        for i in range(5_000):
+            bank.transfer(crowd[i % 4], crowd[(i + 1) % 4], Credits(1))
+        mine = funded(bank, admin, "/O=A/CN=alice", 100)  # entry 1: the deposit
+        for _ in range(12):  # entries 2..13
+            bank.transfer(mine, crowd[0], Credits(1))
+        admin.withdraw(mine, Credits(1))  # entry 14
+        entries = 14
+
+        visited = 0
+        db = bank.db
+        real_find, real_select = db.find, db.select
+
+        def counted(condition):
+            def test(row):
+                nonlocal visited
+                visited += 1
+                return condition.test(row)
+
+            return dataclasses.replace(condition, test=test)
+
+        def counting_find(table_name, pk):
+            nonlocal visited
+            visited += table_name == "transfers"
+            return real_find(table_name, pk)
+
+        def counting_select(table_name, conditions=(), *args, **kwargs):
+            nonlocal visited
+            if table_name == "transfers":
+                if not conditions:
+                    visited += len(db.table(table_name))
+                conditions = [counted(condition) for condition in conditions]
+            return real_select(table_name, conditions, *args, **kwargs)
+
+        monkeypatch.setattr(db, "find", counting_find)
+        monkeypatch.setattr(db, "select", counting_select)
+        epoch = Timestamp(0.0)
+        statement = bank.statement(mine, epoch, clock.now())
+        assert len(statement["transactions"]) == entries
+        assert len(statement["transfers"]) == 12
+        assert 12 <= visited <= 2 * entries  # not the 5,012 rows in the table
 
 
 class TestAdmin:

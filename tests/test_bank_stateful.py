@@ -8,7 +8,10 @@ step:
 * conservation: sum(available + locked) == external in - external out;
 * no account below -CreditLimit;
 * locked balances never negative;
-* every issued instrument redeems at most once.
+* every issued instrument redeems at most once;
+* the reply cache stays within its (deliberately tiny) bound and every
+  ordered index equals ``sorted(rows)``, also after rolled-back stores
+  that evicted.
 """
 
 import random
@@ -25,6 +28,7 @@ from repro.pki.certificate import DistinguishedName
 from repro.pki.validation import CertificateStore
 from repro.util.gbtime import VirtualClock
 from repro.util.money import Credits, ZERO
+from tests.test_db import assert_ordered_indexes_match_rows
 
 SUBJECTS = [f"/O=VO/CN=user{i}" for i in range(4)]
 
@@ -40,6 +44,8 @@ class BankMachine(RuleBasedStateMachine):
         store = CertificateStore([ca.root_certificate])
         ident = ca.issue_identity(DistinguishedName("GridBank", "server"), key_bits=512)
         self.bank = GridBankServer(ident, store, clock=clock, rng=random.Random(1))
+        self.bank.replies.max_entries = 6  # every few stores evict
+        self.reply_keys = 0
         self.accounts = [self.bank.accounts.create_account(s) for s in SUBJECTS]
         self.external_in = ZERO
         self.external_out = ZERO
@@ -98,6 +104,25 @@ class BankMachine(RuleBasedStateMachine):
             self.bank.admin.change_credit_limit(self.accounts[idx], Credits.from_micro(micro))
         except ReproError:
             pass
+
+    # -- reply cache at its bound ---------------------------------------------------
+
+    @rule(src=st.integers(0, 3), dst=st.integers(0, 3), commit=st.booleans())
+    def keyed_transfer(self, src, dst, commit):
+        """What the exactly-once wrapper does: ledger effects and the reply
+        row in one transaction — which may evict, and may roll back."""
+        self.reply_keys += 1
+        key = f"key-{self.reply_keys}"
+        try:
+            with self.bank.db.transaction():
+                txn_id = self.bank.accounts.transfer(
+                    self.accounts[src], self.accounts[dst], Credits.from_micro(1_000)
+                )
+                self.bank.replies.store(key, SUBJECTS[src], "RequestDirectTransfer", txn_id)
+                if not commit:
+                    raise ZeroDivisionError
+        except (ReproError, ZeroDivisionError):
+            assert self.bank.replies.lookup(key, SUBJECTS[src], "RequestDirectTransfer") is None
 
     # -- instruments ----------------------------------------------------------------
 
@@ -170,6 +195,13 @@ class BankMachine(RuleBasedStateMachine):
         if not hasattr(self, "bank"):
             return
         assert self.bank.accounts.total_bank_funds() == self.external_in - self.external_out
+
+    @invariant()
+    def bounded_tables_and_their_indexes(self):
+        if not hasattr(self, "bank"):
+            return
+        assert len(self.bank.replies) <= self.bank.replies.max_entries
+        assert_ordered_indexes_match_rows(self.bank.db)
 
     @invariant()
     def guarantees_fully_backed(self):

@@ -1,7 +1,11 @@
 """Unit + property tests for the relational engine."""
 
+import shutil
+import tempfile
+
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from repro.db import (
     BigIntUnsigned,
@@ -386,3 +390,212 @@ class TestPersistence:
         db2 = self._make(tmp_path)
         db2.recover()
         assert db2.find("accounts", ("01",)) is not None
+
+
+# -- ordered index + eviction primitive ---------------------------------------
+
+
+def queue_schema() -> TableSchema:
+    return TableSchema(
+        "queue",
+        [
+            Column.make("Key", VarChar(8)),
+            Column.make("Seq", BigIntUnsigned()),
+            Column.make("Owner", VarChar(8), default=""),
+        ],
+        primary_key=["Key"],
+        indexes=["Owner"],
+        ordered=["Seq"],
+    )
+
+
+def assert_ordered_indexes_match_rows(db: Database) -> None:
+    """Every ordered index equals ``sorted(rows)`` and serves select,
+    min and max from it (shared with tests/test_bank_stateful.py)."""
+    for name in db.table_names():
+        table = db.table(name)
+        for col in table.schema.ordered:
+            want = sorted((row[col], table.schema.pk_of(row)) for row in table.all_rows())
+            assert table._ordered[col] == want
+            served = table.select(order_by=col, limit=5)
+            assert [(row[col], table.schema.pk_of(row)) for row in served] == want[:5]
+            assert table.min_of(col) == (want[0][0] if want else None)
+            assert table.max_of(col) == (want[-1][0] if want else None)
+
+
+class TestOrderedIndex:
+    def _db(self, seqs=()) -> Database:
+        db = Database()
+        db.create_table(queue_schema())
+        for seq in seqs:
+            db.insert("queue", {"Key": f"k{seq}", "Seq": seq})
+        return db
+
+    def test_schema_rejects_unknown_and_nullable_columns(self):
+        cols = [Column.make("a", Integer()), Column.make("b", Integer(), nullable=True)]
+        with pytest.raises(SchemaError):
+            TableSchema("t", cols, primary_key=["a"], ordered=["missing"])
+        with pytest.raises(SchemaError):
+            TableSchema("t", cols, primary_key=["a"], ordered=["b"])
+
+    def test_select_min_max_follow_every_mutation(self):
+        db = self._db([5, 1, 9, 3])
+        table = db.table("queue")
+        assert [r["Seq"] for r in db.select("queue", order_by="Seq", limit=2)] == [1, 3]
+        assert [r["Seq"] for r in db.select("queue", order_by="Seq")] == [1, 3, 5, 9]
+        assert (table.min_of("Seq"), table.max_of("Seq")) == (1, 9)
+        db.update("queue", ("k1",), {"Seq": 12})
+        db.delete("queue", ("k9",))
+        assert [r["Key"] for r in db.select("queue", order_by="Seq")] == ["k3", "k5", "k1"]
+        assert (table.min_of("Seq"), table.max_of("Seq")) == (3, 12)
+        assert_ordered_indexes_match_rows(db)
+
+    def test_empty_table_and_defaults(self):
+        table = self._db().table("queue")
+        assert table.min_of("Seq") is None and table.max_of("Seq", 0) == 0
+        assert table.select(order_by="Seq", limit=3) == []
+
+    def test_equal_values_order_by_primary_key(self):
+        db = self._db()
+        for key in ("b", "c", "a"):
+            db.insert("queue", {"Key": key, "Seq": 7})
+        assert [r["Key"] for r in db.select("queue", order_by="Seq", limit=2)] == ["a", "b"]
+
+    def test_conditions_and_descending_match_the_generic_path(self):
+        db = self._db(range(10))
+        got = db.select("queue", [ge("Seq", 4)], order_by="Seq", limit=2)
+        assert [r["Seq"] for r in got] == [4, 5]
+        got = db.select("queue", order_by="Seq", descending=True, limit=2)
+        assert [r["Seq"] for r in got] == [9, 8]
+
+    def test_evict_lowest_deletes_oldest_and_reports_count(self):
+        db = self._db(range(10))
+        assert db.evict_lowest("queue", "Seq", 3) == 3
+        assert [r["Seq"] for r in db.select("queue", order_by="Seq")] == list(range(3, 10))
+        assert db.evict_lowest("queue", "Seq", 100) == 7
+        assert db.evict_lowest("queue", "Seq", 1) == 0
+        assert_ordered_indexes_match_rows(db)
+
+    def test_rolled_back_eviction_restores_rows_which_go_first_again(self):
+        db = self._db(range(10))
+        with pytest.raises(RuntimeError):
+            with db.transaction():
+                assert db.evict_lowest("queue", "Seq", 4) == 4
+                db.insert("queue", {"Key": "new", "Seq": 10})
+                raise RuntimeError
+        assert len(db.table("queue")) == 10
+        assert_ordered_indexes_match_rows(db)
+        db.evict_lowest("queue", "Seq", 4)
+        assert db.table("queue").min_of("Seq") == 4
+
+    def test_eviction_journals_one_record_set(self, tmp_path):
+        def make():
+            db = Database(path=tmp_path)
+            db.create_table(queue_schema())
+            return db
+
+        db = make()
+        db.recover()
+        with db.transaction():
+            for seq in range(6):
+                db.insert("queue", {"Key": f"k{seq}", "Seq": seq})
+        _, before = db.replication_position()
+        db.evict_lowest("queue", "Seq", 2)  # autocommit: one WAL line
+        with db.transaction():  # in a transaction: rides that line
+            db.evict_lowest("queue", "Seq", 2)
+            db.insert("queue", {"Key": "k6", "Seq": 6})
+        assert db.replication_position()[1] == before + 2
+        db.close()
+        wal = (tmp_path / "wal.gbdb").read_bytes()
+        assert wal.count(b'"op":"delete"') == 4  # the rows' deletes and nothing else
+
+        recovered = make()
+        assert recovered.recover() == 3
+        assert [r["Seq"] for r in recovered.select("queue", order_by="Seq")] == [4, 5, 6]
+        assert_ordered_indexes_match_rows(recovered)
+        recovered.close()
+
+
+class OrderedIndexMachine(RuleBasedStateMachine):
+    """Any interleaving of insert / update of the ordered column / delete
+    / eviction / rolled-back transaction / WAL recovery / checkpoint /
+    state load leaves the ordered index equal to ``sorted(rows)``."""
+
+    keys = st.integers(0, 11).map(lambda i: f"k{i:02d}")
+    seqs = st.integers(0, 20)
+    mutation = st.tuples(st.sampled_from(["insert", "update", "delete", "evict"]), keys, seqs)
+
+    @initialize()
+    def boot(self):
+        self.dir = tempfile.mkdtemp(prefix="ordered-index-")
+        self._open()
+
+    def _open(self):
+        self.db = Database(path=self.dir)
+        self.db.create_table(queue_schema())
+        self.db.recover()
+
+    def teardown(self):
+        if hasattr(self, "db"):
+            self.db.close()
+            shutil.rmtree(self.dir, ignore_errors=True)
+
+    def _apply(self, op, key, seq):
+        try:
+            if op == "insert":
+                self.db.insert("queue", {"Key": key, "Seq": seq, "Owner": key[:2]})
+            elif op == "update":
+                self.db.update("queue", (key,), {"Seq": seq})
+            elif op == "delete":
+                self.db.delete("queue", (key,))
+            else:
+                self.db.evict_lowest("queue", "Seq", seq % 4)
+        except (IntegrityError, NotFoundError):
+            pass
+
+    @rule(step=mutation)
+    def mutate(self, step):
+        self._apply(*step)
+
+    @rule(steps=st.lists(mutation, min_size=1, max_size=6), commit=st.booleans())
+    def transaction(self, steps, commit):
+        rows = self.db.select("queue")
+        try:
+            with self.db.transaction():
+                for step in steps:
+                    self._apply(*step)
+                if not commit:
+                    raise ZeroDivisionError
+        except ZeroDivisionError:
+            assert sorted(self.db.select("queue"), key=lambda r: r["Key"]) == sorted(
+                rows, key=lambda r: r["Key"]
+            )
+
+    @rule(checkpoint=st.booleans())
+    def crash_and_recover(self, checkpoint):
+        rows = self.db.select("queue", order_by="Seq")
+        if checkpoint:
+            self.db.checkpoint()
+        self.db.close()
+        self._open()
+        assert self.db.select("queue", order_by="Seq") == rows
+
+    @rule()
+    def load_state_dump(self):
+        standby = Database()
+        standby.create_table(queue_schema())
+        standby.insert("queue", {"Key": "stale", "Seq": 99})
+        standby.load_state(self.db.state_dump())
+        assert_ordered_indexes_match_rows(standby)
+        assert standby.select("queue", order_by="Seq") == self.db.select("queue", order_by="Seq")
+
+    @invariant()
+    def index_equals_sorted_rows(self):
+        if hasattr(self, "db"):
+            assert_ordered_indexes_match_rows(self.db)
+
+
+OrderedIndexMachine.TestCase.settings = settings(
+    max_examples=40, stateful_step_count=25, deadline=None
+)
+TestOrderedIndexStateful = OrderedIndexMachine.TestCase

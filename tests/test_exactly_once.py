@@ -8,6 +8,8 @@ effects. Together: a retried request is either served from the cache
 """
 
 import random
+import sys
+import threading
 
 import pytest
 
@@ -339,6 +341,53 @@ class TestReplyCacheUnit:
         # newest entries survive, oldest were evicted
         assert cache.lookup("k259", "s", "Op") is not None
         assert cache.lookup("k0", "s", "Op") is None
+
+    def test_two_writers_at_the_bound_never_fail(self):
+        """gridbench finding F1: two writers at the bound used to pick the
+        same victims; the loser's delete raised NotFoundError."""
+        bound, per_writer = 80, 600
+        cache, db = self.make_cache(max_entries=bound)
+        with db.transaction():
+            for i in range(bound):
+                cache.store(f"aged{i}", "s", "Op", i)
+        errors, sizes = [], []
+
+        def writer(name):
+            try:
+                for i in range(per_writer):
+                    with db.transaction():
+                        cache.store(f"{name}{i}", "s", "Op", i)
+                    sizes.append(len(cache))
+            except Exception as exc:  # noqa: BLE001 - the assertion below reports it
+                errors.append(exc)
+
+        threads = [threading.Thread(target=writer, args=(name,)) for name in "ab"]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert max(sizes) <= bound and len(cache) <= bound
+        # exactly the newest stores are retained, whoever made them
+        stored = bound + 2 * per_writer
+        seqs = [row["Seq"] for row in db.select("replies", order_by="Seq")]
+        assert seqs == list(range(stored - len(seqs) + 1, stored + 1))
+
+    def test_rescan_reads_the_index_not_the_rows(self, monkeypatch):
+        cache, db = self.make_cache()
+        with db.transaction():
+            cache.store("k1", "s", "Op", 1)
+        monkeypatch.setattr(db.table("replies"), "all_rows", None)  # a copy would raise
+        cache.rescan()
+        with db.transaction():
+            cache.store("k2", "s", "Op", 2)
+        assert db.get("replies", ("k2",))["Seq"] == db.get("replies", ("k1",))["Seq"] + 1
 
     def test_sequence_survives_rescan(self):
         cache, db = self.make_cache()

@@ -28,7 +28,7 @@ from repro.net.tcp import TCPServer
 from repro.obs import export as obs_export
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
-from repro.obs.store import JsonlSpanSink, SpanStore, render_waterfall, span_schema
+from repro.obs.store import SPAN_TABLE, JsonlSpanSink, SpanStore, render_waterfall, span_schema
 from repro.util.gbtime import VirtualClock
 from repro.util.money import Credits
 
@@ -170,6 +170,16 @@ class TestSpanStore:
             store(self._record(span_id=f"sp{i:06d}", trace_id=f"tr{i:06d}"))
         assert len(store) <= 300
         assert store.spans_for_trace("tr000600")  # newest survived
+
+    def test_rescan_continues_the_sequence_without_copying_rows(self, monkeypatch):
+        db = Database()
+        store = SpanStore(db, max_rows=300)
+        for i in range(3):
+            store(self._record(span_id=f"sp{i:06d}"))
+        monkeypatch.setattr(db.table(SPAN_TABLE), "all_rows", None)  # a copy would raise
+        store.rescan()
+        store(self._record(span_id="sp000003"))
+        assert sorted(row["Seq"] for row in db.select(SPAN_TABLE)) == [1, 2, 3, 4]
 
     def test_slowest_and_grep(self):
         store = SpanStore(Database())
