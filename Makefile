@@ -5,7 +5,7 @@ PYTHON ?= python
 # targets work from a fresh checkout without `make install`
 export PYTHONPATH := src
 
-.PHONY: install lint test bench bench-smoke bench-record bench-gate profile chaos slo-smoke corruption-drill shard-drill gridbench-smoke examples ci all clean
+.PHONY: install lint src-budget test bench bench-smoke bench-record bench-gate chaos slo-smoke corruption-drill shard-drill gridbench-smoke examples ci all clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -13,6 +13,17 @@ install:
 lint:
 	$(PYTHON) -m compileall -q src
 	$(PYTHON) tools/check_no_print.py
+
+# ROADMAP item 4's "net-negative" gate as a command: src/ may not grow past
+# the count the last PR left it at. A PR that shrinks src/ lowers the
+# ceiling to its own count; one that must grow it says why where it raises it.
+SRC_LINES_MAX := 23243
+src-budget:
+	@lines=$$(find src -name '*.py' | xargs cat | wc -l); \
+	if [ $$lines -gt $(SRC_LINES_MAX) ]; then \
+		echo "src-budget: src/ is $$lines lines, ceiling is $(SRC_LINES_MAX)"; exit 1; \
+	fi; \
+	echo "src-budget: src/ is $$lines lines (ceiling $(SRC_LINES_MAX))"
 
 test: lint
 	$(PYTHON) -m pytest tests/
@@ -37,16 +48,6 @@ bench-gate:
 	@$(PYTHON) tools/check_bench_regression.py; rc=$$?; \
 	if [ $$rc -eq 3 ]; then echo "bench-gate: baseline attention — tolerated (exit 3)"; \
 	elif [ $$rc -ne 0 ]; then exit $$rc; fi
-
-# cProfile the single-threaded hot path (Fig.1 use case); top of the
-# cumulative-time table lands in BENCH_PROFILE.txt for before/after diffing.
-# --benchmark-disable: one untimed pass per scenario — pytest-benchmark's
-# timing instrumentation cannot run under an active profiler
-profile:
-	$(PYTHON) -m cProfile -o .bench_profile.pstats -m pytest benchmarks/bench_fig1_use_case.py --benchmark-disable -q
-	$(PYTHON) -c "import pstats; pstats.Stats('.bench_profile.pstats', stream=open('BENCH_PROFILE.txt', 'w')).sort_stats('cumtime').print_stats(80)"
-	rm -f .bench_profile.pstats
-	@echo "wrote BENCH_PROFILE.txt"
 
 # seeded fault-injection and exactly-once chaos suites, plus the chaos bench
 chaos:
@@ -79,7 +80,7 @@ gridbench-smoke:
 
 # exactly what .github/workflows/ci.yml runs, in the same order — keep the
 # two in lockstep so "it passed locally" means "it will pass in CI"
-ci: lint test chaos slo-smoke corruption-drill shard-drill gridbench-smoke bench-smoke bench-gate
+ci: lint src-budget test chaos slo-smoke corruption-drill shard-drill gridbench-smoke bench-smoke bench-gate
 	@echo "ci: all gates green"
 
 examples:
@@ -94,7 +95,7 @@ outputs:
 	$(PYTHON) -m pytest tests/ 2>&1 | tee test_output.txt
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only 2>&1 | tee bench_output.txt
 
-all: lint test chaos slo-smoke corruption-drill shard-drill gridbench-smoke bench-smoke bench-gate
+all: lint src-budget test chaos slo-smoke corruption-drill shard-drill gridbench-smoke bench-smoke bench-gate
 
 clean:
 	find . -name __pycache__ -type d -exec rm -rf {} + 2>/dev/null; true

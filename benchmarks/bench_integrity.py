@@ -1,15 +1,14 @@
-"""ROBUST — the price of storage integrity, and scrub throughput.
+"""ROBUST — the framed write path, and scrub throughput.
 
-Two scenarios. The first runs the same settled-transfer storm against a
-persistent bank with WAL CRC framing on (the default) and off (the
-control arm ``wal_integrity=False`` exists for exactly this
-measurement) and asserts the framing — one CRC32 plus a ~20-byte header
-per committed line — costs under 5% ops/s: integrity is not allowed to
-be a tax anyone would be tempted to turn off. The second measures the
+Two scenarios. The first times a settled-transfer storm against a
+persistent bank: every committed line pays one CRC32 plus a ~20-byte
+header, and there is no unframed mode to compare against (the control
+arm was removed with the legacy readers), so what holds the cost down is
+the trajectory gate on this scenario's ops/s. The second measures the
 scrubber's full re-verification pass (snapshot manifest + every WAL
 frame + payload decode) in records/s, the number that sizes how often a
-node can afford to re-check its cold bytes. Both land in the metrics
-sidecar (``bench.integrity.framing_overhead``,
+node can afford to re-check its cold bytes, and holds it above a floor.
+Both land in the metrics sidecar (``bench.integrity.framed_ops``,
 ``bench.integrity.scrub_records_per_s``).
 """
 
@@ -29,11 +28,10 @@ from repro.util.money import Credits
 
 TRANSFERS = 150
 FUNDS = 1_000_000.0
-OVERHEAD_LIMIT = 0.05
 SCRUB_FLOOR_RECORDS_PER_S = 500.0
 
 
-def build_bank(tmp, seed: int, wal_integrity: bool):
+def build_bank(tmp, seed: int):
     """A persistent bank with one funded account pair, driven directly
     (no network) so the WAL write path dominates what we time."""
     clock = VirtualClock()
@@ -43,7 +41,7 @@ def build_bank(tmp, seed: int, wal_integrity: bool):
     )
     store = CertificateStore([ca.root_certificate])
     ident = ca.issue_identity(DistinguishedName("GridBank", "server"), key_bits=512)
-    db = Database(path=tmp, wal_integrity=wal_integrity)
+    db = Database(path=tmp)
     bank = GridBankServer(ident, store, db=db, clock=clock, rng=random.Random(seed + 1))
     bank.recover()
     gsc = bank.accounts.create_account("/O=VO-A/CN=alice")
@@ -59,37 +57,22 @@ def transfer_storm(bank, gsc, gsp) -> float:
     return TRANSFERS / (time.perf_counter() - start)
 
 
-def test_integrity_framing_overhead(benchmark, tmp_path):
-    """CRC+length framing on every WAL line costs < 5% transfer ops/s."""
+def test_integrity_framed_transfer_storm(benchmark, tmp_path):
+    """Settled transfers/s with CRC+length framing on every WAL line."""
 
     rounds = iter(range(100))
 
-    def compare():
-        tmp = tmp_path / f"round-{next(rounds)}"
-        framed_best, bare_best = 0.0, 0.0
-        # interleave the arms so machine drift hits both equally
-        for arm in range(3):
-            bank, gsc, gsp = build_bank(tmp / f"bare-{arm}", 501, wal_integrity=False)
-            try:
-                bare_best = max(bare_best, transfer_storm(bank, gsc, gsp))
-            finally:
-                bank.db.close()
-            bank, gsc, gsp = build_bank(tmp / f"framed-{arm}", 501, wal_integrity=True)
-            try:
-                framed_best = max(framed_best, transfer_storm(bank, gsc, gsp))
-            finally:
-                bank.db.close()
-        return framed_best, bare_best
+    def fresh_bank():  # untimed: keygen and account setup are not the WAL
+        return build_bank(tmp_path / f"framed-{next(rounds)}", 501), {}
 
-    framed, bare = benchmark.pedantic(compare, rounds=2, iterations=1)
-    overhead = (bare - framed) / bare
-    obs_metrics.gauge("bench.integrity.framing_overhead").set(overhead)
+    def storm(bank, gsc, gsp):
+        try:
+            return transfer_storm(bank, gsc, gsp)
+        finally:
+            bank.db.close()
+
+    framed = benchmark.pedantic(storm, setup=fresh_bank, rounds=3, iterations=1)
     obs_metrics.gauge("bench.integrity.framed_ops").set(framed)
-    obs_metrics.gauge("bench.integrity.unframed_ops").set(bare)
-    assert overhead < OVERHEAD_LIMIT, (
-        f"WAL framing costs {overhead:.1%} ops/s "
-        f"(framed {framed:.0f}/s vs bare {bare:.0f}/s), limit {OVERHEAD_LIMIT:.0%}"
-    )
 
 
 def test_integrity_scrub_throughput(benchmark, tmp_path):
@@ -98,9 +81,7 @@ def test_integrity_scrub_throughput(benchmark, tmp_path):
     rounds = iter(range(100))
 
     def scrub_pass():
-        bank, gsc, gsp = build_bank(
-            tmp_path / f"scrub-{next(rounds)}", 601, wal_integrity=True
-        )
+        bank, gsc, gsp = build_bank(tmp_path / f"scrub-{next(rounds)}", 601)
         try:
             for _ in range(TRANSFERS):
                 bank.accounts.transfer(gsc, gsp, Credits(1))

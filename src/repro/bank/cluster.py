@@ -46,6 +46,7 @@ state for a fresh snapshot bootstrap.
 
 from __future__ import annotations
 
+import functools
 import threading
 import time
 from collections import deque
@@ -417,18 +418,19 @@ class ClusterNode:
         )
 
     def _register_operations(self) -> None:
-        endpoint = self.bank.endpoint
-        instrument = self.bank._instrumented
-        endpoint.register("Replication.Status", instrument(self.op_replication_status))
-        endpoint.register("Replication.Snapshot", instrument(self.op_replication_snapshot))
-        endpoint.register("Replication.Fetch", instrument(self.op_replication_fetch))
-        endpoint.register("Cluster.Promote", instrument(self.op_cluster_promote))
-        endpoint.register("Cluster.Demote", instrument(self.op_cluster_demote))
-        endpoint.register("Telemetry.Snapshot", instrument(self.op_telemetry_snapshot))
-        endpoint.register("Integrity.Status", instrument(self.op_integrity_status))
-        endpoint.register("Integrity.Repair", instrument(self.op_integrity_repair))
-        endpoint.register("Diag.Profile", instrument(self.op_diag_profile))
-        endpoint.register("Diag.FlightRecord", instrument(self.op_diag_flight_record))
+        # plumbing: no account locks, and a standby answers at any lag
+        # (these are the verbs that measure and repair the lag)
+        register = functools.partial(self.bank.register, staleness_exempt=True)
+        register("Replication.Status", self.op_replication_status)
+        register("Replication.Snapshot", self.op_replication_snapshot)
+        register("Replication.Fetch", self.op_replication_fetch)
+        register("Cluster.Promote", self.op_cluster_promote)
+        register("Cluster.Demote", self.op_cluster_demote)
+        register("Telemetry.Snapshot", self.op_telemetry_snapshot)
+        register("Integrity.Status", self.op_integrity_status)
+        register("Integrity.Repair", self.op_integrity_repair)
+        register("Diag.Profile", self.op_diag_profile)
+        register("Diag.FlightRecord", self.op_diag_flight_record)
 
     def op_replication_status(self, subject: str, params: dict) -> dict:
         self._require_peer(subject)

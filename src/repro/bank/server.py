@@ -19,10 +19,13 @@ subjects may connect and call ``CreateAccount`` only.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import random
 import threading
 import time
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Any, Callable, Optional
 
 from repro.bank.accounts import GBAccounts
 from repro.bank.admin import GBAdmin
@@ -55,9 +58,47 @@ from repro.pki.validation import CertificateStore
 from repro.util.gbtime import Clock, SystemClock, Timestamp
 from repro.util.money import Credits
 
-__all__ = ["GridBankServer"]
+__all__ = ["GridBankServer", "Op"]
 
 _log = get_logger("bank.server")
+
+# what a request without an idempotency key holds instead of a key lock
+_UNLOCKED = contextlib.nullcontext()
+
+
+@dataclass(frozen=True)
+class Op:
+    """What one wire operation *is* — a row of the bank's op table.
+
+    Built by :meth:`GridBankServer.register`; everything
+    :meth:`GridBankServer.dispatch` decides, it decides from these fields.
+    """
+
+    method: str  #: wire name (sec 5.2 / 5.2.1, or an extension's)
+    handler: Operation  #: the layer code, ``(subject, params) -> result``
+    name: str  #: metric/span/SLO stem: the handler's name minus ``op_``
+    span_name: str
+    #: Effects must apply at most once: served by the primary only and
+    #: deduplicated through the durable reply cache. Everything else is a
+    #: pure read (re-execution is harmless and cheaper than caching).
+    mutating: bool
+    #: Accounts whose stripes the op holds (exclusive when mutating,
+    #: shared otherwise). Best-effort on malformed input; None = no locks.
+    accounts_of: Optional[Callable[[dict], tuple]]
+    #: Accounts the shard guard checks. ``RequestDirectTransfer`` guards
+    #: the drawer only: the coordinator of a cross-shard transfer IS the
+    #: drawer's shard, and the recipient is reached through ``Shard.Apply``.
+    guard_accounts: Optional[Callable[[dict], tuple]]
+    staleness_exempt: bool  #: a read that answers on a standby at any lag
+    #: The reply key, for a mutating op that dedups on something other
+    #: than the request's idempotency key (``Shard.Apply``: the intent).
+    reply_key: Optional[Callable[[dict], str]]
+    tracked: bool  #: sampled by the SLO engine and the usage meter
+    requests: obs_metrics.Counter
+    errors: obs_metrics.Counter
+    latency: obs_metrics.Histogram
+    dedup_hits: obs_metrics.Counter
+    rejections: obs_metrics.Counter
 
 
 class GridBankServer:
@@ -118,6 +159,7 @@ class GridBankServer:
         # another connection, or two pipelined duplicates) must not both
         # miss the reply cache and double-execute
         self._key_locks = tuple(threading.Lock() for _ in range(64))
+        self._derived_key_locks = tuple(threading.Lock() for _ in range(64))
 
         # replication role, managed by repro.bank.cluster.ClusterNode: a
         # "standby" rejects mutating ops with NotPrimaryError (carrying
@@ -155,6 +197,8 @@ class GridBankServer:
             should_persist=lambda: self.role == "primary",
         )
         self.endpoint.usage_sink = self._record_wire_usage
+        #: the op table, wire method -> descriptor
+        self.ops: dict[str, Op] = {}
         self._register_operations()
 
     # -- wiring ---------------------------------------------------------------
@@ -258,244 +302,228 @@ class GridBankServer:
             return 0.0
         return 0.0
 
-    def _instrumented(self, operation: Operation) -> Operation:
-        """Dispatch-level wrapper: every ``op_*`` gets a request counter,
-        an error counter, a latency histogram, an SLO sample and a usage
-        sample, named after the operation
-        (``bank.op.direct_transfer.latency_seconds``, ...). Cluster
-        plumbing (:data:`~repro.obs.usage.UNTRACKED_OPS`) skips SLO and
-        usage: replication long-polls and telemetry scrapes are not
-        principal workload and would poison the latency objective."""
-        op_name = operation.__name__.removeprefix("op_")
-        requests = obs_metrics.counter(f"bank.op.{op_name}.requests")
-        errors = obs_metrics.counter(f"bank.op.{op_name}.errors")
-        latency = obs_metrics.histogram(f"bank.op.{op_name}.latency_seconds")
-        tracked = op_name not in UNTRACKED_OPS
+    # -- the op table and its one dispatch ------------------------------------------
 
-        def account(subject: str, params: dict, result, elapsed: float, ok: bool) -> None:
-            if not tracked:
-                return
-            context = current_request()
-            sent_at = context.sent_at if context is not None else None
-            observed = self._observed_latency(elapsed, sent_at)
-            # attribute lookups at call time: the serve CLI may swap in a
-            # differently-tuned engine after construction
-            self.slo.record(op_name, ok=ok, latency=observed)
-            self.usage.record_op(
-                subject,
-                op_name,
-                ok=ok,
-                latency_seconds=observed,
-                currency_moved=(
-                    self._currency_moved(op_name, params, result) if ok else 0.0
-                ),
-            )
-
-        def dispatch(subject: str, params: dict):
-            requests.inc()
-            started = time.perf_counter()
-            # the recorded span is a child of the RPC dispatch span (active
-            # in this context) and closes AFTER the operation's database
-            # transaction commits — its SPAN row autocommits on its own
-            with obs_trace.span(f"bank.op.{op_name}", kind="bank", subject=subject):
-                try:
-                    result = operation(subject, params)
-                except Exception as exc:
-                    elapsed = time.perf_counter() - started
-                    errors.inc()
-                    latency.observe(elapsed)
-                    account(subject, params, None, elapsed, ok=False)
-                    _log.warning(
-                        "bank.op.error", op=op_name, subject=subject,
-                        error=type(exc).__name__, reason=str(exc),
-                    )
-                    raise
-                elapsed = time.perf_counter() - started
-                latency.observe(elapsed)
-                account(subject, params, result, elapsed, ok=True)
-            _log.debug("bank.op", op=op_name, subject=subject, duration=elapsed)
-            return result
-
-        dispatch.__name__ = operation.__name__
-        return dispatch
-
-    def _exactly_once(
+    def register(
         self,
         method: str,
-        operation: Operation,
+        handler: Operation,
         accounts_of: Optional[Callable[[dict], tuple]] = None,
-    ) -> Operation:
-        """Route a mutating operation through the durable reply cache.
+        *,
+        mutating: bool = False,
+        guard_accounts: Optional[Callable[[dict], tuple]] = None,
+        staleness_exempt: bool = False,
+        reply_key: Optional[Callable[[dict], str]] = None,
+    ) -> Op:
+        """Add *method* to the op table and expose it on the endpoint.
 
-        A request whose idempotency key already has a cached reply (a
-        live duplicate, or a retry replayed after crash recovery) gets
-        the original response back without re-execution. A fresh request
-        executes inside one database transaction together with the reply
-        row, so "the op happened" and "its reply is cached" commit as a
-        single WAL line — exactly-once across crashes. Requests without a
-        key (legacy clients, direct in-process calls) execute normally.
-
-        Locking (canonical order, deadlock-free): the key's in-flight
-        lock first — so a duplicate blocks until the original's reply is
-        cached rather than racing it — then the operation's account
-        stripes (exclusive, sorted), held through the transaction's
-        commit acknowledgement so conflicting writers reach the WAL in
-        execution order.
+        The one registration call for the bank's own sec 5.2 / 5.2.1
+        operations, the cluster and shard planes, and payment-protocol
+        extensions alike: whatever is registered here is served by
+        :meth:`dispatch` and gets every guard, the exactly-once envelope
+        and the ``bank.op.<name>.*`` instruments. *guard_accounts*
+        defaults to *accounts_of*. Instruments are resolved once, here,
+        so a dispatch pays no registry lookup for them.
         """
-        dedup_hits = obs_metrics.counter("bank.dedup_hits")
+        name = handler.__name__.removeprefix("op_")
+        op = Op(
+            method=method,
+            handler=handler,
+            name=name,
+            span_name=f"bank.op.{name}",
+            mutating=mutating,
+            accounts_of=accounts_of,
+            guard_accounts=guard_accounts if guard_accounts is not None else accounts_of,
+            staleness_exempt=staleness_exempt,
+            reply_key=reply_key,
+            tracked=name not in UNTRACKED_OPS,
+            requests=obs_metrics.counter(f"bank.op.{name}.requests"),
+            errors=obs_metrics.counter(f"bank.op.{name}.errors"),
+            latency=obs_metrics.histogram(f"bank.op.{name}.latency_seconds"),
+            dedup_hits=obs_metrics.counter("bank.dedup_hits"),
+            rejections=obs_metrics.counter("bank.not_primary_rejections"),
+        )
+        self.endpoint.register(method, functools.partial(self.dispatch, op))
+        self.ops[method] = op
+        return op
 
-        def dispatch(subject: str, params: dict):
-            context = current_request()
-            key = context.idempotency_key if context is not None else ""
-            shard = self.shard
-            if shard is not None and shard.wants(method, params):
-                # cross-shard 2PC: the prepare must be durable BEFORE the
-                # remote credit, so the coordinator manages its own
-                # transactions instead of this wrapper's single envelope
-                # (nested transaction blocks are savepoints, not commits)
-                return shard.execute_detached(method, subject, params, key)
-            touched = accounts_of(params) if accounts_of is not None else ()
-            if not key:
-                with self.locks.exclusive(*touched):
-                    return operation(subject, params)
-            key_lock = self._key_locks[hash(key) % len(self._key_locks)]
-            with key_lock:
-                cached = self.replies.lookup(key, subject, method)
-                if cached is not None:
-                    dedup_hits.inc()
-                    obs_trace.add_event("bank.dedup_hit", op=method, key=key)
-                    _log.info("bank.dedup_hit", op=method, subject=subject, key=key)
-                    return ReplyCache.replay(cached)
-                with self.locks.exclusive(*touched):
-                    with self.db.transaction():
-                        result = operation(subject, params)
-                        self.replies.store(key, subject, method, result)
-            obs_metrics.gauge("bank.reply_cache.size").set(len(self.replies))
-            return result
-
-        dispatch.__name__ = operation.__name__
-        return dispatch
-
-    def _primary_only(self, method: str, operation: Operation) -> Operation:
-        """Reject mutating dispatch on any node not currently primary.
-
-        The check sits *outside* the exactly-once wrapper: a standby must
-        refuse before consulting the reply cache, because its cache only
-        reflects what has replicated so far — answering from it could
-        serve a stale reply for a call the primary has since superseded.
-        The raised :class:`~repro.errors.NotPrimaryError` carries the
-        primary's address (when this node knows it) so routing clients
-        redirect without a topology lookup.
-        """
-        rejections = obs_metrics.counter("bank.not_primary_rejections")
-
-        def dispatch(subject: str, params: dict):
-            if self.role != "primary":
-                rejections.inc()
-                raise NotPrimaryError.for_primary(
-                    self.primary_address,
-                    f"{method} requires the primary; this node is a {self.role}",
-                )
-            return operation(subject, params)
-
-        dispatch.__name__ = operation.__name__
-        return dispatch
-
-    def _staleness_guarded(self, operation: Operation) -> Operation:
-        """Bounded-staleness reads on standbys: when the replica's lag
-        (seconds since it last matched the primary's position) exceeds
-        the configured bound, refuse with a typed error instead of
-        silently serving arbitrarily old state. Primaries — and standbys
-        without a configured bound — serve reads unconditionally."""
-
-        def dispatch(subject: str, params: dict):
-            if self.role != "primary":
-                bound = self.read_staleness_bound
-                lag_of = self.replica_lag
-                if bound is not None and lag_of is not None:
-                    lag = lag_of()
-                    if lag > bound:
-                        raise ReplicaStaleError(
-                            f"replica lag {lag:.3f}s exceeds the staleness bound {bound:.3f}s"
+    def dispatch(self, op: Op, subject: str, params: dict):
+        """Serve one request for *op* — the only path from a wire method
+        to layer code. The order of the steps is fixed; each says why it
+        sits where it does."""
+        # 1. count, before anything below can refuse
+        op.requests.inc()
+        started = time.perf_counter()
+        # 2. span: a child of the RPC dispatch span (active in this
+        #    context); it closes AFTER the operation's database transaction
+        #    commits — its SPAN row autocommits on its own
+        with obs_trace.span(op.span_name, kind="bank", subject=subject):
+            try:
+                # 3. shard guard, before the role check: a misrouted client
+                #    must learn the owning *shard* (WrongShardError's hint)
+                #    before it would be told about the wrong shard's
+                #    primary. Ops without guard accounts (CreateAccount,
+                #    BankInfo, ...) serve anywhere; no-op until a ShardNode
+                #    attaches and installs a map.
+                shard = self.shard
+                if shard is not None and op.guard_accounts is not None:
+                    shard.guard(op.method, op.guard_accounts(params))
+                if op.mutating:
+                    # 4. role check, writes: a standby refuses BEFORE
+                    #    reading its reply cache, which only reflects what
+                    #    has replicated so far — answering from it could
+                    #    serve a stale reply for a call the primary has
+                    #    since superseded. The error carries the primary's
+                    #    address (when known) so routing clients redirect
+                    #    without a topology lookup.
+                    if self.role != "primary":
+                        op.rejections.inc()
+                        raise NotPrimaryError.for_primary(
+                            self.primary_address,
+                            f"{op.method} requires the primary; this node is a {self.role}",
                         )
-            return operation(subject, params)
+                    if op.reply_key is not None:
+                        key = op.reply_key(params)
+                    else:
+                        context = current_request()
+                        key = context.idempotency_key if context is not None else ""
+                    # a direct transfer whose recipient lives on another
+                    # shard goes to step 7, and takes its own stripes there
+                    detached = shard is not None and shard.wants(op.method, params)
+                    touched = ()
+                    if op.accounts_of is not None and not detached:
+                        touched = op.accounts_of(params)
+                    # 5. the key's in-flight lock, FIRST in the lock order
+                    #    (key lock -> account stripes, deadlock-free): a
+                    #    duplicate blocks until the original's reply is
+                    #    cached rather than racing it. A request without a
+                    #    key (in-process callers, legacy clients) skips
+                    #    this, step 6 and the reply row of step 8.
+                    derived = op.reply_key is not None
+                    with self.key_lock(key, derived) if key else _UNLOCKED:
+                        # 6. reply lookup: a live duplicate, or a retry
+                        #    replayed after crash recovery, gets the
+                        #    original response back without re-execution
+                        cached = self.replies.lookup(key, subject, op.method) if key else None
+                        if cached is not None:
+                            op.dedup_hits.inc()
+                            obs_trace.add_event("bank.dedup_hit", op=op.method, key=key)
+                            _log.info("bank.dedup_hit", op=op.method, subject=subject, key=key)
+                            result = ReplyCache.replay(cached)
+                        elif detached:
+                            # 7. cross-shard: the prepare must be durable
+                            #    BEFORE the remote credit, and nested
+                            #    transaction blocks are savepoints, not
+                            #    commits — so the coordinator runs outside
+                            #    step 8's single transaction and reaches
+                            #    commit_once() itself, at its commit phase
+                            result = shard.coordinate(subject, params, key)
+                        else:
+                            # 8. stripes -> transaction -> handler -> reply
+                            result = self.commit_once(
+                                key, subject, op.method, touched,
+                                functools.partial(op.handler, subject, params),
+                            )
+                else:
+                    # 4. role check, reads: a standby whose lag (seconds
+                    #    since it last matched the primary's position)
+                    #    exceeds the configured bound refuses with a typed
+                    #    error instead of silently serving arbitrarily old
+                    #    state. Primaries, standbys without a bound, and
+                    #    exempt ops always answer.
+                    if self.role != "primary" and not op.staleness_exempt:
+                        bound = self.read_staleness_bound
+                        lag_of = self.replica_lag
+                        if bound is not None and lag_of is not None:
+                            lag = lag_of()
+                            if lag > bound:
+                                raise ReplicaStaleError(
+                                    f"replica lag {lag:.3f}s exceeds the staleness bound {bound:.3f}s"
+                                )
+                    # 5. shared stripes: many reads proceed in parallel,
+                    #    but none overlaps a mutator mid-flight on the
+                    #    same account
+                    if op.accounts_of is None:
+                        result = op.handler(subject, params)
+                    else:
+                        with self.locks.shared(*op.accounts_of(params)):
+                            result = op.handler(subject, params)
+            except Exception as exc:
+                elapsed = time.perf_counter() - started
+                op.errors.inc()
+                op.latency.observe(elapsed)
+                self._account(op, subject, params, None, elapsed, ok=False)
+                _log.warning(
+                    "bank.op.error", op=op.name, subject=subject,
+                    error=type(exc).__name__, reason=str(exc),
+                )
+                raise
+            # 9. latency, SLO sample, usage sample
+            elapsed = time.perf_counter() - started
+            op.latency.observe(elapsed)
+            self._account(op, subject, params, result, elapsed, ok=True)
+        _log.debug("bank.op", op=op.name, subject=subject, duration=elapsed)
+        return result
 
-        dispatch.__name__ = operation.__name__
-        return dispatch
+    def commit_once(
+        self, key: str, subject: str, method: str, touched: tuple, effects: Callable[[], Any]
+    ):
+        """Run *effects* and record its reply, under *touched*'s stripes.
 
-    def _read_only(
-        self, operation: Operation, accounts_of: Optional[Callable[[dict], tuple]]
-    ) -> Operation:
-        """Shared fast path: read-only operations take their accounts'
-        stripes in shared mode — many reads proceed in parallel, but none
-        overlaps a mutator mid-flight on the same account."""
-        if accounts_of is None:
-            return operation
-
-        def dispatch(subject: str, params: dict):
-            with self.locks.shared(*accounts_of(params)):
-                return operation(subject, params)
-
-        dispatch.__name__ = operation.__name__
-        return dispatch
-
-    def _shard_guarded(
-        self,
-        method: str,
-        operation: Operation,
-        accounts_of: Optional[Callable[[dict], tuple]],
-    ) -> Operation:
-        """Bounce operations touching accounts this shard does not own.
-
-        Outermost in the dispatch chain — even before the primary check:
-        a misrouted client must learn the owning *shard* (via
-        :class:`~repro.errors.WrongShardError`'s hint) before it would be
-        told about the wrong shard's primary. ``RequestDirectTransfer``
-        guards the drawer only: the coordinator of a cross-shard transfer
-        IS the drawer's shard, and the recipient is reached through the
-        2PC apply path. Ops without an account extractor (CreateAccount,
-        BankInfo, ...) serve anywhere. No-op until a
-        :class:`~repro.bank.shard.ShardNode` attaches and installs a map.
+        The last step of :meth:`dispatch`, and of the 2PC coordinator's
+        commit phase (which arrives from a request *and* from the
+        resolver, so it cannot live inline). The stripes are exclusive and
+        sorted, and held through the transaction's commit acknowledgement
+        so conflicting writers reach the WAL in execution order. With a
+        key, *effects* and the reply row share one database transaction —
+        "the op happened" and "its reply is cached" are a single WAL line,
+        exactly-once across crashes. Without one, *effects* runs under
+        the stripes with whatever transactions it opens itself.
         """
-        if method == "RequestDirectTransfer":
-            accounts_of = self._param_accounts("from_account")
-        if accounts_of is None:
-            return operation
-        guard_accounts = accounts_of
+        with self.locks.exclusive(*touched):
+            if not key:
+                return effects()
+            with self.db.transaction():
+                result = effects()
+                self.replies.store(key, subject, method, result)
+        obs_metrics.gauge("bank.reply_cache.size").set(len(self.replies))
+        return result
 
-        def dispatch(subject: str, params: dict):
-            shard = self.shard
-            if shard is not None:
-                shard.guard(method, guard_accounts(params))
-            return operation(subject, params)
+    def key_lock(self, key: str, derived: bool = False) -> threading.Lock:
+        """The in-flight lock of one idempotency key.
 
-        dispatch.__name__ = operation.__name__
-        return dispatch
+        Keys an op derives from its params (``Shard.Apply``'s
+        ``2pc:<IntentID>``) lock in an array of their own: the coordinator
+        calling ``Shard.Apply`` already holds a client key's lock — on its
+        node, or on this one when a rebalance moved the recipient home —
+        and with one shared array two opposing cross-shard transfers could
+        each hold the stripe the other's apply needs.
+        """
+        locks = self._derived_key_locks if derived else self._key_locks
+        return locks[hash(key) % len(locks)]
 
-    #: Operations whose effects must apply at most once. Everything else
-    #: is a pure read (re-execution is harmless and cheaper than caching).
-    MUTATING_OPS = frozenset(
-        {
-            "CreateAccount",
-            "UpdateAccountDetails",
-            "FundsAvailabilityCheck",
-            "ReleaseFunds",
-            "RequestDirectTransfer",
-            "FetchConfirmations",  # drains the inbox: a duplicate must replay, not re-drain
-            "RequestGridCheque",
-            "RedeemGridCheque",
-            "RedeemGridChequeBatch",
-            "CancelGridCheque",
-            "RequestGridHash",
-            "RedeemGridHash",
-            "Admin.Deposit",
-            "Admin.Withdraw",
-            "Admin.ChangeCreditLimit",
-            "Admin.CancelTransfer",
-            "Admin.CloseAccount",
-            "Admin.AddAdministrator",
-        }
-    )
+    def _account(
+        self, op: Op, subject: str, params: dict, result, elapsed: float, ok: bool
+    ) -> None:
+        """SLO and usage samples for one dispatch. Cluster plumbing
+        (:data:`~repro.obs.usage.UNTRACKED_OPS`) is skipped: replication
+        long-polls and telemetry scrapes are not principal workload and
+        would poison the latency objective."""
+        if not op.tracked:
+            return
+        context = current_request()
+        sent_at = context.sent_at if context is not None else None
+        observed = self._observed_latency(elapsed, sent_at)
+        # attribute lookups at call time: the serve CLI may swap in a
+        # differently-tuned engine after construction
+        self.slo.record(op.name, ok=ok, latency=observed)
+        self.usage.record_op(
+            subject,
+            op.name,
+            ok=ok,
+            latency_seconds=observed,
+            currency_moved=(self._currency_moved(op.name, params, result) if ok else 0.0),
+        )
 
     # -- lock-set extraction ------------------------------------------------------
 
@@ -568,56 +596,44 @@ class GridBankServer:
         return (row["DrawerAccountID"], row["RecipientAccountID"])
 
     def _register_operations(self) -> None:
-        def register(
-            method: str,
-            operation: Operation,
-            accounts_of: Optional[Callable[[dict], tuple]] = None,
-        ) -> None:
-            if method in self.MUTATING_OPS:
-                operation = self._exactly_once(method, operation, accounts_of)
-                operation = self._primary_only(method, operation)
-            else:
-                operation = self._read_only(operation, accounts_of)
-                # BankInfo stays serveable on any node at any lag — it is
-                # how clients discover roles/addresses in the first place
-                if method != "BankInfo":
-                    operation = self._staleness_guarded(operation)
-            operation = self._shard_guarded(method, operation, accounts_of)
-            self.endpoint.register(method, self._instrumented(operation))
-
+        """The sec 5.2 / 5.2.1 rows of the op table, by verb: a ``write``
+        row is mutating, a ``read`` row is not."""
+        read, write = self.register, functools.partial(self.register, mutating=True)
         account = self._param_accounts("account_id")
-        register("BankInfo", self.op_bank_info)
-        register("CreateAccount", self.op_create_account)
-        register("RequestAccountDetails", self.op_account_details, account)
-        register("UpdateAccountDetails", self.op_update_account, account)
-        register("RequestAccountStatement", self.op_statement, account)
-        register("FundsAvailabilityCheck", self.op_funds_availability_check, account)
-        register("ReleaseFunds", self.op_release_funds, account)
-        register(
+        # BankInfo stays serveable on any node at any lag — it is how
+        # clients discover roles/addresses in the first place
+        read("BankInfo", self.op_bank_info, staleness_exempt=True)
+        write("CreateAccount", self.op_create_account)
+        read("RequestAccountDetails", self.op_account_details, account)
+        write("UpdateAccountDetails", self.op_update_account, account)
+        read("RequestAccountStatement", self.op_statement, account)
+        write("FundsAvailabilityCheck", self.op_funds_availability_check, account)
+        write("ReleaseFunds", self.op_release_funds, account)
+        write(
             "RequestDirectTransfer",
             self.op_direct_transfer,
             self._param_accounts("from_account", "to_account"),
+            guard_accounts=self._param_accounts("from_account"),
         )
-        register("FetchConfirmations", self.op_fetch_confirmations)
-        register("RequestGridCheque", self.op_request_cheque, account)
-        register("RedeemGridCheque", self.op_redeem_cheque, self._instrument_accounts("cheque"))
-        register("RedeemGridChequeBatch", self.op_redeem_cheque_batch, self._batch_accounts)
-        register("CancelGridCheque", self.op_cancel_cheque, self._instrument_accounts("cheque"))
-        register("RequestGridHash", self.op_request_hashchain, account)
-        register(
-            "RedeemGridHash", self.op_redeem_hashchain, self._instrument_accounts("commitment")
-        )
-        register("EstimatePrice", self.op_estimate_price)
-        register("Admin.Deposit", self.op_admin_deposit, account)
-        register("Admin.Withdraw", self.op_admin_withdraw, account)
-        register("Admin.ChangeCreditLimit", self.op_admin_change_credit_limit, account)
-        register("Admin.CancelTransfer", self.op_admin_cancel_transfer, self._cancel_transfer_accounts)
-        register(
+        # drains the inbox: a duplicate must replay, not re-drain
+        write("FetchConfirmations", self.op_fetch_confirmations)
+        write("RequestGridCheque", self.op_request_cheque, account)
+        write("RedeemGridCheque", self.op_redeem_cheque, self._instrument_accounts("cheque"))
+        write("RedeemGridChequeBatch", self.op_redeem_cheque_batch, self._batch_accounts)
+        write("CancelGridCheque", self.op_cancel_cheque, self._instrument_accounts("cheque"))
+        write("RequestGridHash", self.op_request_hashchain, account)
+        write("RedeemGridHash", self.op_redeem_hashchain, self._instrument_accounts("commitment"))
+        read("EstimatePrice", self.op_estimate_price)
+        write("Admin.Deposit", self.op_admin_deposit, account)
+        write("Admin.Withdraw", self.op_admin_withdraw, account)
+        write("Admin.ChangeCreditLimit", self.op_admin_change_credit_limit, account)
+        write("Admin.CancelTransfer", self.op_admin_cancel_transfer, self._cancel_transfer_accounts)
+        write(
             "Admin.CloseAccount",
             self.op_admin_close_account,
             self._param_accounts("account_id", "transfer_to"),
         )
-        register("Admin.AddAdministrator", self.op_admin_add_administrator)
+        write("Admin.AddAdministrator", self.op_admin_add_administrator)
 
     # -- per-call checks ----------------------------------------------------------
 

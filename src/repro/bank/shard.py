@@ -63,6 +63,7 @@ balance and must not be counted twice; see :func:`sharded_total_funds`.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
@@ -80,7 +81,6 @@ from repro.bank.records import (
     credits_to_db,
     db_to_credits,
 )
-from repro.bank.replies import ReplyCache
 from repro.crypto.signature import Signed
 from repro.db.query import eq
 from repro.errors import (
@@ -315,9 +315,9 @@ class ShardNode:
 
     Attach one per node (primary *and* standbys — a promoted standby
     must fence with the same installed map). Registers the ``Shard.*``
-    verbs on the bank's endpoint and hooks itself into the server as
-    ``bank.shard`` so the dispatch wrappers consult :meth:`guard` /
-    :meth:`wants` / :meth:`execute_detached`.
+    verbs in the bank's op table and hooks itself into the server as
+    ``bank.shard`` so its dispatch consults :meth:`guard` /
+    :meth:`wants` / :meth:`coordinate`.
     """
 
     def __init__(
@@ -450,9 +450,9 @@ class ShardNode:
     def guard(self, method: str, accounts: Iterable[str]) -> None:
         """Bounce ops touching accounts this shard does not own.
 
-        Runs outermost in the dispatch chain (before the primary check:
-        a misrouted client should learn the right *shard* first, not the
-        wrong shard's primary). The hint carries the owner's addresses
+        Dispatch runs it before the role check (a misrouted client
+        should learn the right *shard* first, not the wrong shard's
+        primary). The hint carries the owner's addresses
         and this node's installed map version — after a split, the old
         owner keeps answering for moved ranges with exactly this bounce.
         """
@@ -490,30 +490,14 @@ class ShardNode:
             and shard_map.shard_for(to_account) != self.shard_id
         )
 
-    def execute_detached(self, method: str, subject: str, params: dict, key: str):
-        """Cross-shard entry point, called by ``_exactly_once`` INSTEAD of
-        the normal single-transaction envelope.
+    def coordinate(self, subject: str, params: dict, key: str):
+        """Cross-shard entry point: dispatch hands a transfer :meth:`wants`
+        claimed here INSTEAD of running its single-transaction envelope,
+        because the prepare has to be durable *before* the remote credit.
 
-        The coordinator must run outside that envelope because nested
-        ``db.transaction()`` blocks are savepoints: the prepare has to be
-        durable *before* the remote credit, which a single wrapping
-        transaction cannot provide. Duplicate keyed requests serialize on
-        the same key-lock stripe the normal path uses, and a replayed
-        key answers from the reply cache exactly like a local op.
+        The caller holds the key's in-flight lock (when there is a key)
+        and has already missed the reply cache.
         """
-        bank = self.bank
-        if not key:
-            return self._coordinate(subject, params, "")
-        key_lock = bank._key_locks[hash(key) % len(bank._key_locks)]
-        with key_lock:
-            cached = bank.replies.lookup(key, subject, method)
-            if cached is not None:
-                obs_metrics.counter("bank.dedup_hits").inc()
-                obs_trace.add_event("bank.dedup_hit", op=method, key=key)
-                return ReplyCache.replay(cached)
-            return self._coordinate(subject, params, key)
-
-    def _coordinate(self, subject: str, params: dict, key: str):
         bank = self.bank
         bank._require_standing(subject)
         from_account = str(params["from_account"])
@@ -598,7 +582,7 @@ class ShardNode:
         if row is None:
             raise NotFoundError(f"no transfer intent {intent_id}")
         if row["State"] == INTENT_COMMITTED:
-            return self._committed_result(row)
+            return self._confirmation(row, {})
         if row["State"] == INTENT_ABORTED:
             raise AccountError(row["Detail"] or "cross-shard transfer aborted")
         try:
@@ -618,57 +602,66 @@ class ShardNode:
         return self._commit(row, applied)
 
     def _commit(self, row: dict, applied: dict):
+        """Phase 3: the intent flips to ``committed``, the drawer's ledger
+        entry posts and the client's reply row lands, all in one WAL line
+        — the same last step as any keyed op (``bank.commit_once``)."""
+        bank = self.bank
+        intent_id = row["IntentID"]
+        from_account = row["DrawerAccountID"]
+        # intents change state only under the drawer's stripe, so the
+        # re-read below cannot go stale before commit_once re-enters it
+        with bank.locks.exclusive(from_account):
+            fresh = bank.db.find("xfer_intents", (intent_id,))
+            if fresh is not None and fresh["State"] == INTENT_PREPARED:
+                return bank.commit_once(
+                    row["IdempotencyKey"],
+                    row["Subject"],
+                    "RequestDirectTransfer",
+                    (from_account,),
+                    lambda: self._commit_effects(row, applied),
+                )
+        row = fresh if fresh is not None else row
+        if row["State"] == INTENT_COMMITTED:
+            return self._confirmation(row, {})
+        raise AccountError(row.get("Detail") or "cross-shard transfer aborted")
+
+    def _commit_effects(self, row: dict, applied: dict) -> dict:
         bank = self.bank
         intent_id = row["IntentID"]
         from_account = row["DrawerAccountID"]
         amount = db_to_credits(row["Amount"])
-        with bank.locks.exclusive(from_account):
-            with bank.db.transaction():
-                fresh = bank.db.find("xfer_intents", (intent_id,))
-                if fresh is None or fresh["State"] != INTENT_PREPARED:
-                    row = fresh if fresh is not None else row
-                else:
-                    txn_id = bank.accounts._txn_ids.next_int()
-                    when = bank.clock.now()
-                    bank.db.update(
-                        "xfer_intents",
-                        (intent_id,),
-                        {"State": INTENT_COMMITTED, "TransactionID": txn_id},
-                    )
-                    bank.accounts._post_entry(
-                        from_account, txn_id, TXN_TRANSFER, -amount, when
-                    )
-                    bank.db.insert(
-                        "transfers",
-                        {
-                            "TransactionID": txn_id,
-                            "Date": when,
-                            "DrawerAccountID": from_account,
-                            "Amount": credits_to_db(amount),
-                            "RecipientAccountID": row["RecipientAccountID"],
-                            "ResourceUsageRecord": b"",
-                            "TraceID": current_trace_id(),
-                        },
-                    )
-                    row = dict(row)
-                    row["State"] = INTENT_COMMITTED
-                    row["TransactionID"] = txn_id
-                    result = self._confirmation(row, applied)
-                    key = row["IdempotencyKey"]
-                    if key and bank.replies.lookup(key, row["Subject"], "RequestDirectTransfer") is None:
-                        bank.replies.store(key, row["Subject"], "RequestDirectTransfer", result)
-                    obs_metrics.counter("bank.shard.xfer_committed", shard=self.shard_id).inc()
-                    obs_metrics.counter(
-                        "bank.shard.cross_value", shard=self.shard_id
-                    ).inc(amount.to_float())
-                    obs_trace.add_event("shard.2pc.committed", intent=intent_id, txn=txn_id)
-                    _log.info(
-                        "shard.2pc.committed", shard=self.shard_id, intent=intent_id, txn=txn_id
-                    )
-                    return result
-        if row["State"] == INTENT_COMMITTED:
-            return self._committed_result(row)
-        raise AccountError(row.get("Detail") or "cross-shard transfer aborted")
+        # a savepoint inside a keyed commit_once; the whole transaction
+        # for a key-less intent
+        with bank.db.transaction():
+            txn_id = bank.accounts._txn_ids.next_int()
+            when = bank.clock.now()
+            bank.db.update(
+                "xfer_intents",
+                (intent_id,),
+                {"State": INTENT_COMMITTED, "TransactionID": txn_id},
+            )
+            bank.accounts._post_entry(from_account, txn_id, TXN_TRANSFER, -amount, when)
+            bank.db.insert(
+                "transfers",
+                {
+                    "TransactionID": txn_id,
+                    "Date": when,
+                    "DrawerAccountID": from_account,
+                    "Amount": credits_to_db(amount),
+                    "RecipientAccountID": row["RecipientAccountID"],
+                    "ResourceUsageRecord": b"",
+                    "TraceID": current_trace_id(),
+                },
+            )
+            row = dict(row)
+            row["State"] = INTENT_COMMITTED
+            row["TransactionID"] = txn_id
+            result = self._confirmation(row, applied)
+        obs_metrics.counter("bank.shard.xfer_committed", shard=self.shard_id).inc()
+        obs_metrics.counter("bank.shard.cross_value", shard=self.shard_id).inc(amount.to_float())
+        obs_trace.add_event("shard.2pc.committed", intent=intent_id, txn=txn_id)
+        _log.info("shard.2pc.committed", shard=self.shard_id, intent=intent_id, txn=txn_id)
+        return result
 
     def _abort(self, row: dict, reason: str) -> None:
         bank = self.bank
@@ -693,15 +686,11 @@ class ShardNode:
         obs_trace.add_event("shard.2pc.aborted", intent=intent_id, reason=reason[:80])
         _log.warning("shard.2pc.aborted", shard=self.shard_id, intent=intent_id, reason=reason)
 
-    def _committed_result(self, row: dict):
-        key = row["IdempotencyKey"]
-        if key:
-            cached = self.bank.replies.lookup(key, row["Subject"], "RequestDirectTransfer")
-            if cached is not None:
-                return ReplyCache.replay(cached)
-        return self._confirmation(row, {"transaction_id": 0})
-
     def _confirmation(self, row: dict, applied: dict) -> dict:
+        """The signed reply for a committed intent. With an empty
+        *applied* it is re-signed from the intent row alone — the client's
+        reply row was evicted, or the intent never had a key — and the
+        participant's transaction id is no longer known."""
         payload = {
             "confirmation": "DirectTransfer",
             "transaction_id": row["TransactionID"],
@@ -726,7 +715,7 @@ class ShardNode:
         if dest == self.shard_id:
             # a rebalance moved the recipient home mid-flight: apply the
             # credit locally through the same idempotent participant path
-            return self.op_shard_apply(self.bank.subject, self._apply_params(row))
+            return self.bank.dispatch(self._apply_op, self.bank.subject, self._apply_params(row))
         try:
             return self._call_peer(dest, shard_map.addresses_of(dest), row)
         except WrongShardError as exc:
@@ -806,8 +795,7 @@ class ShardNode:
         resolved = aborted = pending = 0
         for row in self.pending_intents():
             key = row["IdempotencyKey"] or row["IntentID"]
-            key_lock = self.bank._key_locks[hash(key) % len(self.bank._key_locks)]
-            with key_lock:
+            with self.bank.key_lock(key):
                 try:
                     self._complete(row["IntentID"])
                     resolved += 1
@@ -853,16 +841,26 @@ class ShardNode:
     # -- RPC operations -------------------------------------------------------
 
     def _register_operations(self) -> None:
-        endpoint = self.bank.endpoint
-        instrument = self.bank._instrumented
-        endpoint.register("Shard.Map", instrument(self.op_shard_map))
-        endpoint.register("Shard.Status", instrument(self.op_shard_status))
-        endpoint.register("Shard.Apply", instrument(self.op_shard_apply))
-        endpoint.register("Shard.Install", instrument(self.op_shard_install))
-        endpoint.register("Shard.Export", instrument(self.op_shard_export))
-        endpoint.register("Shard.Import", instrument(self.op_shard_import))
-        endpoint.register("Shard.Evict", instrument(self.op_shard_evict))
-        endpoint.register("Shard.Resolve", instrument(self.op_shard_resolve))
+        # plumbing: no account locks, no staleness bound; the verbs that
+        # write check the role themselves
+        register = functools.partial(self.bank.register, staleness_exempt=True)
+        register("Shard.Map", self.op_shard_map)
+        register("Shard.Status", self.op_shard_status)
+        register("Shard.Install", self.op_shard_install)
+        register("Shard.Export", self.op_shard_export)
+        register("Shard.Import", self.op_shard_import)
+        register("Shard.Evict", self.op_shard_evict)
+        register("Shard.Resolve", self.op_shard_resolve)
+        # the participant half of the 2PC is an ordinary mutating op whose
+        # reply key is the intent: guarded on the recipient, primary-only,
+        # credit and reply row in one WAL line
+        self._apply_op = self.bank.register(
+            "Shard.Apply",
+            self.op_shard_apply,
+            self.bank._param_accounts("to_account"),
+            mutating=True,
+            reply_key=lambda params: f"2pc:{params['intent_id']}",
+        )
 
     def _require_primary(self, what: str) -> None:
         if self.bank.role != "primary":
@@ -899,55 +897,35 @@ class ShardNode:
         }
 
     def op_shard_apply(self, subject: str, params: dict) -> dict:
-        """Participant half of the 2PC: idempotent credit keyed by intent.
+        """Participant half of the 2PC: the credit, keyed by intent.
 
-        The reply row commits in the same WAL line as the credit and
-        ships to this shard's standbys, so a coordinator retry after
-        participant failover replays on the promoted standby instead of
-        double-crediting.
+        Dispatch stores the reply under ``2pc:<IntentID>`` in the same WAL
+        line as the credit, and it ships to this shard's standbys, so a
+        coordinator retry after participant failover replays on the
+        promoted standby instead of double-crediting.
         """
         self.node._require_peer(subject)
-        self._require_primary("Shard.Apply")
         bank = self.bank
-        intent_id = str(params["intent_id"])
         to_account = str(params["to_account"])
-        shard_map = self.installed_map()
-        if shard_map is not None:
-            owner = shard_map.shard_for(to_account)
-            if owner != self.shard_id:
-                self._bounces.inc()
-                raise WrongShardError.for_shard(
-                    owner,
-                    shard_map.version,
-                    shard_map.addresses_of(owner),
-                    reason=f"Shard.Apply: account {to_account} belongs to shard {owner}",
-                )
         amount = Credits(params["amount"]).require_positive("transfer amount")
-        cache_key = f"2pc:{intent_id}"
-        with bank.locks.exclusive(to_account):
-            cached = bank.replies.lookup(cache_key, subject, "Shard.Apply")
-            if cached is not None:
-                obs_metrics.counter("bank.shard.apply_dedup", shard=self.shard_id).inc()
-                return ReplyCache.replay(cached)
-            with bank.db.transaction():
-                recipient = bank.accounts.require_open(to_account)
-                currency = str(params.get("currency", recipient["Currency"]))
-                if recipient["Currency"] != currency:
-                    raise AccountError(
-                        f"currency mismatch: transfer carries {currency}, "
-                        f"{to_account} holds {recipient['Currency']}"
-                    )
-                txn_id = bank.accounts._txn_ids.next_int()
-                when = bank.clock.now()
-                bank.accounts._set_balances(
-                    to_account, db_to_credits(recipient["AvailableBalance"]) + amount
+        with bank.db.transaction():
+            recipient = bank.accounts.require_open(to_account)
+            currency = str(params.get("currency", recipient["Currency"]))
+            if recipient["Currency"] != currency:
+                raise AccountError(
+                    f"currency mismatch: transfer carries {currency}, "
+                    f"{to_account} holds {recipient['Currency']}"
                 )
-                bank.accounts._post_entry(to_account, txn_id, TXN_TRANSFER, amount, when)
-                result = {"transaction_id": txn_id, "shard": self.shard_id}
-                bank.replies.store(cache_key, subject, "Shard.Apply", result)
-        obs_metrics.counter("bank.shard.applies", shard=self.shard_id).inc()
-        obs_trace.add_event("shard.2pc.applied", intent=intent_id, account=to_account)
-        return result
+            txn_id = bank.accounts._txn_ids.next_int()
+            when = bank.clock.now()
+            bank.accounts._set_balances(
+                to_account, db_to_credits(recipient["AvailableBalance"]) + amount
+            )
+            bank.accounts._post_entry(to_account, txn_id, TXN_TRANSFER, amount, when)
+        obs_trace.add_event(
+            "shard.2pc.applied", intent=str(params["intent_id"]), account=to_account
+        )
+        return {"transaction_id": txn_id, "shard": self.shard_id}
 
     def op_shard_install(self, subject: str, params: dict) -> dict:
         self.node._require_peer(subject)

@@ -549,7 +549,7 @@ def cmd_serve(args) -> int:
     # write its own rows into the replicated database (every local line
     # desynchronizes the stream), so the db sink only records while this
     # node is the primary — the standby's SPAN rows arrive replicated.
-    def _primary_only_spans(record):
+    def _persist_workload_spans(record):
         if bank.role != "primary":
             return
         # replication polling is continuous; persisting a span row per
@@ -580,7 +580,7 @@ def cmd_serve(args) -> int:
             return 1
         op_rates[op] = float(rate)
     sampler = SamplingSpanSink(
-        _primary_only_spans,
+        _persist_workload_spans,
         SamplingPolicy(
             default_rate=args.sample_rate,
             op_rates=op_rates,

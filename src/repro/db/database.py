@@ -275,7 +275,6 @@ class Database:
         group_commit: bool = True,
         commit_linger: float = 0.0,
         max_batch: int = 128,
-        wal_integrity: bool = True,
         storage=None,
     ) -> None:
         if durability not in ("flush", "fsync"):
@@ -299,11 +298,8 @@ class Database:
         self._wal_seq = 0
         self._snapshot_epoch = 1
         self._replication = None  # Optional[ReplicationLog], attached lazily
-        # storage integrity: frame every WAL line with length+CRC32
-        # (wal_integrity=False exists for the overhead benchmark only);
         # ``storage`` is a FaultyStorage-compatible shim routing file
         # opens and fsyncs through a disk fault plan in tests
-        self._wal_integrity = bool(wal_integrity)
         self._storage = storage
         # once a WAL write raises OSError the handle may hold a torn
         # prefix; further appends would merge into garbage, so the WAL
@@ -713,14 +709,6 @@ class Database:
             if log is not None:
                 log.append(self._snapshot_epoch, self._wal_seq, payload)
 
-    def _frame(self, serialized: bytes) -> bytes:
-        """One WAL line: CRC32+length framed by default, bare legacy
-        newline-terminated JSON when integrity framing is disabled (the
-        overhead benchmark's control arm)."""
-        if self._wal_integrity:
-            return integrity.frame_record(serialized)
-        return serialized + b"\n"
-
     def _write_journal(self, redo_ops: list[dict]) -> None:
         if not redo_ops:
             return
@@ -734,7 +722,7 @@ class Database:
             # streaming from a diverged position.
             with self._io_lock:
                 if self._replication is not None:
-                    payload = self._frame(canonical_dumps({"ops": redo_ops}))
+                    payload = integrity.frame_record(canonical_dumps({"ops": redo_ops}))
                     self._record_committed([payload])
                 else:
                     self._wal_seq += 1
@@ -743,7 +731,7 @@ class Database:
             if self._recovered:
                 raise DatabaseError("storage closed")
             raise DatabaseError("call recover() before writing to a persistent database")
-        payload = self._frame(canonical_dumps({"ops": redo_ops}))
+        payload = integrity.frame_record(canonical_dumps({"ops": redo_ops}))
         writer = self._writer
         if writer is not None:
             writer.submit(payload).wait()

@@ -6,9 +6,8 @@ database substrate an end-to-end integrity format:
 * **WAL framing** — every journal line is wrapped as
   ``GB1 <payload-len> <crc32-hex8> <payload>\\n``. The CRC covers the
   payload bytes; the length makes truncation detectable even when the
-  damaged bytes happen to contain a newline. Legacy unframed lines
-  (canonical JSON starting with ``{``) are still accepted on read so
-  pre-framing WALs recover cleanly.
+  damaged bytes happen to contain a newline. A line without the
+  frame is corruption like any other: no byte is accepted unverified.
 * **Snapshot manifest** — a snapshot file carries its own whole-file
   checksum and record count in a first-line header:
   ``GBSNAP1 <payload-len> <crc32-hex8> <record-count>\\n<payload>``.
@@ -102,10 +101,9 @@ def frame_record(payload: bytes) -> bytes:
 def parse_record(line: bytes, seq: int = -1, offset: int = -1) -> bytes:
     """Verify one newline-stripped WAL line's frame and return its payload.
 
-    Legacy unframed lines (canonical JSON, first byte ``{``) pass
-    through untouched so WALs written before the integrity format still
-    recover. Anything else — bad magic, bad length, bad CRC — raises
-    :class:`CorruptionError` carrying ``seq``/``offset``.
+    Anything that does not verify — bad magic (a bare JSON line
+    included), bad length, bad CRC — raises :class:`CorruptionError`
+    carrying ``seq``/``offset``.
     """
     if line.startswith(_WAL_MAGIC + b" "):
         parts = line.split(b" ", 3)
@@ -134,8 +132,6 @@ def parse_record(line: bytes, seq: int = -1, offset: int = -1) -> bytes:
                 seq=seq, offset=offset,
             )
         return payload
-    if line.startswith(b"{"):  # legacy unframed canonical JSON
-        return line
     raise CorruptionError(
         f"WAL record {seq} at offset {offset}: unrecognized framing",
         seq=seq, offset=offset,
@@ -214,13 +210,13 @@ def encode_snapshot(payload: bytes, records: int) -> bytes:
 def decode_snapshot(data: bytes) -> Tuple[bytes, int]:
     """Verify a snapshot file's manifest; return ``(payload, records)``.
 
-    Legacy headerless snapshots (raw canonical JSON) are passed through
-    with ``records == -1`` (unknown). Manifest mismatches raise
+    An empty file decodes as an empty payload with ``records == -1``
+    (unknown). A missing or mismatching manifest raises
     :class:`CorruptionError`.
     """
+    if not data:
+        return data, -1
     if not data.startswith(_SNAP_MAGIC + b" "):
-        if data.startswith(b"{") or not data:
-            return data, -1  # legacy snapshot, no manifest to verify
         raise CorruptionError("snapshot: unrecognized header magic")
     header_end = data.find(b"\n")
     if header_end < 0:

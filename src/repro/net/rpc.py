@@ -60,7 +60,6 @@ from repro.errors import (
     ProtocolError,
     ReproError,
     TransportError,
-    WrongShardError,
 )
 from repro.gsi.authorization import AuthorizationPolicy
 from repro.gsi.context import Role, SecurityContext
@@ -696,35 +695,6 @@ class RPCClient:
                         self._handshake()
                     return self._call_once(
                         method, params, request_id, idempotency_key, deadline, sent_at
-                    )
-                except WrongShardError as exc:
-                    # the account moved (or never lived) here; if the
-                    # reconnect factory understands shard hints (a routing
-                    # factory exposing shard_hint(), e.g. shard.ShardRouter's
-                    # per-call dialer) feed it the stamped owner + map
-                    # version and re-send — same idempotency key, so the
-                    # call stays exactly-once across the re-route. Plain
-                    # single-cluster clients propagate it to the caller.
-                    shard_hint = getattr(self._reconnect, "shard_hint", None)
-                    if shard_hint is None or self._retry is None or attempt >= self._retry.max_attempts:
-                        raise
-                    followed = shard_hint(exc)
-                    if not followed:
-                        raise
-                    self.connected = False
-                    obs_metrics.counter("rpc.client.shard_reroutes", method=method).inc()
-                    recorder.add_event(
-                        "rpc.shard_reroute",
-                        attempt=attempt,
-                        shard=exc.shard_id or "",
-                        map_version=exc.map_version,
-                    )
-                    _log.info(
-                        "rpc.call.shard_reroute",
-                        method=method,
-                        attempt=attempt,
-                        shard=exc.shard_id or "",
-                        map_version=exc.map_version,
                     )
                 except NotPrimaryError as exc:
                     # a standby (or fenced ex-primary) refused a write; if

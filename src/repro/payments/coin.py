@@ -7,7 +7,7 @@ communication protocol can be added without need to modify GB Accounts or
 GB Security modules." GridCoin is built exclusively on the public
 GBAccounts API (lock at mint, transfer-from-locked at redemption) and the
 shared instrument registry — zero changes anywhere else; the server wires
-it in by registering two more operations.
+it in by registering three more operations.
 
 Semantics (after NetCash [Medvinsky & Neuman 1993], which the paper
 cites as its scalability model): a coin is a bank-signed bearer note of
@@ -154,21 +154,24 @@ class GridCoinProtocol:
 def install(server) -> GridCoinProtocol:
     """Wire GridCoin into an existing :class:`GridBankServer` instance.
 
-    This is the whole integration — two endpoint registrations. Nothing
-    in GB Accounts, GB Security, or the other protocol modules changes.
+    This is the whole integration — three rows in the server's op table.
+    Nothing in GB Accounts, GB Security, or the other protocol modules
+    changes, and the rows get what every mutating operation gets: the
+    shard guard, primary-only service, exactly-once replay of a re-sent
+    idempotency key, account stripes, and ``bank.op.*`` instruments.
     """
     protocol = GridCoinProtocol(
         server.accounts, server.registry, server.identity.private_key,
         server.subject, server.clock,
     )
 
-    def op_mint(subject: str, params: dict):
+    def op_mint_coins(subject: str, params: dict):
         server._require_standing(subject)
         count = params.get("count", 1)
         coins = protocol.mint(subject, params["account_id"], params["value"], count=count)
         return {"coins": [coin.to_dict() for coin in coins]}
 
-    def op_redeem(subject: str, params: dict):
+    def op_redeem_coin(subject: str, params: dict):
         server._require_standing(subject)
         return protocol.redeem(
             subject,
@@ -177,11 +180,15 @@ def install(server) -> GridCoinProtocol:
             rur_blob=params.get("rur_blob", b""),
         )
 
-    def op_refund(subject: str, params: dict):
+    def op_refund_coin(subject: str, params: dict):
         server._require_standing(subject)
         return {"refunded": protocol.refund(subject, GridCoin.from_dict(params["coin"]))}
 
-    server.endpoint.register("MintGridCoins", op_mint)
-    server.endpoint.register("RedeemGridCoin", op_redeem)
-    server.endpoint.register("RefundGridCoin", op_refund)
+    # a coin's wire dict carries its drawer account like a cheque's does;
+    # a redemption adds the payee account from the request
+    coin_accounts = server._instrument_accounts("coin")
+    mint_accounts = server._param_accounts("account_id")
+    server.register("MintGridCoins", op_mint_coins, mint_accounts, mutating=True)
+    server.register("RedeemGridCoin", op_redeem_coin, coin_accounts, mutating=True)
+    server.register("RefundGridCoin", op_refund_coin, coin_accounts, mutating=True)
     return protocol

@@ -9,7 +9,28 @@ import random
 
 import pytest
 
+from repro.bank.cluster import ClusterNode
+from repro.bank.shard import ShardMap, ShardNode
 from repro.crypto.rsa import RSAKeyPair, generate_keypair
+from repro.net.rpc import RequestContext, request_scope
+from repro.net.transport import InProcessNetwork
+
+
+def deliver_keyed(bank, method: str, subject: str, key: str, **params):
+    """Call *method* on *bank* in-process, as a client carrying
+    idempotency key *key* would deliver it."""
+    context = RequestContext(method=method, subject=subject, idempotency_key=key)
+    with request_scope(context):
+        return bank.endpoint.operations[method](subject, params)
+
+
+def attach_foreign_shard(bank, account: str) -> ShardNode:
+    """Make *bank* one shard of a two-shard map — the one that does NOT
+    own *account*. The caller closes the returned node."""
+    shard_map = ShardMap.initial({"s1": ("here",), "s2": ("there",)})
+    foreign = "s2" if shard_map.shard_for(account) == "s1" else "s1"
+    node = ClusterNode(bank, "here", InProcessNetwork().connect)
+    return ShardNode(node, foreign, shard_map=shard_map)
 
 
 @pytest.fixture(scope="session")

@@ -11,8 +11,11 @@ from repro.errors import (
     DoubleSpendError,
     InsufficientFundsError,
     NotFoundError,
+    NotPrimaryError,
+    WrongShardError,
 )
 from repro.net.rpc import ConnectionRefused, RPCClient
+from repro.obs import metrics as obs_metrics
 from repro.net.tcp import TCPClientConnection, TCPServer
 from repro.net.transport import InProcessNetwork
 from repro.pki.ca import CertificateAuthority
@@ -21,6 +24,7 @@ from repro.pki.proxy import issue_proxy
 from repro.pki.validation import CertificateStore
 from repro.util.gbtime import VirtualClock
 from repro.util.money import Credits
+from tests.conftest import attach_foreign_shard, deliver_keyed
 
 
 @pytest.fixture(scope="module")
@@ -424,3 +428,90 @@ class TestOverTCP:
             assert result["paid"] == Credits(50)
             for client in (alice, admin, gsp):
                 client.close()
+
+
+# the sec 5.2 / 5.2.1 listing, spelled out: a renamed, dropped or
+# reclassified operation must fail here, not slip through a derived set
+MUTATING = {
+    "CreateAccount",
+    "UpdateAccountDetails",
+    "FundsAvailabilityCheck",
+    "ReleaseFunds",
+    "RequestDirectTransfer",
+    "FetchConfirmations",
+    "RequestGridCheque",
+    "RedeemGridCheque",
+    "RedeemGridChequeBatch",
+    "CancelGridCheque",
+    "RequestGridHash",
+    "RedeemGridHash",
+    "Admin.Deposit",
+    "Admin.Withdraw",
+    "Admin.ChangeCreditLimit",
+    "Admin.CancelTransfer",
+    "Admin.CloseAccount",
+    "Admin.AddAdministrator",
+}
+READS = {
+    "BankInfo",
+    "RequestAccountDetails",
+    "RequestAccountStatement",
+    "EstimatePrice",
+}
+# mutating operations that name no account to lock or to shard-guard
+NO_ACCOUNT = {"CreateAccount", "FetchConfirmations", "Admin.AddAdministrator"}
+
+
+class TestOpTable:
+    def test_registered_methods_and_their_classification(self, bank):
+        assert set(bank.ops) == MUTATING | READS
+        assert set(bank.endpoint.operations) == set(bank.ops)
+        assert {method for method, op in bank.ops.items() if op.mutating} == MUTATING
+        assert {m for m, op in bank.ops.items() if op.staleness_exempt} == {"BankInfo"}
+
+    def test_every_mutating_op_names_its_accounts(self, bank):
+        without = {
+            method for method, op in bank.ops.items() if op.mutating and op.accounts_of is None
+        }
+        assert without == NO_ACCOUNT
+        # the shard guard checks what the locks cover, except that a direct
+        # transfer is guarded on its drawer alone
+        params = {"from_account": "a", "to_account": "b"}
+        for method, op in bank.ops.items():
+            if method == "RequestDirectTransfer":
+                assert op.accounts_of(params) == ("a", "b")
+                assert op.guard_accounts(params) == ("a",)
+            else:
+                assert op.guard_accounts is op.accounts_of
+
+    @pytest.mark.parametrize(
+        "refusal, reply_cached",
+        [(WrongShardError, False), (NotPrimaryError, True)],
+        ids=["wrong_shard_before_role", "role_before_reply_cache"],
+    )
+    def test_check_order(self, bank, grid, refusal, reply_cached):
+        """Which refusal a standby gives when more than one applies."""
+        admin = grid["admin_ident"].subject
+        account = bank.accounts.create_account(grid["alice"].subject)
+        deposit = dict(account_id=account, amount=Credits(5))
+        shard = None
+        if reply_cached:
+            # the key's reply row sits in this node's table (as replication
+            # would have put it there), yet a standby must not answer from it
+            first = deliver_keyed(bank, "Admin.Deposit", admin, "order-1", **deposit)
+            assert deliver_keyed(bank, "Admin.Deposit", admin, "order-1", **deposit) == first
+        else:
+            # a standby of the shard that does not own the account: the
+            # client must learn the owning shard, not this shard's primary
+            shard = attach_foreign_shard(bank, account)
+        bank.role = "standby"
+        hits = obs_metrics.counter("bank.dedup_hits")
+        before = hits.value
+        try:
+            with pytest.raises(refusal):
+                deliver_keyed(bank, "Admin.Deposit", admin, "order-1", **deposit)
+        finally:
+            if shard is not None:
+                shard.close()
+        assert hits.value == before
+        assert bank.accounts.available_balance(account) == Credits(5 if reply_cached else 0)

@@ -10,7 +10,13 @@ import random
 import pytest
 
 from repro.bank.server import GridBankServer
-from repro.errors import DoubleSpendError, InstrumentError, InsufficientFundsError
+from repro.errors import (
+    DoubleSpendError,
+    InstrumentError,
+    InsufficientFundsError,
+    NotPrimaryError,
+    WrongShardError,
+)
 from repro.net.rpc import RPCClient
 from repro.net.transport import InProcessNetwork
 from repro.payments.coin import GridCoin, GridCoinProtocol, install
@@ -19,6 +25,7 @@ from repro.pki.certificate import DistinguishedName
 from repro.pki.validation import CertificateStore
 from repro.util.gbtime import VirtualClock
 from repro.util.money import Credits, ZERO
+from tests.conftest import attach_foreign_shard, deliver_keyed
 
 ALICE = "/O=VO-A/CN=alice"
 BOB = "/O=VO-B/CN=bob"
@@ -123,6 +130,61 @@ class TestBearerSemantics:
         (coin,) = world["protocol"].mint(ALICE, world["accounts"]["alice"], Credits(10))
         with pytest.raises(InstrumentError):
             world["protocol"].refund(BOB, coin)
+
+
+def keyed(world, method: str, subject: str, key: str, **params):
+    return deliver_keyed(world["bank"], method, subject, key, **params)
+
+
+class TestInheritsTheGuards:
+    """Registering in the op table is all it takes: the coin operations
+    are exactly-once, primary-only and shard-guarded like sec 5.2's."""
+
+    def test_resent_key_replays_the_original_coins(self, world):
+        account = world["accounts"]["alice"]
+        mint = dict(account_id=account, value=Credits(3), count=2)
+        first = keyed(world, "MintGridCoins", ALICE, "mint-1", **mint)
+        again = keyed(world, "MintGridCoins", ALICE, "mint-1", **mint)
+        assert again == first
+        assert world["bank"].accounts.locked_balance(account) == Credits(6)
+        coin = first["coins"][0]
+        redeem = dict(coin=coin, payee_account=world["accounts"]["bob"])
+        paid = keyed(world, "RedeemGridCoin", BOB, "redeem-1", **redeem)
+        # the retry gets the confirmation back, not a DoubleSpendError
+        assert keyed(world, "RedeemGridCoin", BOB, "redeem-1", **redeem) == paid
+        assert world["bank"].accounts.available_balance(world["accounts"]["bob"]) == Credits(3)
+
+    def test_standby_refuses_all_three(self, world):
+        account = world["accounts"]["alice"]
+        (coin,) = world["protocol"].mint(ALICE, account, Credits(4))
+        world["bank"].role = "standby"
+        calls = [
+            ("MintGridCoins", ALICE, dict(account_id=account, value=Credits(1))),
+            ("RedeemGridCoin", BOB, dict(coin=coin.to_dict(), payee_account=world["accounts"]["bob"])),
+            ("RefundGridCoin", ALICE, dict(coin=coin.to_dict())),
+        ]
+        for index, (method, subject, params) in enumerate(calls):
+            with pytest.raises(NotPrimaryError):
+                keyed(world, method, subject, f"standby-{index}", **params)
+        assert world["bank"].accounts.locked_balance(account) == Credits(4)
+
+    def test_sharded_bank_bounces_a_foreign_account(self, world):
+        account = world["accounts"]["alice"]
+        (coin,) = world["protocol"].mint(ALICE, account, Credits(4))
+        shard = attach_foreign_shard(world["bank"], account)
+        calls = [
+            ("MintGridCoins", ALICE, dict(account_id=account, value=Credits(1))),
+            ("RedeemGridCoin", BOB, dict(coin=coin.to_dict(), payee_account=account)),
+            ("RefundGridCoin", ALICE, dict(coin=coin.to_dict())),
+        ]
+        try:
+            for index, (method, subject, params) in enumerate(calls):
+                with pytest.raises(WrongShardError) as excinfo:
+                    keyed(world, method, subject, f"foreign-{index}", **params)
+                assert excinfo.value.shard_id != shard.shard_id
+        finally:
+            shard.close()
+        assert world["bank"].accounts.locked_balance(account) == Credits(4)
 
 
 class TestLayeringClaim:

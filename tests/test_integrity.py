@@ -81,13 +81,19 @@ class TestWalFraming:
         with pytest.raises(CorruptionError, match="length mismatch"):
             integrity.parse_record(line[:-3])
 
-    def test_legacy_unframed_line_passes_through(self):
-        legacy = b'{"ops":[{"op":"insert","table":"t","row":{}}]}'
-        assert integrity.parse_record(legacy) == legacy
-
-    def test_unrecognized_framing_is_corruption(self):
+    def test_unrecognized_framing_is_corruption(self, tmp_path):
+        # a bare canonical-JSON line (what a pre-framing WAL held) carries
+        # no CRC, so it is refused like any other unverifiable byte
+        bare = b'{"ops":[{"op":"insert","table":"kv","row":{"K":"k","V":1}}]}'
+        for line in (b"\x00\x01garbage", bare):
+            with pytest.raises(CorruptionError, match="unrecognized framing"):
+                integrity.parse_record(line)
+        with pytest.raises(CorruptionError, match="header magic"):
+            integrity.decode_snapshot(b'{"accounts": []}')
+        # and recovery refuses a whole WAL of them instead of replaying it
+        (tmp_path / integrity.WAL_NAME).write_bytes(bare + b"\n")
         with pytest.raises(CorruptionError, match="unrecognized framing"):
-            integrity.parse_record(b"\x00\x01garbage")
+            kv_db(tmp_path)
 
 
 class TestSnapshotManifest:
@@ -95,10 +101,7 @@ class TestSnapshotManifest:
         payload = canonical_dumps({"accounts": [{"AccountID": "a"}]})
         blob = integrity.encode_snapshot(payload, 1)
         assert integrity.decode_snapshot(blob) == (payload, 1)
-
-    def test_legacy_snapshot_passthrough(self):
-        raw = b'{"accounts": []}'
-        assert integrity.decode_snapshot(raw) == (raw, -1)
+        # an empty file is an empty snapshot with an unknown record count
         assert integrity.decode_snapshot(b"") == (b"", -1)
 
     def test_bit_flip_in_payload_detected(self):
@@ -153,8 +156,8 @@ class TestScanWal:
         assert scan.corruption.offset == len(lines[0])
 
     def test_terminated_garbage_line_is_corruption(self):
-        # a newline-terminated line that is neither framed nor legacy
-        # JSON must never be shrugged off as a torn tail
+        # a newline-terminated line that is not framed must never be
+        # shrugged off as a torn tail
         scan = integrity.scan_wal(self._lines(1)[0] + b"!!!! not a record\n")
         assert scan.corruption is not None
         assert scan.corruption.seq == 2
@@ -266,17 +269,6 @@ class TestRecoveryPolicy:
         revived = kv_db(tmp_path)
         assert revived.count("kv") == 2
         assert not stale.exists()
-        revived.close()
-
-    def test_wal_integrity_off_writes_legacy_lines(self, tmp_path):
-        # the benchmark's control arm — and the legacy-read path's proof:
-        # a WAL written unframed recovers through the same scanner
-        db = kv_db(tmp_path, wal_integrity=False)
-        kv_fill(db, 3)
-        db.close()
-        assert (tmp_path / integrity.WAL_NAME).read_bytes().startswith(b"{")
-        revived = kv_db(tmp_path)  # framing on again
-        assert revived.count("kv") == 3
         revived.close()
 
 

@@ -223,6 +223,13 @@ class TestReadReplica:
         # discovery stays available: re-routing depends on it
         assert client.call("BankInfo")["role"] == "standby"
         client.close()
+        # ...and so does the plumbing that measures and repairs the lag
+        peer = self._standby_client(world, world["admin_ident"], seed=78)
+        assert peer.call("Replication.Status")["role"] == "standby"
+        # a write is still told where the primary is, not that reads are stale
+        with pytest.raises(NotPrimaryError):
+            peer.call("Admin.Deposit", account_id=world["alice_account"], amount=5.0)
+        peer.close()
 
 
 class TestFailover:

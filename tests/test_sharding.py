@@ -45,11 +45,13 @@ from repro.errors import (
 from repro.net.retry import RetryPolicy
 from repro.net.rpc import RequestContext, request_scope
 from repro.net.transport import FaultPlan, InProcessNetwork
+from repro.obs import metrics as obs_metrics
 from repro.pki.ca import CertificateAuthority
 from repro.pki.certificate import DistinguishedName
 from repro.pki.validation import CertificateStore
 from repro.util.gbtime import VirtualClock
 from repro.util.money import Credits
+from tests.conftest import deliver_keyed
 
 S1, S2A, S2B, S3 = "s1-a", "s2-a", "s2-b", "s3-a"
 HALF = RING_SIZE // 2
@@ -195,6 +197,11 @@ def mint_in_range(world, shard_id: str, lo: int, hi: int, deposit=None) -> str:
                 world["admin"].call("Admin.Deposit", account_id=account, amount=deposit)
             return account
     raise AssertionError(f"no mintable account in [{lo}, {hi}) after 64 tries")
+
+
+def keyed_transfer(world, subject: str, params: dict, key: str):
+    """RequestDirectTransfer on s1's primary under idempotency key *key*."""
+    return deliver_keyed(world["banks"][S1], "RequestDirectTransfer", subject, key, **params)
 
 
 def peer_clients(world):
@@ -374,16 +381,19 @@ class TestCrossShard2PC:
     def test_duplicate_retry_replays_cached_reply(self, world):
         """A client retry of a committed cross-shard transfer must replay
         the original confirmation — not run a second transfer."""
-        shard = world["shards"]["s1"]
         subject = world["alice_ident"].subject
         params = {
             "from_account": world["alice_account"],
             "to_account": world["bob_account"],
             "amount": Credits(40),
         }
-        first = shard.execute_detached("RequestDirectTransfer", subject, params, "retry-key-1")
-        again = shard.execute_detached("RequestDirectTransfer", subject, params, "retry-key-1")
+        hits = obs_metrics.counter("bank.dedup_hits")
+        first = keyed_transfer(world, subject, params, "retry-key-1")
+        before = hits.value
+        again = keyed_transfer(world, subject, params, "retry-key-1")
         assert again == first
+        # answered from the reply cache, before the coordinator is reached
+        assert hits.value == before + 1
         bank_s1 = world["banks"][S1]
         assert bank_s1.accounts.available_balance(world["alice_account"]) == Credits(960)
         assert world["banks"][S2A].accounts.available_balance(
@@ -420,8 +430,8 @@ class TestCrossShard2PC:
         assert total_funds(world) == Credits(1500)
 
         # the client retry resumes the same intent and gets the cached reply
-        replayed = shard.execute_detached(
-            "RequestDirectTransfer",
+        replayed = keyed_transfer(
+            world,
             subject,
             {
                 "from_account": world["alice_account"],
