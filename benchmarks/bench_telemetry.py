@@ -1,9 +1,10 @@
 """TELEMETRY — adaptive sampling keeps the span store small and honest.
 
-PR 3 made every span a durable SPAN row; the telemetry plane's claim is
-that head sampling + tail retention cuts that write amplification to a
-few percent of line rate WITHOUT losing the spans an operator greps for:
-every error span and every over-threshold-latency span survives. Two
+Every finished span is a record in the span store's bounded ring; the
+telemetry plane's claim is that head sampling + tail retention cuts that
+turnover to a few percent of line rate WITHOUT losing the spans an
+operator greps for: every error span and every over-threshold-latency
+span survives. Two
 scenarios pin it: a deterministic synthetic span storm (exact retention
 accounting), and a live transfer storm through the bank with the sampled
 durable store attached (real span shapes, real dispatch path). The
@@ -15,12 +16,11 @@ import random
 
 from _worlds import connect_client, make_bank_world
 from repro.core.api import GridBankAPI
-from repro.db.database import Database
 from repro.errors import ReproError
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.obs.sampling import SamplingPolicy, SamplingSpanSink
-from repro.obs.store import SPAN_TABLE, SpanStore
+from repro.obs.store import SpanStore
 from repro.util.money import Credits
 
 HEAD_RATE = 0.02
@@ -53,35 +53,38 @@ def synthetic_storm(n: int = 4000, seed: int = 7) -> list[dict]:
     return records
 
 
+def stored_ids(store: SpanStore) -> set:
+    """(trace, span) of every record *store* retains."""
+    return {(r["trace_id"], r["span_id"]) for r in store.slowest(limit=len(store))}
+
+
 def test_sampled_store_growth_and_retention(benchmark):
     """Feed one span stream to an unsampled and a sampled durable store:
     sampled row growth stays under 10% while the grep-worthy tail
     (errors, over-threshold latency) is retained at exactly 100%."""
     records = synthetic_storm()
-    unsampled = SpanStore(Database())
+    unsampled = SpanStore()
     policy = SamplingPolicy(default_rate=HEAD_RATE, slow_threshold=SLOW_THRESHOLD)
 
     for record in records:
         unsampled(record)
-    unsampled_rows = unsampled.db.count(SPAN_TABLE)
+    unsampled_rows = len(unsampled)
     assert unsampled_rows == len(records)
 
     def run_sampled():
-        store = SpanStore(Database())
+        store = SpanStore()
         sink = SamplingSpanSink(store, policy)
         for record in records:
             sink(record)
         return store
 
     store = benchmark.pedantic(run_sampled, rounds=3, iterations=1)
-    sampled_rows = store.db.count(SPAN_TABLE)
+    sampled_rows = len(store)
     growth = sampled_rows / unsampled_rows
     assert 0 < sampled_rows
     assert growth < MAX_GROWTH, f"sampled store grew {growth:.1%} of unsampled"
 
-    kept = {
-        (row["TraceID"], row["SpanID"]) for row in store.db.table(SPAN_TABLE).all_rows()
-    }
+    kept = stored_ids(store)
     errors = [r for r in records if r["status"] != "ok"]
     slow = [r for r in records if r["duration_seconds"] >= SLOW_THRESHOLD]
     assert errors and slow, "storm must actually contain a tail"
@@ -100,7 +103,7 @@ def test_sampled_store_growth_and_retention(benchmark):
 def test_transfer_storm_with_live_sampling(benchmark):
     """The real dispatch path: a transfer storm with the sampled durable
     store installed as a trace sink. Every error span the storm produced
-    must land as a SPAN row; total rows stay a small fraction of spans."""
+    must land in the store; stored records stay a small fraction of spans."""
     world = make_bank_world(seed=31)
     ca, store_pki = world["ca"], world["store"]
     from repro.pki.certificate import DistinguishedName
@@ -114,7 +117,7 @@ def test_transfer_storm_with_live_sampling(benchmark):
     dst = alice.create_account()
     admin.admin_deposit(src, Credits(1_000_000))
 
-    span_store = SpanStore(Database())
+    span_store = SpanStore()
     sampler = SamplingSpanSink(
         span_store, SamplingPolicy(default_rate=HEAD_RATE, slow_threshold=SLOW_THRESHOLD)
     )
@@ -137,15 +140,12 @@ def test_transfer_storm_with_live_sampling(benchmark):
         benchmark.pedantic(storm, rounds=1, iterations=1)
 
     total_spans = len(seen)
-    rows = span_store.db.count(SPAN_TABLE)
+    rows = len(span_store)
     assert total_spans > 0
     # generous bound: the live stream is small, so per-span variance is
     # larger than in the synthetic storm — but sampling must still bite
     assert rows < total_spans * 0.25
-    kept = {
-        (row["TraceID"], row["SpanID"])
-        for row in span_store.db.table(SPAN_TABLE).all_rows()
-    }
+    kept = stored_ids(span_store)
     error_spans = [r for r in seen if r["status"] != "ok"]
     assert error_spans, "the storm must produce error spans"
     assert all((r["trace_id"], r["span_id"]) in kept for r in error_spans)

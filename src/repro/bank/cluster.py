@@ -135,7 +135,7 @@ class ClusterNode:
         #: corruption it attempts a replica-backed repair (auto_repair)
         self.auto_repair = auto_repair
         self.scrubber: Optional[Scrubber] = None
-        if scrub_interval is not None and bank.db.persistent:
+        if scrub_interval is not None and bank.db.path is not None:
             self.scrubber = Scrubber(
                 self._scrub_pass,
                 interval=scrub_interval,
@@ -310,7 +310,7 @@ class ClusterNode:
                 db.clear_corruption()
                 db.load_state(reply["state"])
                 self.bank.rescan_state()
-                report = db.verify_storage() if db.persistent else None
+                report = db.verify_storage() if db.path is not None else None
                 if report is not None and not report.ok:
                     # the freshly-written bytes failed verification: the
                     # local medium is actively eating writes — latch and
@@ -484,7 +484,7 @@ class ClusterNode:
     def op_integrity_status(self, subject: str, params: dict) -> dict:
         """Latched corruption state plus (optionally) a fresh scrub."""
         self._require_peer(subject)
-        if bool(params.get("scrub", False)) and self.bank.db.persistent:
+        if bool(params.get("scrub", False)) and self.bank.db.path is not None:
             try:
                 self._scrub_pass()
             except CorruptionError:

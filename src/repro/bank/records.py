@@ -32,7 +32,7 @@ import re
 from dataclasses import dataclass
 
 from repro.db.schema import Column, TableSchema
-from repro.db.types import BigIntUnsigned, Blob, Float, Timestamp14, VarChar
+from repro.db.types import BigIntUnsigned, Blob, Float, Text, Timestamp14, VarChar
 from repro.errors import ValidationError
 from repro.util.money import Credits
 
@@ -198,7 +198,7 @@ def reply_schema() -> TableSchema:
             Column.make("Subject", VarChar(150)),
             Column.make("Method", VarChar(40)),
             Column.make("Date", Timestamp14()),
-            Column.make("Body", Blob()),
+            Column.make("Body", Text()),
         ],
         primary_key=["IdempotencyKey"],
         ordered=["Seq"],

@@ -87,7 +87,7 @@ class ReplyCache:
     @staticmethod
     def replay(row: dict) -> Any:
         """Decode the cached result carried by a reply row."""
-        return canonical_loads(row["Body"])
+        return canonical_loads(row["Body"].encode("ascii"))
 
     def store(self, idempotency_key: str, subject: str, method: str, result: Any) -> None:
         """Record *result* for *idempotency_key*.
@@ -97,7 +97,8 @@ class ReplyCache:
         describes; calling it outside a transaction raises.
         """
         self.db.require_transaction("reply cache writes")
-        body = canonical_dumps(result)  # serialized before taking the lock
+        # serialized before taking the lock; text, so the journal carries it as is
+        body = canonical_dumps(result).decode("ascii")
         with self._store_lock:
             excess = len(self) - self.max_entries + 1
             if excess > 0:

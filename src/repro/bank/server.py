@@ -126,8 +126,8 @@ class GridBankServer:
         self.admin = GBAdmin(self.accounts)
         self.replies = ReplyCache(self.db, self.clock)
         # sharding tables (cross-shard 2PC intents + the installed shard
-        # map) exist on every bank, sharded or not — like the span store,
-        # they must be created before recover() replays the journal
+        # map) exist on every bank, sharded or not, and must be created
+        # before recover() replays the journal
         for schema_fn in (xfer_intent_schema, shard_meta_schema):
             schema = schema_fn()
             if schema.name not in self.db.table_names():
@@ -135,12 +135,14 @@ class GridBankServer:
         # attached by repro.bank.shard.ShardNode when this bank serves one
         # shard of a sharded deployment; None means "owns the whole ring"
         self.shard = None
-        # the durable span store shares the ledger's WAL'd database; the
-        # table must exist before recover() replays the journal. NOT
-        # auto-registered as a trace sink — callers that want durable
-        # spans install it explicitly (the serve CLI does), so several
-        # banks in one process don't capture each other's traces.
-        self.spans = SpanStore(self.db)
+        # spans are telemetry, not ledger: a segment ring beside the
+        # database directory (<home>/spans/<db dir name>/, so two databases
+        # under one parent stay apart), in memory for an in-memory bank.
+        # NOT auto-registered as a trace sink — callers that want stored
+        # spans install it (the serve CLI does), so several banks in one
+        # process don't capture each other's traces.
+        path = self.db.path
+        self.spans = SpanStore(path.parent / "spans" / path.name if path is not None else None)
         self.registry = InstrumentRegistry(self.db, self.clock)
         subject = identity.subject
         key = identity.private_key
@@ -224,13 +226,12 @@ class GridBankServer:
 
         Used after :meth:`recover`, and again when a standby is promoted:
         the replicated WAL repopulated the tables underneath the layers,
-        so id counters, the reply cache index and the span store must
-        resync before the node accepts writes.
+        so id counters and the reply cache index must resync before the
+        node accepts writes.
         """
         self.accounts.rescan_ids()
         self.registry.rescan_ids()
         self.replies.rescan()
-        self.spans.rescan()
         self.usage.rescan()
         if self.shard is not None:
             self.shard.rescan()
@@ -356,7 +357,7 @@ class GridBankServer:
         started = time.perf_counter()
         # 2. span: a child of the RPC dispatch span (active in this
         #    context); it closes AFTER the operation's database transaction
-        #    commits — its SPAN row autocommits on its own
+        #    commits, and its record goes to the span store, not the journal
         with obs_trace.span(op.span_name, kind="bank", subject=subject):
             try:
                 # 3. shard guard, before the role check: a misrouted client

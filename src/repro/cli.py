@@ -500,6 +500,33 @@ def _tcp_connect(address: str):
     return TCPClientConnection((host, int(port)))
 
 
+def _workload_span_sink(store):
+    """The span sink of a served bank: its span store (queryable later
+    with ``gridbank trace``) behind a filter. The store is local to the
+    node, so a standby records what it serves just as a primary does."""
+
+    def persist(record):
+        # replication polling is continuous; persisting a span per poll
+        # would turn the ring over at the poll rate. Those spans still
+        # reach the JSONL sink and the metrics registry.
+        name = str(record.get("name", ""))
+        method = str(record.get("attrs", {}).get("method", ""))
+        if name.startswith("bank.op.replication_") or method.startswith("Replication."):
+            return
+        # diagnosis-plane collection is operator traffic, not workload —
+        # same treatment (the flight recorder still sees these spans)
+        if name.startswith("bank.op.diag_") or method.startswith("Diag."):
+            return
+        # shard plumbing (map fetches, rebalance verbs, resolver sweeps)
+        # is inter-node traffic at whatever cadence the topology needs;
+        # the cross-shard 2PC span itself (shard.2pc) still persists
+        if name.startswith("bank.op.shard_") or method.startswith("Shard."):
+            return
+        store(record)
+
+    return persist
+
+
 def cmd_serve(args) -> int:
     from repro.bank.cluster import ClusterNode
     from repro.net import frontend_snapshot as _frontend_snapshot
@@ -543,35 +570,9 @@ def cmd_serve(args) -> int:
             ),
         )
 
-    # spans served by this process become SPAN rows in the bank's WAL'd
-    # database (queryable later with `gridbank trace`), and optionally a
-    # JSONL stream for out-of-process collectors. A standby must not
-    # write its own rows into the replicated database (every local line
-    # desynchronizes the stream), so the db sink only records while this
-    # node is the primary — the standby's SPAN rows arrive replicated.
-    def _persist_workload_spans(record):
-        if bank.role != "primary":
-            return
-        # replication polling is continuous; persisting a span row per
-        # poll would grow the WAL at the poll rate forever. Those spans
-        # still reach the JSONL sink and the metrics registry.
-        name = str(record.get("name", ""))
-        method = str(record.get("attrs", {}).get("method", ""))
-        if name.startswith("bank.op.replication_") or method.startswith("Replication."):
-            return
-        # diagnosis-plane collection is operator traffic, not workload —
-        # same treatment (the flight recorder still sees these spans)
-        if name.startswith("bank.op.diag_") or method.startswith("Diag."):
-            return
-        # shard plumbing (map fetches, rebalance verbs, resolver sweeps)
-        # is inter-node traffic at whatever cadence the topology needs;
-        # the cross-shard 2PC span itself (shard.2pc) still persists
-        if name.startswith("bank.op.shard_") or method.startswith("Shard."):
-            return
-        bank.spans(record)
-
-    # adaptive sampling sits in front of the durable store only — the
-    # JSONL stream stays complete for out-of-process collectors
+    # adaptive sampling sits in front of the span store only — the
+    # optional JSONL stream (--span-log) stays complete for out-of-process
+    # collectors
     op_rates = {}
     for spec in args.sample_op or ():
         op, sep, rate = spec.partition("=")
@@ -580,7 +581,7 @@ def cmd_serve(args) -> int:
             return 1
         op_rates[op] = float(rate)
     sampler = SamplingSpanSink(
-        _persist_workload_spans,
+        _workload_span_sink(bank.spans),
         SamplingPolicy(
             default_rate=args.sample_rate,
             op_rates=op_rates,
@@ -796,7 +797,7 @@ def cmd_shard_status(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    """Query the durable SPAN store left behind by a served bank.
+    """Query the span store a served bank left under ``<home>/spans/``.
 
     ``show <trace_id>`` renders the waterfall of one trace and joins the
     ledger rows stamped with its TraceID; ``slowest`` and ``grep`` locate

@@ -19,6 +19,7 @@ from repro.db.types import (
     BigIntUnsigned,
     Integer,
     Timestamp14,
+    Text,
     Blob,
     Boolean,
 )
@@ -45,6 +46,7 @@ __all__ = [
     "BigIntUnsigned",
     "Integer",
     "Timestamp14",
+    "Text",
     "Blob",
     "Boolean",
     "Column",

@@ -67,7 +67,7 @@ _EPOCH_NAME = integrity.EPOCH_NAME
 
 def _metrics():
     """Lazy obs import: ``repro.obs`` persists through this module
-    (``obs.store`` imports ``Database`` at load), so a top-level import
+    (``obs.usage`` imports ``Database`` at load), so a top-level import
     here would be circular."""
     from repro.obs import metrics
 
@@ -500,8 +500,9 @@ class Database:
     # -- persistence ----------------------------------------------------------------
 
     @property
-    def persistent(self) -> bool:
-        return self._path is not None
+    def path(self) -> Optional[Path]:
+        """The storage directory (``None`` for an in-memory database)."""
+        return self._path
 
     def _open_wal(self, wal_file: Path, mode: str):
         if self._storage is not None:
@@ -648,11 +649,7 @@ class Database:
         for op in ops:
             table = self.table(op["table"])
             if op["op"] == "insert":
-                row = op["row"]
-                pk = table.schema.pk_of(table.schema.validate_row(row))
-                if pk in table:
-                    table.delete(pk)
-                table.insert(row)
+                table.insert(op["row"], replace=True)
             elif op["op"] == "update":
                 try:
                     table.update(tuple(op["pk"]), op["changes"])

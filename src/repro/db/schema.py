@@ -86,9 +86,6 @@ class TableSchema:
                 raise SchemaError(f"ordered index column {ord_col!r} must be NOT NULL")
         self.ordered: tuple[str, ...] = tuple(ordered)
 
-    def column_names(self) -> list[str]:
-        return list(self.columns)
-
     def validate_row(self, row: dict, partial: bool = False) -> dict:
         """Validate and canonicalize *row*.
 

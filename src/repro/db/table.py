@@ -48,12 +48,16 @@ class Table:
 
     # -- mutations (return undo callables) ------------------------------------
 
-    def insert(self, row: dict) -> tuple:
-        """Insert a full row; returns its pk. Raises on duplicate pk."""
+    def insert(self, row: dict, replace: bool = False) -> tuple:
+        """Insert a full row; returns its pk. A duplicate pk raises — or,
+        with *replace*, gives way (journal replay: redo rows are absolute,
+        and are validated once)."""
         validated = self.schema.validate_row(row)
         pk = self.schema.pk_of(validated)
         if pk in self._rows:
-            raise IntegrityError(f"duplicate primary key {pk!r} in {self.schema.name!r}")
+            if not replace:
+                raise IntegrityError(f"duplicate primary key {pk!r} in {self.schema.name!r}")
+            self.delete(pk)
         self._rows[pk] = validated
         self._index_add(pk, validated)
         return pk

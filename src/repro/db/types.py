@@ -18,6 +18,7 @@ __all__ = [
     "BigIntUnsigned",
     "Integer",
     "Timestamp14",
+    "Text",
     "Blob",
     "Boolean",
 ]
@@ -112,6 +113,18 @@ class Timestamp14(ColumnType):
         if isinstance(value, str) and len(value) == 14 and value.isdigit():
             return value
         raise SchemaError(f"TIMESTAMP(14) requires Timestamp or 14-digit string, got {value!r}")
+
+
+class Text(ColumnType):
+    """``TEXT`` — a string of any length (journalled as itself, where a
+    ``BLOB`` of the same ASCII bytes would be journalled as hex)."""
+
+    name = "TEXT"
+
+    def validate(self, value: Any) -> str:
+        if not isinstance(value, str):
+            raise SchemaError(f"TEXT requires str, got {type(value).__name__}")
+        return value
 
 
 class Blob(ColumnType):

@@ -14,9 +14,9 @@ property for its own behaviour. Eight pieces:
   carried in the envelope ``trace`` field, restored around server-side
   dispatch, and stamped onto ledger TRANSACTION/TRANSFER rows; spans are
   *recorded* (timing, events, status) and flushed to sinks on close.
-* :mod:`repro.obs.store` — the sinks that make spans durable: SPAN rows
-  through the WAL'd database (queryable by ``gridbank trace``) and a
-  JSONL file for out-of-process collection.
+* :mod:`repro.obs.store` — the sinks that make spans durable: a bounded
+  segment ring beside the database (queryable by ``gridbank trace``) and
+  a JSONL file for out-of-process collection.
 * :mod:`repro.obs.export` — Prometheus-text rendering of the metrics
   snapshot, with file/HTTP polling sidecars (plus ``/healthz``).
 * :mod:`repro.obs.slo` — declarative per-op objectives evaluated as

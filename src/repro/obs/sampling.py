@@ -1,9 +1,10 @@
 """Adaptive trace sampling — keep the spans you'd grep for, drop the rest.
 
-PR 3 made every span a durable SPAN row; under a transfer storm that
-means the span store's eviction quietly destroys audit history at line
-rate. This module sits between :func:`repro.obs.trace.add_sink` and a
-durable sink and decides, per finished span, whether it is worth a row:
+Every finished span is a record in the span store's bounded ring; under
+a transfer storm that means the ring turns over, and quietly destroys
+trace history, at line rate. This module sits between
+:func:`repro.obs.trace.add_sink` and a durable sink and decides, per
+finished span, whether it is worth a record:
 
 * **Head sampling** — a per-op keep rate (``op_rates`` with a
   ``default_rate`` fallback). The decision hashes the *trace id*, so it

@@ -1,257 +1,249 @@
-"""Durable span store — traces that survive the process.
+"""Span persistence — telemetry kept beside the ledger, not in it.
 
-The paper's accountability story (sec 5.1 records, sec 2.2 RURs) is about
-being able to reconstruct *after the fact* who paid whom and why. PR 1's
-traces only lived in process memory; this module makes them part of the
-audit record. Two sinks for :func:`repro.obs.trace.add_sink`:
+The paper's accounts layer journals ACCOUNT / TRANSACTION / TRANSFER
+records (sec 3.2, 5.1): the audit trail a bank must never lose. A trace
+span is none of those — it describes how a request was *served* — so it
+is kept the way telemetry is kept: cheaply, bounded, off the money path.
+Two sinks for :func:`repro.obs.trace.add_sink`:
 
-* :class:`SpanStore` — persists each finished span as a SPAN row through
-  the same WAL'd :class:`~repro.db.database.Database` that holds the
-  ledger, so a crash-recovery replay restores traces together with the
-  TRANSACTION/TRANSFER rows they explain. ``gridbank trace show`` joins
-  the two through the ledger ``TraceID`` columns.
+* :class:`SpanStore` — a bounded ring of append-only JSON-lines segments
+  in a directory of its own (``<home>/spans/``; the same ring in memory
+  for a bank without storage). An append takes the store's own lock and
+  nothing else: no database call, no WAL record, no fsync, no
+  replication, no thread. ``gridbank trace show`` still joins a trace to
+  the TRANSACTION/TRANSFER rows carrying its ``TraceID``, on the node
+  that served the request.
 * :class:`JsonlSpanSink` — appends each record as one JSON line to a
-  file, for out-of-process collectors that tail a log rather than open
-  the database.
+  file, for out-of-process collectors that tail a log.
 
-Span records arrive on the serving thread *after* the operation's
-database transaction commits (the instrumentation wrapper sits outside
-the transaction wrapper), so SPAN rows autocommit as their own WAL
-lines. Defensively, a record arriving while a transaction *is* open is
-buffered and flushed on the next out-of-transaction record (or an
-explicit :meth:`SpanStore.flush`) — a span row must never ride inside,
-and risk rollback with, an unrelated ledger transaction.
+Spans survive a clean shutdown and a restart (``flush()`` writes the
+buffer out); ``kill -9`` loses at most the write-behind buffer. A failed
+write raises into :mod:`repro.obs.trace`'s sink machinery, which counts
+it (``obs.span_sink_errors``) and keeps it away from the request.
 """
 
 from __future__ import annotations
 
 import json
 import threading
+import time
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
-from repro.db.database import Database
-from repro.db.query import eq
-from repro.db.schema import Column, TableSchema
-from repro.db.types import BigIntUnsigned, Blob, Float, VarChar
-from repro.errors import IntegrityError
 from repro.obs import metrics as obs_metrics
-from repro.util.ids import IdGenerator
-from repro.util.serialize import canonical_dumps, canonical_loads
 
-__all__ = [
-    "SPAN_TABLE",
-    "span_schema",
-    "SpanStore",
-    "JsonlSpanSink",
-    "render_waterfall",
-]
+__all__ = ["SpanStore", "JsonlSpanSink", "render_waterfall"]
 
-SPAN_TABLE = "spans"
+#: a segment is closed at this many records and the next one opened
+SEGMENT_RECORDS = 1_000
+#: ring bound: opening one segment more unlinks the oldest whole, so a
+#: full store retains between 49,001 and 50,000 spans
+MAX_SEGMENTS = 50
+#: write-behind: the buffer goes to the open segment at this many records,
+#: or once its oldest record is this old at the next append, or on flush()
+BUFFER_RECORDS = 16
+BUFFER_SECONDS = 1.0
+#: an encoded line longer than this sheds attrs and events and has its
+#: strings clipped to _CLIP characters — shrunk, never refused
+MAX_LINE_BYTES = 4_096
+_CLIP = 64
 
-# column widths, shared by the schema and the truncation on insert
-_W_TRACE = 32
-_W_SPAN = 16
-_W_NAME = 64
-_W_KIND = 16
-_W_STATUS = 10
-_W_ERROR = 64
+# the record shape sinks are handed (and render_waterfall takes); a field
+# equal to its default is left out of the stored line
+_DEFAULTS = {
+    "trace_id": "", "span_id": "", "parent_id": "", "name": "",
+    "kind": "internal", "status": "ok", "error_type": "",
+    "start_epoch": 0.0, "duration_seconds": 0.0, "attrs": {}, "events": [],
+}
 
-# evict this many rows at once when full (same idiom as the reply cache)
-_EVICTION_BATCH = 256
-
-
-def span_schema() -> TableSchema:
-    """SPAN table — one row per finished span.
-
-    Primary key ``(TraceID, SpanID)``: span IDs are only 32 bits, so
-    uniqueness is scoped to the trace they belong to. ``Attrs`` and
-    ``Events`` are canonical-JSON blobs (small, schemaless, read back
-    only for display); timing/identity/status columns are first-class so
-    ``trace slowest`` and ``trace grep`` can filter without decoding.
-    ``Seq`` orders rows for bounded-size eviction.
-    """
-    return TableSchema(
-        SPAN_TABLE,
-        [
-            Column.make("TraceID", VarChar(_W_TRACE)),
-            Column.make("SpanID", VarChar(_W_SPAN)),
-            Column.make("ParentID", VarChar(_W_SPAN), default=""),
-            Column.make("Seq", BigIntUnsigned()),
-            Column.make("Name", VarChar(_W_NAME)),
-            Column.make("Kind", VarChar(_W_KIND), default="internal"),
-            Column.make("Status", VarChar(_W_STATUS), default="ok"),
-            Column.make("ErrorType", VarChar(_W_ERROR), default=""),
-            Column.make("StartEpoch", Float()),
-            Column.make("DurationSeconds", Float()),
-            Column.make("Attrs", Blob(), default=b""),
-            Column.make("Events", Blob(), default=b""),
-        ],
-        primary_key=["TraceID", "SpanID"],
-        indexes=["Name"],
-        ordered=["Seq"],
-    )
+# one encoder for every line (json.dumps builds a new one per call when
+# given separators); a value JSON cannot carry is stored as its str()
+_dumps = json.JSONEncoder(separators=(",", ":"), default=str).encode
 
 
-def _fit(value: object, width: int) -> str:
-    return str(value)[:width]
+def _encode(record: dict) -> str:
+    """One span record as one compact ASCII JSON line (no newline)."""
+    fields = {
+        key: record[key]
+        for key, default in _DEFAULTS.items()
+        if record.get(key, default) != default
+    }
+    # microseconds on the wall clock, nanoseconds on the duration
+    for key, digits in (("start_epoch", 6), ("duration_seconds", 9)):
+        if key in fields:
+            fields[key] = round(float(fields[key]), digits)
+    line = _dumps(fields)
+    if len(line) > MAX_LINE_BYTES:
+        # identity, timing and status always fit; the free-form part goes
+        fields = {
+            key: value[:_CLIP] if isinstance(value, str) else value
+            for key, value in fields.items()
+            if key not in ("attrs", "events")
+        }
+        line = _dumps(fields)
+    return line
 
 
-def _jsonable(value: object) -> object:
-    """Coerce an attr/event value to something canonical JSON can carry."""
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(item) for item in value]
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    return str(value)
+def _parse_lines(lines: Iterable[str]) -> Iterator[dict]:
+    """The JSON objects among *lines*; anything else is skipped."""
+    for line in lines:
+        try:
+            fields = json.loads(line)
+        except json.JSONDecodeError:
+            continue
+        if isinstance(fields, dict):
+            yield fields
+
+
+@dataclass
+class _Segment:
+    """One slot of the ring: a file of lines, or (in memory) the lines."""
+
+    number: int
+    count: Optional[int]  # None: left by an earlier process, counted on demand
+    lines: Optional[list] = None  # None: the lines are in the segment's file
 
 
 class SpanStore:
-    """Span sink persisting records as SPAN rows; also the query side.
+    """Span sink appending to a bounded segment ring; also the query side.
 
     Instances are callable so they plug directly into
-    :func:`repro.obs.trace.add_sink`. Construction creates the table if
-    missing — on a persistent database this must happen *before*
-    :meth:`~repro.db.database.Database.recover` (tables must exist for
-    the journal replay to land in), after which :meth:`rescan` re-derives
-    the eviction sequence from the recovered rows.
+    :func:`repro.obs.trace.add_sink`. *directory* is where the segments
+    live (``None`` keeps the ring in memory). Constructing a store touches
+    no file: the directory is listed on the first flush or query and
+    created by the first flush with something to write. Each process that
+    writes starts a segment of its own, so a line torn by a crash is the
+    last of its segment and nothing is ever appended after it.
     """
 
-    def __init__(self, db: Database, max_rows: int = 50_000) -> None:
-        if max_rows < 1:
-            raise ValueError("max_rows must be >= 1")
-        self.db = db
-        self.max_rows = max_rows
-        self._lock = threading.Lock()
-        self._deferred: list[dict] = []
-        if SPAN_TABLE not in db.table_names():
-            db.create_table(span_schema())
-        self.rescan()
-
-    def rescan(self) -> None:
-        """Re-derive the insertion sequence from persisted rows (call
-        after WAL recovery, like the reply cache's rescan)."""
-        self._seq = IdGenerator(start=self.db.table(SPAN_TABLE).max_of("Seq", 0) + 1)
+    def __init__(self, directory: Optional[Union[str, Path]] = None) -> None:
+        self.directory = Path(directory) if directory is not None else None
+        self._lock = threading.RLock()
+        self._buffer: list[str] = []
+        self._flush_by = 0.0  # monotonic time the oldest buffered line is due out
+        self._ring: Optional[list[_Segment]] = None  # oldest first
+        self._open: Optional[_Segment] = None  # the segment this process appends to
 
     # -- sink side ---------------------------------------------------------
 
     def __call__(self, record: dict) -> None:
-        """Persist one finished span record (the sink protocol)."""
-        if self.db.in_transaction:
-            # never let a span row ride inside an unrelated ledger
-            # transaction; hold it until the transaction is gone
-            with self._lock:
-                self._deferred.append(record)
-            return
-        self.flush()
-        self._insert(record)
-
-    def flush(self) -> int:
-        """Persist any records deferred while a transaction was open."""
-        if self.db.in_transaction:
-            return 0
+        """Buffer one finished span record (the sink protocol)."""
+        line = _encode(record)
+        now = time.monotonic()
         with self._lock:
-            pending, self._deferred = self._deferred, []
-        for record in pending:
-            self._insert(record)
-        return len(pending)
+            if not self._buffer:
+                self._flush_by = now + BUFFER_SECONDS
+            self._buffer.append(line)
+            if len(self._buffer) >= BUFFER_RECORDS or now >= self._flush_by:
+                self.flush()
 
-    def _insert(self, record: dict) -> None:
-        row = {
-            "TraceID": _fit(record.get("trace_id", ""), _W_TRACE),
-            "SpanID": _fit(record.get("span_id", ""), _W_SPAN),
-            "ParentID": _fit(record.get("parent_id", ""), _W_SPAN),
-            "Seq": self._seq.next_int(),
-            "Name": _fit(record.get("name", ""), _W_NAME),
-            "Kind": _fit(record.get("kind", "internal"), _W_KIND),
-            "Status": _fit(record.get("status", "ok"), _W_STATUS),
-            "ErrorType": _fit(record.get("error_type", ""), _W_ERROR),
-            "StartEpoch": float(record.get("start_epoch", 0.0)),
-            "DurationSeconds": float(record.get("duration_seconds", 0.0)),
-            "Attrs": canonical_dumps(_jsonable(record.get("attrs", {}))),
-            "Events": canonical_dumps(_jsonable(record.get("events", []))),
-        }
-        excess = len(self) - self.max_rows + 1
-        if excess > 0:
-            # audit history destroyed by capacity, not by choice — keep
-            # the loss observable (sampling exists to keep this near zero)
-            obs_metrics.counter("obs.spans_dropped").inc(
-                self.db.evict_lowest(SPAN_TABLE, "Seq", max(excess, _EVICTION_BATCH))
-            )
+    def flush(self) -> None:
+        """Move the buffer into the open segment. The buffer is handed
+        over before the write, so a failing write loses those records
+        rather than growing the buffer."""
+        with self._lock:
+            pending, self._buffer = self._buffer, []
+            while pending:
+                segment = self._open
+                if segment is None or segment.count >= SEGMENT_RECORDS:
+                    segment = self._open = self._rotate()
+                chunk = pending[: SEGMENT_RECORDS - segment.count]
+                pending = pending[len(chunk):]
+                if segment.lines is not None:
+                    segment.lines.extend(chunk)
+                else:
+                    with open(self._path(segment), "a", encoding="ascii") as handle:
+                        handle.write("\n".join(chunk) + "\n")
+                segment.count += len(chunk)
+
+    def _rotate(self) -> _Segment:
+        """Open the next segment; at the ring bound the oldest goes whole."""
+        ring = self._segments()
+        number = ring[-1].number + 1 if ring else 1
+        if self.directory is not None:
+            self.directory.mkdir(parents=True, exist_ok=True)
+        ring.append(_Segment(number, 0, [] if self.directory is None else None))
+        while len(ring) > MAX_SEGMENTS:
+            oldest = ring.pop(0)
+            # history destroyed by capacity, not by choice — keep the
+            # loss observable (sampling exists to keep this near zero)
+            obs_metrics.counter("obs.spans_dropped").inc(self._count(oldest))
+            if oldest.lines is None:
+                self._path(oldest).unlink(missing_ok=True)
+        return ring[-1]
+
+    # -- the ring (callers hold the lock) ------------------------------------
+
+    def _path(self, segment: _Segment) -> Path:
+        return self.directory / f"seg-{segment.number:08d}.jsonl"
+
+    def _segments(self) -> list[_Segment]:
+        """The ring, oldest first; the directory is listed on first use."""
+        if self._ring is None:
+            found = self.directory.glob("seg-*.jsonl") if self.directory is not None else ()
+            numbers = sorted(int(path.stem[4:]) for path in found)
+            self._ring = [_Segment(number, None) for number in numbers]
+        return self._ring
+
+    def _read(self, segment: _Segment) -> list[str]:
+        """The complete lines of *segment*: a torn last line is not one."""
+        if segment.lines is not None:
+            return list(segment.lines)
         try:
-            self.db.insert(SPAN_TABLE, row)
-        except IntegrityError:
-            # duplicate (trace, span) — keep the first record, drop this one
-            pass
+            text = self._path(segment).read_text(encoding="ascii", errors="replace")
+        except FileNotFoundError:  # rotated away by another store on this directory
+            return []
+        return text.split("\n")[:-1]
+
+    def _count(self, segment: _Segment) -> int:
+        if segment.count is None:
+            segment.count = len(self._read(segment))
+        return segment.count
 
     # -- query side --------------------------------------------------------
 
-    @staticmethod
-    def _decode(row: dict) -> dict:
-        """SPAN row back to the record shape the sinks were handed."""
-        return {
-            "trace_id": row["TraceID"],
-            "span_id": row["SpanID"],
-            "parent_id": row["ParentID"],
-            "name": row["Name"],
-            "kind": row["Kind"],
-            "status": row["Status"],
-            "error_type": row["ErrorType"],
-            "start_epoch": row["StartEpoch"],
-            "duration_seconds": row["DurationSeconds"],
-            "attrs": canonical_loads(row["Attrs"]) if row["Attrs"] else {},
-            "events": canonical_loads(row["Events"]) if row["Events"] else [],
-        }
+    def _records(self) -> Iterator[dict]:
+        """Every retained record, oldest first, buffered ones included."""
+        with self._lock:
+            self.flush()
+            lines = [line for segment in self._segments() for line in self._read(segment)]
+        for fields in _parse_lines(lines):
+            yield {**_DEFAULTS, "attrs": {}, "events": [], **fields}
 
     def spans_for_trace(self, trace_id: str) -> list[dict]:
         """Every span of *trace_id*, as records, ordered by start time."""
-        rows = self.db.select(SPAN_TABLE, [eq("TraceID", trace_id)])
-        records = [self._decode(row) for row in rows]
-        records.sort(key=lambda r: (r["start_epoch"], r["span_id"]))
-        return records
+        records = (r for r in self._records() if r["trace_id"] == trace_id)
+        return sorted(records, key=lambda r: (r["start_epoch"], r["span_id"]))
 
     def trace_ids(self) -> list[str]:
         """Distinct trace IDs, most recently started first."""
         latest: dict[str, float] = {}
-        for row in self.db.table(SPAN_TABLE).all_rows():
-            seen = latest.get(row["TraceID"])
-            if seen is None or row["StartEpoch"] > seen:
-                latest[row["TraceID"]] = row["StartEpoch"]
-        return [tid for tid, _ in sorted(latest.items(), key=lambda kv: -kv[1])]
+        for record in self._records():
+            if record["start_epoch"] >= latest.get(record["trace_id"], record["start_epoch"]):
+                latest[record["trace_id"]] = record["start_epoch"]
+        return sorted(latest, key=lambda tid: -latest[tid])
 
     def slowest(self, limit: int = 10, name: str = "") -> list[dict]:
         """The *limit* longest spans (optionally only those whose name
         starts with *name*), as records, slowest first."""
-        conditions = []
-        rows = self.db.select(SPAN_TABLE, conditions)
-        if name:
-            rows = [row for row in rows if row["Name"].startswith(name)]
-        rows.sort(key=lambda r: -r["DurationSeconds"])
-        return [self._decode(row) for row in rows[:limit]]
+        records = (r for r in self._records() if r["name"].startswith(name))
+        return sorted(records, key=lambda r: -r["duration_seconds"])[:limit]
 
     def grep(self, needle: str, limit: int = 50) -> list[dict]:
         """Spans whose name, attrs, events, or error type contain *needle*
         (case-insensitive substring), newest first."""
         want = needle.lower()
-        hits = []
-        for row in self.db.table(SPAN_TABLE).all_rows():
-            haystack = " ".join(
-                (
-                    row["Name"],
-                    row["ErrorType"],
-                    row["Attrs"].decode("utf-8", "replace") if row["Attrs"] else "",
-                    row["Events"].decode("utf-8", "replace") if row["Events"] else "",
-                )
-            ).lower()
-            if want in haystack:
-                hits.append(row)
-        hits.sort(key=lambda r: -r["StartEpoch"])
-        return [self._decode(row) for row in hits[:limit]]
+        hits = [
+            r for r in self._records()
+            if want in _dumps([r["name"], r["error_type"], r["attrs"], r["events"]]).lower()
+        ]
+        return sorted(hits, key=lambda r: -r["start_epoch"])[:limit]
 
     def __len__(self) -> int:
-        return self.db.count(SPAN_TABLE)
+        """Records retained, the write-behind buffer included."""
+        with self._lock:
+            return sum(self._count(s) for s in self._segments()) + len(self._buffer)
 
 
 class JsonlSpanSink:
@@ -267,7 +259,7 @@ class JsonlSpanSink:
         self._lock = threading.Lock()
 
     def __call__(self, record: dict) -> None:
-        line = json.dumps(_jsonable(record), sort_keys=True, separators=(",", ":"))
+        line = json.dumps(record, sort_keys=True, separators=(",", ":"), default=str)
         with self._lock:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             with open(self.path, "a", encoding="utf-8") as handle:
@@ -276,16 +268,7 @@ class JsonlSpanSink:
     @staticmethod
     def read(path: Union[str, Path]) -> list[dict]:
         """Parse a JSONL span file back into records (skips torn lines)."""
-        records = []
-        text = Path(path).read_text(encoding="utf-8")
-        for line in text.splitlines():
-            if not line.strip():
-                continue
-            try:
-                records.append(json.loads(line))
-            except json.JSONDecodeError:
-                continue
-        return records
+        return list(_parse_lines(Path(path).read_text(encoding="utf-8").splitlines()))
 
 
 # -- waterfall rendering -----------------------------------------------------

@@ -14,11 +14,11 @@ On top of pure context propagation sits *span recording*: the
 events (:func:`add_event` — retry attempts, breaker transitions), and on
 close flushes a plain-dict record to every registered sink
 (:func:`add_sink`). Sinks are how spans become durable — the bank's
-:class:`~repro.obs.store.SpanStore` persists them as SPAN rows in the
-WAL'd database, and :class:`~repro.obs.store.JsonlSpanSink` appends them
-to a JSON-lines file for out-of-process collection. A sink that raises
-never breaks the traced request: failures are swallowed into the
-``obs.span_sink_errors`` counter.
+:class:`~repro.obs.store.SpanStore` appends them to a bounded segment
+ring beside the database, and :class:`~repro.obs.store.JsonlSpanSink`
+appends them to a JSON-lines file for out-of-process collection. A sink
+that raises never breaks the traced request: failures are swallowed into
+the ``obs.span_sink_errors`` counter.
 
 IDs come from explicitly-seeded :class:`random.Random` generators (the
 library-wide determinism rule — see :mod:`repro.util.ids`); callers that
@@ -44,7 +44,6 @@ __all__ = [
     "new_span_id",
     "current",
     "current_trace_id",
-    "current_recorder",
     "activate",
     "child_span",
     "span",
@@ -283,11 +282,6 @@ class _NullRecorder:
 _recorder: contextvars.ContextVar[Optional[SpanRecorder]] = contextvars.ContextVar(
     "gridbank_active_recorder", default=None
 )
-
-
-def current_recorder() -> Optional[SpanRecorder]:
-    """The recorded span active in this execution context, if any."""
-    return _recorder.get()
 
 
 def add_event(name: str, **fields: object) -> bool:

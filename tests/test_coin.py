@@ -220,12 +220,12 @@ class TestLayeringClaim:
     def test_no_new_tables_or_account_operations_needed(self, world):
         # the protocol reuses the shared instruments registry and the
         # existing accounts tables — the database schema is unchanged
-        # ("replies" belongs to the exactly-once RPC layer, "spans" and
+        # ("replies" belongs to the exactly-once RPC layer,
         # "usage_rollups" to the observability layer, "shard_meta" and
         # "xfer_intents" to the sharding layer, not GridCoin)
         assert sorted(world["bank"].db.table_names()) == [
             "accounts", "administrators", "instruments", "replies",
-            "shard_meta", "spans", "transactions", "transfers",
+            "shard_meta", "transactions", "transfers",
             "usage_rollups", "xfer_intents",
         ]
 

@@ -16,6 +16,7 @@ from repro.db import (
     Float,
     Integer,
     TableSchema,
+    Text,
     Timestamp14,
     VarChar,
     between,
@@ -91,6 +92,11 @@ class TestColumnTypes:
         for bad in ("2003", 20030101000000, "2003010100000x"):
             with pytest.raises(SchemaError):
                 Timestamp14().validate(bad)
+
+    def test_text_is_an_unbounded_string(self):
+        assert Text().validate("x" * 100_000) == "x" * 100_000
+        with pytest.raises(SchemaError):
+            Text().validate(b"bytes")
 
     def test_blob_and_boolean(self):
         assert Blob().validate(b"\x00") == b"\x00"
@@ -390,6 +396,41 @@ class TestPersistence:
         db2 = self._make(tmp_path)
         db2.recover()
         assert db2.find("accounts", ("01",)) is not None
+
+
+class TestReplayedInsert:
+    """Journal replay (recovery, and a standby applying replicated lines)
+    inserts absolute rows: over an existing pk, and validated once."""
+
+    def _insert(self, **row):
+        return [{"op": "insert", "table": "accounts", "row": row}]
+
+    def test_replaces_the_row_at_its_pk_and_validates_it_once(self, monkeypatch):
+        db = fresh_db()
+        db.insert("accounts", {"AccountID": "01", "CertificateName": "old", "Balance": 1.0})
+        schema = db.table("accounts").schema
+        validate, calls = schema.validate_row, []
+        monkeypatch.setattr(
+            schema, "validate_row", lambda row, partial=False: calls.append(row) or validate(row, partial)
+        )
+        db._apply_ops(self._insert(AccountID="01", CertificateName="new"))
+        assert len(calls) == 1
+        assert db.get("accounts", ("01",)) == {
+            "AccountID": "01", "CertificateName": "new", "Balance": 0.0, "Notes": None,
+        }
+        # the hash index followed the replacement
+        assert db.select("accounts", [eq("CertificateName", "old")]) == []
+        assert db.count("accounts", [eq("CertificateName", "new")]) == 1
+
+    def test_schema_violating_row_still_raises(self):
+        db = fresh_db()
+        with pytest.raises(SchemaError):
+            db._apply_ops(self._insert(AccountID="01"))  # CertificateName is NOT NULL
+        with pytest.raises(SchemaError):
+            db._apply_ops(self._insert(AccountID="01", CertificateName="cn", Stray=1))
+        with pytest.raises(SchemaError):
+            db._apply_ops(self._insert(AccountID="01", CertificateName="cn", Balance="much"))
+        assert db.count("accounts") == 0
 
 
 # -- ordered index + eviction primitive ---------------------------------------

@@ -1,14 +1,18 @@
-"""Durable spans: recording, the SPAN store, trace CLI, exporter, gate.
+"""Durable spans: recording, the span store, trace CLI, exporter, gate.
 
 The PR 3 subsystem end to end — spans recorded around RPC/bank dispatch,
-flushed to sinks, persisted as SPAN rows through the WAL'd database
-(surviving crash recovery), queried back by ``gridbank trace``, metrics
-rendered as Prometheus text, and the benchmark-trajectory gate logic.
+flushed to sinks, kept in the segment ring beside the database
+(surviving a restart once flushed), queried back by ``gridbank trace``,
+metrics rendered as Prometheus text, and the benchmark-trajectory gate
+logic.
 """
 
 import importlib.util
 import json
 import random
+import sys
+import threading
+import time
 import urllib.error
 import urllib.request
 from pathlib import Path
@@ -28,7 +32,8 @@ from repro.net.tcp import TCPServer
 from repro.obs import export as obs_export
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
-from repro.obs.store import SPAN_TABLE, JsonlSpanSink, SpanStore, render_waterfall, span_schema
+from repro.obs import store as obs_store
+from repro.obs.store import JsonlSpanSink, SpanStore, render_waterfall
 from repro.util.gbtime import VirtualClock
 from repro.util.money import Credits
 
@@ -110,7 +115,22 @@ class TestBreakerEvents:
         )
 
 
-# -- the SPAN store ----------------------------------------------------------
+# -- the span store ----------------------------------------------------------
+
+
+@pytest.fixture()
+def small_ring(monkeypatch):
+    """Three segments of ten records, written out every four: the ring
+    bound within reach of a unit test (the sizes are module constants)."""
+    monkeypatch.setattr(obs_store, "SEGMENT_RECORDS", 10)
+    monkeypatch.setattr(obs_store, "MAX_SEGMENTS", 3)
+    monkeypatch.setattr(obs_store, "BUFFER_RECORDS", 4)
+
+
+@pytest.fixture()
+def span_dirs(tmp_path):
+    """Both homes of the one store: the ring in memory, and in a directory."""
+    return (None, tmp_path / "spans" / "db")
 
 
 class TestSpanStore:
@@ -131,64 +151,165 @@ class TestSpanStore:
         record.update(overrides)
         return record
 
-    def test_store_and_query_roundtrip(self):
-        store = SpanStore(Database())
-        store(self._record())
-        [back] = store.spans_for_trace("t" * 16)
-        assert back["name"] == "unit.op"
-        assert back["attrs"] == {"k": "v"}
-        assert back["events"][0]["fields"] == {"n": 1}
-        assert back["duration_seconds"] == 0.25
-
-    def test_long_strings_truncated_not_refused(self):
-        store = SpanStore(Database())
-        store(self._record(name="n" * 500, error_type="E" * 500, status="error"))
-        [back] = store.spans_for_trace("t" * 16)
-        assert back["name"] == "n" * 64
-        assert back["error_type"] == "E" * 64
-
-    def test_insert_deferred_while_transaction_open(self):
-        db = Database()
-        store = SpanStore(db)
-        with db.transaction():
+    def test_store_and_query_roundtrip(self, span_dirs):
+        for span_dir in span_dirs:
+            store = SpanStore(span_dir)
             store(self._record())
-            assert len(store) == 0  # must not ride the open transaction
+            [back] = store.spans_for_trace("t" * 16)
+            assert back == self._record()  # omitted defaults come back filled in
+            assert store.trace_ids() == ["t" * 16]
+            assert len(store) == 1
+
+    def test_nothing_touches_disk_until_a_record_is_written_out(self, tmp_path):
+        directory = tmp_path / "spans" / "db"
+        store = SpanStore(directory)
         store.flush()
-        assert len(store) == 1
+        assert len(store) == 0 and store.trace_ids() == []
+        assert not directory.exists()
+        store(self._record())
+        assert not directory.exists() and len(store) == 1  # buffered
+        store.flush()
+        [segment] = directory.iterdir()
+        line = segment.read_text()
+        assert line.endswith("\n") and len(line) < 200
+        # empty and default fields are left out of the stored line
+        assert "parent_id" not in line and "status" not in line and "kind" not in line
 
-    def test_next_record_flushes_earlier_deferred_ones(self):
-        db = Database()
-        store = SpanStore(db)
-        with db.transaction():
-            store(self._record(span_id="aaaa0001"))
-        store(self._record(span_id="aaaa0002"))
-        assert len(store) == 2
+    def test_long_strings_truncated_not_refused(self, span_dirs):
+        for span_dir in span_dirs:
+            store = SpanStore(span_dir)
+            store(self._record(
+                name="n" * 5000, error_type="E" * 5000, status="error",
+                attrs={"blob": "x" * 5000, "n": 7},
+            ))
+            store(self._record(span_id="wide0000", attrs={f"k{i}": "y" * 60 for i in range(500)}))
+            long, wide = store.spans_for_trace("t" * 16)
+            assert long["name"] == "n" * 64 and long["status"] == "error"
+            assert long["error_type"] == "E" * 64
+            # over the line cap the free-form part goes; identity and timing stay
+            assert long["attrs"] == {} and wide["attrs"] == {}
+            assert wide["span_id"] == "wide0000" and wide["duration_seconds"] == 0.25
+            if span_dir is not None:
+                [segment] = span_dir.iterdir()
+                assert max(map(len, segment.read_bytes().splitlines())) <= obs_store.MAX_LINE_BYTES
 
-    def test_eviction_keeps_newest(self):
-        store = SpanStore(Database(), max_rows=300)
-        for i in range(601):
-            store(self._record(span_id=f"sp{i:06d}", trace_id=f"tr{i:06d}"))
-        assert len(store) <= 300
-        assert store.spans_for_trace("tr000600")  # newest survived
-
-    def test_rescan_continues_the_sequence_without_copying_rows(self, monkeypatch):
-        db = Database()
-        store = SpanStore(db, max_rows=300)
+    def test_buffer_is_written_at_its_count_and_at_its_age(self, tmp_path, small_ring, monkeypatch):
+        directory = tmp_path / "spans" / "db"
+        store = SpanStore(directory)
         for i in range(3):
             store(self._record(span_id=f"sp{i:06d}"))
-        monkeypatch.setattr(db.table(SPAN_TABLE), "all_rows", None)  # a copy would raise
-        store.rescan()
-        store(self._record(span_id="sp000003"))
-        assert sorted(row["Seq"] for row in db.select(SPAN_TABLE)) == [1, 2, 3, 4]
+        assert not directory.exists()
+        store(self._record(span_id="sp000003"))  # the fourth reaches BUFFER_RECORDS
+        [segment] = directory.iterdir()
+        assert len(segment.read_text().splitlines()) == 4
+        monkeypatch.setattr(obs_store, "BUFFER_SECONDS", 0.02)
+        store(self._record(span_id="sp000004"))
+        assert len(segment.read_text().splitlines()) == 4
+        time.sleep(0.03)
+        store(self._record(span_id="sp000005"))  # the next append finds the buffer old
+        assert len(segment.read_text().splitlines()) == 6
 
-    def test_slowest_and_grep(self):
-        store = SpanStore(Database())
-        store(self._record(span_id="fast0000", name="op.fast", duration_seconds=0.01))
-        store(self._record(span_id="slow0000", name="op.slow", duration_seconds=2.0))
-        slowest = store.slowest(limit=1)
-        assert slowest[0]["name"] == "op.slow"
-        assert [r["name"] for r in store.grep("op.fast")] == ["op.fast"]
-        assert store.grep("no-such-needle") == []
+    def test_eviction_keeps_newest(self, span_dirs, small_ring):
+        """At the ring bound the oldest segment goes whole, and is counted."""
+        for span_dir in span_dirs:
+            dropped = obs_metrics.counter("obs.spans_dropped")
+            before = dropped.value
+            store = SpanStore(span_dir)
+            for i in range(45):
+                store(self._record(span_id=f"sp{i:06d}", trace_id=f"tr{i:06d}"))
+            # segments 1 and 2 (ten records each) went; 3, 4 and half of 5 remain
+            assert len(store) == 25
+            assert dropped.value - before == 20
+            assert store.spans_for_trace("tr000044")  # newest survived
+            assert store.spans_for_trace("tr000020") and not store.spans_for_trace("tr000019")
+            if span_dir is not None:
+                store.flush()
+                assert sorted(p.name for p in span_dir.iterdir()) == [
+                    "seg-00000003.jsonl", "seg-00000004.jsonl", "seg-00000005.jsonl",
+                ]
+
+    def test_restart_continues_the_ring_and_counts_an_inherited_segment(self, tmp_path, small_ring):
+        directory = tmp_path / "spans" / "db"
+        first = SpanStore(directory)
+        for i in range(25):
+            first(self._record(span_id=f"sp{i:06d}"))
+        first.flush()
+        dropped = obs_metrics.counter("obs.spans_dropped")
+        before = dropped.value
+        second = SpanStore(directory)  # a new process: a segment of its own
+        assert len(second) == 25
+        second(self._record(span_id="sp000025"))
+        second.flush()
+        # opening segment 4 pushed segment 1 (ten inherited records) out
+        assert dropped.value - before == 10
+        assert len(second) == 16
+        assert sorted(p.name for p in directory.iterdir())[0] == "seg-00000002.jsonl"
+
+    def test_torn_last_line_is_skipped(self, tmp_path):
+        directory = tmp_path / "spans" / "db"
+        first = SpanStore(directory)
+        first(self._record(span_id="whole000"))
+        first.flush()
+        [segment] = directory.iterdir()
+        with open(segment, "a") as handle:
+            handle.write('{"trace_id":"tttttttttttttttt","span_id":"torn')  # crash mid-write
+        second = SpanStore(directory)
+        assert len(second) == 1
+        assert [r["span_id"] for r in second.spans_for_trace("t" * 16)] == ["whole000"]
+        # and nothing is ever appended after the torn bytes
+        second(self._record(span_id="after000"))
+        second.flush()
+        assert len(list(directory.iterdir())) == 2
+        assert [r["span_id"] for r in second.grep("unit.op")] == ["whole000", "after000"]
+
+    def test_unflushed_buffer_is_the_only_loss_after_an_abrupt_drop(self, tmp_path, small_ring):
+        directory = tmp_path / "spans" / "db"
+        store = SpanStore(directory)
+        for i in range(10):
+            store(self._record(span_id=f"sp{i:06d}"))
+        del store  # kill -9: no flush, no close
+        survivors = SpanStore(directory).spans_for_trace("t" * 16)
+        assert [r["span_id"] for r in survivors] == [f"sp{i:06d}" for i in range(8)]
+
+    def test_two_threads_appending_lose_nothing(self, span_dirs, small_ring, monkeypatch):
+        monkeypatch.setattr(obs_store, "MAX_SEGMENTS", 1000)  # no drops: count every record
+        for span_dir in span_dirs:
+            store = SpanStore(span_dir)
+            workers, each = 8, 250
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                threads = [
+                    threading.Thread(
+                        target=lambda w=w: [
+                            store(self._record(span_id=f"w{w}-{i:05d}")) for i in range(each)
+                        ]
+                    )
+                    for w in range(workers)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+            assert len(store) == workers * each
+            seen = {r["span_id"] for r in store.spans_for_trace("t" * 16)}
+            assert len(seen) == workers * each
+
+    def test_slowest_and_grep(self, span_dirs):
+        for span_dir in span_dirs:
+            store = SpanStore(span_dir)
+            store(self._record(span_id="fast0000", name="op.fast", duration_seconds=0.01))
+            store(self._record(span_id="slow0000", name="op.slow", duration_seconds=2.0))
+            slowest = store.slowest(limit=1)
+            assert slowest[0]["name"] == "op.slow"
+            assert [r["name"] for r in store.slowest(name="op.f")] == ["op.fast"]
+            assert [r["name"] for r in store.grep("op.fast")] == ["op.fast"]
+            # case-insensitive, and the events are searched too
+            assert {r["name"] for r in store.grep('"N":1')} == {"op.fast", "op.slow"}
+            assert store.grep("no-such-needle") == []
 
     def test_jsonl_sink_roundtrip(self, tmp_path):
         path = tmp_path / "spans" / "out.jsonl"
@@ -222,7 +343,6 @@ class TestSpanStore:
 class TestTransactionRequired:
     def test_require_transaction_raises_typed_error(self):
         db = Database()
-        db.create_table(span_schema())
         with pytest.raises(TransactionRequiredError):
             db.require_transaction("test writes")
         with db.transaction():
@@ -290,8 +410,12 @@ class TestDispatchTracing:
         assert server["status"] == "error"
         assert server["error_type"] == "InsufficientFundsError"
 
-    def test_span_rows_survive_crash_recovery(self, world):  # noqa: F811
+    def test_span_rows_survive_crash_recovery(self, world, tmp_path):  # noqa: F811
+        """Flushed spans are readable after a restart and still join the
+        recovered TRANSFER row; they are files beside the journal now,
+        not rows in it."""
         bank = world["bank"]()
+        assert bank.spans.directory == tmp_path / "spans" / "bank"
         with obs_trace.sink_installed(bank.spans):
             world["alice"].request_direct_transfer(
                 world["alice_account"], world["gsp_account"], Credits(7)
@@ -299,6 +423,7 @@ class TestDispatchTracing:
         trace_id = bank.db.select("transfers")[-1]["TraceID"]
         assert trace_id
         assert bank.spans.spans_for_trace(trace_id)
+        bank.spans.flush()
         # crash + WAL replay into a fresh process-equivalent
         restarted = world["restart_bank"]()
         revived = restarted.spans.spans_for_trace(trace_id)
@@ -314,6 +439,14 @@ class TestDispatchTracing:
         )
         assert "bank.op.direct_transfer" in text
         assert "transfers" in text
+
+    def test_in_memory_bank_keeps_its_spans_in_memory(self, world):  # noqa: F811
+        from repro.bank.server import GridBankServer
+
+        bank = GridBankServer(world["bank"]().identity, world["store"])
+        assert bank.spans.directory is None
+        bank.spans({"trace_id": "m" * 16, "span_id": "s" * 8, "name": "unit.op"})
+        assert [r["name"] for r in bank.spans.spans_for_trace("m" * 16)] == ["unit.op"]
 
 
 # -- exponential buckets -----------------------------------------------------

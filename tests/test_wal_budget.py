@@ -1,0 +1,88 @@
+"""Count gate on the journal: what one request may append to the WAL.
+
+The journal is the ledger's (paper sec 3.2, 5.1: ACCOUNT / TRANSACTION /
+TRANSFER, plus the reply row that makes a transfer exactly-once) and
+nothing else's. With the sinks ``gridbank serve`` installs by default in
+place — so every request is traced and its spans are stored — a transfer
+appends ONE record of bounded size and a read appends NOTHING; the spans
+land in the segment ring beside the database. A standby that stores its
+own spans still holds the primary's WAL byte for byte.
+"""
+
+import random
+
+from repro.cli import _workload_span_sink
+from repro.net.rpc import RPCClient
+from repro.obs import trace as obs_trace
+from repro.obs.sampling import SamplingPolicy, SamplingSpanSink
+from repro.util.money import Credits
+
+from tests.test_replication import A, B, wait_caught_up, world  # noqa: F401 - primary + standby
+
+#: a direct transfer's one WAL line is about 1,660 B at the CLI's 1,024-bit
+#: bank key (two ledger updates, TRANSACTION, TRANSFER, the reply row with
+#: its signed confirmation); the test world's 512-bit keys sit well under
+TRANSFER_LINE_MAX = 1_800
+
+
+def _serve_sinks(world):  # noqa: F811
+    """What ``cmd_serve`` installs, once per node."""
+    return [
+        SamplingSpanSink(_workload_span_sink(world[bank].spans), SamplingPolicy())
+        for bank in ("bank_a", "bank_b")
+    ]
+
+
+def _wal(tmp_path, name) -> bytes:
+    return (tmp_path / name / "wal.gbdb").read_bytes()
+
+
+def test_transfer_appends_one_record_and_a_read_appends_none(world, tmp_path):  # noqa: F811
+    primary, standby = world["bank_a"], world["bank_b"]
+    sinks = _serve_sinks(world)
+    for sink in sinks:
+        obs_trace.add_sink(sink)
+    try:
+        before = _wal(tmp_path, A)
+        spans_before = len(primary.spans)
+        world["alice"].request_direct_transfer(
+            world["alice_account"], world["gsp_account"], Credits(5)
+        )
+        appended = _wal(tmp_path, A)[len(before):]
+        assert appended.count(b"\n") == 1
+        assert len(appended) <= TRANSFER_LINE_MAX
+        assert b"trace_id" not in appended and b"rpc.server.dispatch" not in appended
+        assert len(primary.spans) >= spans_before + 2  # dispatch + bank.op, stored elsewhere
+
+        before = _wal(tmp_path, A)
+        spans_before = len(primary.spans)
+        details = world["alice"]._client.call(
+            "RequestAccountDetails", account_id=world["alice_account"]
+        )
+        assert Credits(details["AvailableBalance"]) == Credits(995)
+        assert _wal(tmp_path, A) == before  # 0 records, 0 bytes
+        assert len(primary.spans) >= spans_before + 2
+
+        # the standby serves a read and stores the spans of it, locally
+        wait_caught_up(primary, standby)
+        reader = RPCClient(
+            world["network"].connect(B), world["alice_ident"], world["store"],
+            clock=world["clock"], rng=random.Random(77),
+        )
+        reader.connect()
+        spans_before = len(standby.spans)
+        reader.call("RequestAccountDetails", account_id=world["alice_account"])
+        assert len(standby.spans) >= spans_before + 2
+        world["alice"].request_direct_transfer(
+            world["alice_account"], world["gsp_account"], Credits(1)
+        )
+        wait_caught_up(primary, standby)
+    finally:
+        for sink in sinks:
+            obs_trace.remove_sink(sink)
+    for bank in (primary, standby):
+        bank.spans.flush()
+    assert _wal(tmp_path, A) == _wal(tmp_path, B)
+    # each node's spans are files beside its own database directory
+    assert list((tmp_path / "spans" / A).iterdir())
+    assert list((tmp_path / "spans" / B).iterdir())

@@ -9,7 +9,8 @@ would silently lose it.
 
 Allowlisted (their stdout IS their contract, not diagnostics):
 ``repro/cli.py`` (the ``gridbank`` command), the trajectory recorder,
-the regression gate, and this checker itself.
+the regression gate, the gridbench pair comparison, and this checker
+itself.
 
 Run via ``make lint`` (also: ``python tools/check_no_print.py``).
 """
@@ -26,7 +27,10 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 SCAN_ROOTS = [
     (REPO_ROOT / "src", {Path("repro/cli.py")}),
     (REPO_ROOT / "benchmarks", {Path("trajectory.py")}),
-    (REPO_ROOT / "tools", {Path("check_no_print.py"), Path("check_bench_regression.py")}),
+    (
+        REPO_ROOT / "tools",
+        {Path("check_no_print.py"), Path("check_bench_regression.py"), Path("gridbench_pairs.py")},
+    ),
 ]
 
 
