@@ -23,8 +23,8 @@ operations on the bank's own endpoint:
     per-principal usage top-K, hottest ops — which ``gridbank top``
     aggregates across the whole cluster.
 
-A standby pulls the stream on a background :class:`StandbyReplicator`
-thread and replays each line through
+A standby pulls the stream with a :class:`StandbyReplicator` (a step
+under the one runner) and replays each line through
 :meth:`~repro.db.database.Database.apply_replicated` — the exact
 recovery path a crashed primary would take — so replica state, *reply
 cache included*, is byte-identical by construction. That last point is
@@ -70,6 +70,7 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.obs.logging import get_logger
 from repro.obs.usage import hot_operations
+from repro.util.runner import Runner
 
 __all__ = ["ClusterNode", "StandbyReplicator", "PrimaryRouter", "ReplicatedBranch", "cluster_client"]
 
@@ -268,15 +269,9 @@ class ClusterNode:
             "integrity.scrub_corruption",
             node=self.address, seq=exc.seq, offset=exc.offset, reason=str(exc),
         )
-        if not self.auto_repair:
-            return
-        try:
+        if self.auto_repair:
+            # a failed repair propagates: the runner counts and logs it
             self.repair(reason="scrubber")
-        except (ReproError, OSError) as err:
-            _log.error(
-                "integrity.repair_failed",
-                node=self.address, error=type(err).__name__, reason=str(err),
-            )
 
     def repair(self, peer_address: Optional[str] = None, reason: str = "operator") -> dict:
         """Self-heal from a healthy peer after local storage corruption.
@@ -536,18 +531,20 @@ class ClusterNode:
         return plane.flight_snapshot(limit=int(params.get("limit", 128)))
 
 
-class StandbyReplicator(threading.Thread):
-    """Pull loop: stream committed WAL lines from the primary and replay
-    them locally. Tracks lag for the staleness guard and, when the node
-    is configured with ``auto_promote`` + ``lease_timeout``, promotes
-    the node once the primary has been silent past the lease."""
+class StandbyReplicator:
+    """The replication pull: one :meth:`step` streams committed WAL lines
+    from the primary and replays them locally. Tracks lag for the
+    staleness guard and, when the node is configured with
+    ``auto_promote`` + ``lease_timeout``, promotes the node once the
+    primary has been silent past the lease. Time (lease, lag) is read
+    from ``node.bank.clock`` only; the runner paces the polls in real
+    time, so the loop keeps breathing when nothing advances a virtual
+    clock."""
 
     def __init__(self, node: ClusterNode, primary_address: str, resync: bool = False) -> None:
-        super().__init__(name=f"replicator-{node.address}", daemon=True)
         self.node = node
         self.primary_address = primary_address
         self._need_bootstrap = resync
-        self._stop_event = threading.Event()
         self._client: Optional[RPCClient] = None
         clock = node.bank.clock
         #: last successful exchange with the primary (lease basis)
@@ -557,54 +554,57 @@ class StandbyReplicator(threading.Thread):
         self.lag_records = 0
         self._lag_records_gauge = obs_metrics.gauge("replication.lag_records")
         self._lag_seconds_gauge = obs_metrics.gauge("replication.lag_seconds")
+        self._runner = Runner(f"replicator-{node.address}", self.step, node.poll_interval)
 
     # -- lifecycle -----------------------------------------------------------
 
+    def start(self) -> None:
+        self._runner.start()
+
     def stop(self) -> None:
-        self._stop_event.set()
-        client = self._client
-        self._client = None
-        if client is not None:
-            try:
-                client.close()
-            except ReproError:
-                pass
-        if self.is_alive() and threading.current_thread() is not self:
-            self.join(timeout=5.0)
+        """Close the upstream connection (which ends a long-poll in
+        flight) and stop the runner; safe from inside :meth:`step`, as
+        lease-timeout promotion does."""
+        self._disconnect()
+        self._runner.stop()
+        # a step that lost the first close's race may have redialled
+        self._disconnect()
         self.node._last_caught_up = self.caught_up_at
 
-    def run(self) -> None:
-        while not self._stop_event.is_set():
-            try:
-                self._ensure_client()
-                if self._need_bootstrap:
-                    self._bootstrap_snapshot()
-                advanced = self._poll_once()
-                if not advanced or self.lag_records == 0:
-                    # group shipping: once caught up, pause one poll
-                    # interval so the next fetch carries a batch instead
-                    # of answering every primary commit with its own
-                    # signed RPC round-trip. A backlog (lag > 0) drains
-                    # at full speed with no pause.
-                    self._idle()
-            except NotPrimaryError as exc:
-                self._reroute(exc)
-            except (ReproError, OSError) as exc:
-                self._disconnect()
-                _log.debug(
-                    "replication.poll_failed",
-                    node=self.node.address,
-                    primary=self.primary_address,
-                    error=type(exc).__name__,
-                )
-                self._maybe_auto_promote()
-                self._idle()
+    def step(self) -> Optional[float]:
+        """One fetch+replay round. Returns 0.0 to go again at once — a
+        backlog (lag > 0) drains at full speed — and None to pause one
+        poll interval: once caught up, group shipping lets the next
+        fetch carry a batch instead of answering every primary commit
+        with its own signed RPC round-trip."""
+        try:
+            # one reference for the whole round: stop() may drop
+            # self._client under us, and a closed client fails typed
+            client = self._ensure_client()
+            if self._need_bootstrap:
+                self._bootstrap_snapshot(client)
+            if self._poll_once(client) and self.lag_records > 0:
+                return 0.0
+        except NotPrimaryError as exc:
+            return self._reroute(exc)
+        except (ReproError, OSError) as exc:
+            self._disconnect()
+            _log.debug(
+                "replication.poll_failed",
+                node=self.node.address,
+                primary=self.primary_address,
+                error=type(exc).__name__,
+            )
+            self._maybe_auto_promote()
+        return None
 
     # -- plumbing ------------------------------------------------------------
 
-    def _ensure_client(self) -> None:
-        if self._client is None:
-            self._client = self.node._peer_client(self.primary_address)
+    def _ensure_client(self) -> RPCClient:
+        client = self._client
+        if client is None:
+            client = self._client = self.node._peer_client(self.primary_address)
+        return client
 
     def _disconnect(self) -> None:
         client = self._client
@@ -615,13 +615,7 @@ class StandbyReplicator(threading.Thread):
             except ReproError:
                 pass
 
-    def _idle(self) -> None:
-        # real-time pacing, independent of the bank's (possibly virtual)
-        # clock: the poll loop must keep breathing even when nothing
-        # advances simulated time
-        self._stop_event.wait(self.node.poll_interval)
-
-    def _reroute(self, exc: NotPrimaryError) -> None:
+    def _reroute(self, exc: NotPrimaryError) -> Optional[float]:
         address = exc.primary_address
         if address and address not in (self.primary_address, self.node.address):
             _log.info(
@@ -633,13 +627,12 @@ class StandbyReplicator(threading.Thread):
             self.primary_address = address
             self.node.bank.primary_address = address
             self._disconnect()
-        else:
-            self._maybe_auto_promote()
-            self._idle()
+            return 0.0
+        self._maybe_auto_promote()
+        return None
 
-    def _bootstrap_snapshot(self) -> None:
-        assert self._client is not None
-        reply = self._client.call("Replication.Snapshot")
+    def _bootstrap_snapshot(self, client: RPCClient) -> None:
+        reply = client.call("Replication.Snapshot")
         node = self.node
         with obs_trace.span("replication.bootstrap", kind="cluster", node=node.address):
             node.bank.db.load_state(reply["state"])
@@ -651,13 +644,12 @@ class StandbyReplicator(threading.Thread):
         epoch, seq = node.bank.db.replication_position()
         _log.info("replication.bootstrapped", node=node.address, epoch=epoch, seq=seq)
 
-    def _poll_once(self) -> bool:
+    def _poll_once(self, client: RPCClient) -> bool:
         """One fetch+replay round; returns True when records advanced."""
-        assert self._client is not None
         node = self.node
         db = node.bank.db
         epoch, seq = db.replication_position()
-        reply = self._client.call(
+        reply = client.call(
             "Replication.Fetch",
             epoch=epoch,
             from_seq=seq,
@@ -761,7 +753,6 @@ class StandbyReplicator(threading.Thread):
                 lease=node.lease_timeout,
             )
             node.promote(reason="lease-timeout")
-            self._stop_event.set()
 
 
 class PrimaryRouter:

@@ -101,6 +101,7 @@ from repro.obs import trace as obs_trace
 from repro.obs.logging import get_logger
 from repro.obs.trace import current_trace_id
 from repro.util.money import Credits, ZERO
+from repro.util.runner import Runner
 
 __all__ = [
     "RING_SIZE",
@@ -1137,39 +1138,30 @@ class ShardNode:
         return self.resolve_pending()
 
 
-class ShardResolver(threading.Thread):
+class ShardResolver:
     """Background re-driver for prepared intents (coordinator recovery).
 
-    Polls only while this node is primary and alive; the interval can be
-    generous — client retries resolve the common case, this thread is
-    the backstop for coordinators whose client never came back.
+    A :meth:`step` does work only while this node is primary and alive;
+    the interval can be generous — client retries resolve the common
+    case, this is the backstop for coordinators whose client never came
+    back.
     """
 
     def __init__(self, shard: ShardNode, interval: float) -> None:
-        super().__init__(name=f"shard-resolver-{shard.shard_id}", daemon=True)
         self.shard = shard
         self.interval = max(0.01, float(interval))
-        self._stop_event = threading.Event()
+        self._runner = Runner(f"shard-resolver-{shard.shard_id}", self.step, self.interval)
+
+    def start(self) -> None:
+        self._runner.start()
 
     def stop(self) -> None:
-        self._stop_event.set()
-        if self.is_alive():
-            self.join(timeout=2.0)
+        self._runner.stop()
 
-    def run(self) -> None:
-        while not self._stop_event.wait(self.interval):
-            bank = self.shard.bank
-            if bank.role != "primary" or bank.endpoint.crashed:
-                continue
-            try:
-                self.shard.resolve_pending()
-            except ReproError as exc:  # pragma: no cover - defensive
-                _log.warning(
-                    "shard.resolver_error",
-                    shard=self.shard.shard_id,
-                    error=type(exc).__name__,
-                    reason=str(exc),
-                )
+    def step(self) -> None:
+        # resolve_pending is itself a no-op on a standby
+        if not self.shard.bank.endpoint.crashed:
+            self.shard.resolve_pending()
 
 
 class ShardRouter:

@@ -50,7 +50,7 @@ from repro.obs.export import FileExporter, HTTPExporter, render_prometheus
 from repro.obs.logging import configure_from_env
 from repro.obs.sampling import SamplingPolicy, SamplingSpanSink
 from repro.obs.slo import Objective, SLOEngine
-from repro.obs.store import JsonlSpanSink, render_waterfall
+from repro.obs.store import render_waterfall
 from repro.pki.ca import CertificateAuthority, Identity
 from repro.pki.certificate import Certificate, DistinguishedName
 from repro.pki.validation import CertificateStore
@@ -571,8 +571,7 @@ def cmd_serve(args) -> int:
         )
 
     # adaptive sampling sits in front of the span store only — the
-    # optional JSONL stream (--span-log) stays complete for out-of-process
-    # collectors
+    # flight recorder keeps the pre-sampling stream
     op_rates = {}
     for spec in args.sample_op or ():
         op, sep, rate = spec.partition("=")
@@ -589,11 +588,7 @@ def cmd_serve(args) -> int:
             slow_threshold=args.slow_threshold,
         ),
     )
-    sinks = [sampler]
-    if args.span_log:
-        sinks.append(JsonlSpanSink(args.span_log))
-    for sink in sinks:
-        obs_trace.add_sink(sink)
+    obs_trace.add_sink(sampler)
 
     # /healthz for load balancers: readiness = not paging, and (for a
     # standby under a staleness bound) not lagging past the bound
@@ -721,8 +716,7 @@ def cmd_serve(args) -> int:
             diag_plane.stop()
         for exporter in exporters:
             exporter.stop()
-        for sink in sinks:
-            obs_trace.remove_sink(sink)
+        obs_trace.remove_sink(sampler)
     bank.spans.flush()
     bank.usage.maybe_rollup(force=True)
     bank.db.close()
@@ -1244,8 +1238,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="rewrite a Prometheus textfile at this path every interval")
     p.add_argument("--metrics-interval", type=float, default=5.0,
                    help="textfile rewrite interval in seconds")
-    p.add_argument("--span-log", default=None,
-                   help="also append finished spans to this JSONL file")
     p.add_argument("--standby-of", default=None, metavar="HOST:PORT",
                    help="serve as a hot standby replicating from this primary")
     p.add_argument("--advertise", default=None, metavar="HOST:PORT",

@@ -37,13 +37,13 @@ from __future__ import annotations
 
 import json
 import os
-import threading
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, List, Optional, Tuple
 
 from repro.errors import CorruptionError, ValidationError
+from repro.util.runner import Runner
 from repro.util.serialize import canonical_loads
 
 __all__ = [
@@ -425,49 +425,35 @@ def clear_marker(directory: Path) -> None:
 
 
 class Scrubber:
-    """Background thread re-verifying cold storage bytes on an interval.
+    """Re-verifies cold storage bytes every ``interval`` seconds.
 
     Latent corruption — a flipped bit under a page nobody reads — is
     only dangerous if it is discovered *during* a recovery or failover,
-    when the healthy copy may already be gone. The scrubber calls
-    ``scrub()`` (typically ``Database.scrub_once``) every ``interval``
-    seconds; on the first detected corruption it invokes
-    ``on_corruption`` (e.g. ``ClusterNode.repair``) and keeps running so
-    a repaired node is re-checked on the next pass.
+    when the healthy copy may already be gone. One :meth:`step` calls
+    ``scrub()`` (typically ``Database.scrub_once``) and hands a detected
+    corruption to ``on_corruption`` (e.g. ``ClusterNode.repair``); the
+    runner keeps stepping, so a repaired node is re-checked on the next
+    pass and a failed scrub or repair is counted, not lost.
     """
 
     def __init__(self, scrub: Callable[[], None], interval: float = 30.0,
                  on_corruption: Optional[Callable[[CorruptionError], None]] = None) -> None:
         self._scrub = scrub
-        self._interval = max(0.05, float(interval))
         self._on_corruption = on_corruption
-        self._stop = threading.Event()
-        self._thread: Optional[threading.Thread] = None
+        self._runner = Runner("gridbank-scrubber", self.step, max(0.05, float(interval)))
 
     def start(self) -> None:
-        if self._thread is not None:
-            return
-        self._thread = threading.Thread(target=self._run, name="gridbank-scrubber",
-                                        daemon=True)
-        self._thread.start()
+        self._runner.start()
 
     def stop(self) -> None:
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
+        self._runner.stop()
 
-    def _run(self) -> None:
-        while not self._stop.wait(self._interval):
-            try:
-                self._scrub()
-            except CorruptionError as exc:
-                if self._on_corruption is not None:
-                    try:
-                        self._on_corruption(exc)
-                    except Exception:  # repair failures must not kill the loop
-                        pass
-            except Exception:
-                # Scrubbing is advisory; an unexpected error (e.g. the
-                # database closing mid-pass) must not crash the server.
-                pass
+    def step(self) -> None:
+        """One scrub pass; whatever the scrub or the repair raises
+        propagates (the runner counts it under ``runner.step_errors``)."""
+        try:
+            self._scrub()
+        except CorruptionError as exc:
+            if self._on_corruption is None:
+                raise
+            self._on_corruption(exc)

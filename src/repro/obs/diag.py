@@ -54,6 +54,7 @@ from repro.obs import logging as obs_logging
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.util.gbtime import Clock, SystemClock
+from repro.util.runner import Runner
 
 __all__ = [
     "SamplingProfiler",
@@ -76,8 +77,9 @@ __all__ = [
 
 _log = obs_logging.get_logger("obs.diag")
 
-# Thread idents belonging to the diagnosis plane itself (profiler loop,
-# recorder ticker). The profiler skips them so self-observation never
+# Idents of the background threads (every :class:`~repro.util.runner.Runner`
+# thread registers itself: profiler, recorder ticker and the other jobs).
+# The profiler skips them so neither self-observation nor housekeeping
 # shows up in per-op CPU attribution.
 _diag_threads: set[int] = set()
 
@@ -89,10 +91,10 @@ def register_diag_thread(ident: Optional[int] = None) -> None:
 
 
 def unregister_diag_thread(ident: Optional[int] = None) -> None:
-    """Remove a thread from the diagnosis-plane set. Loop threads call
-    this on exit — the OS reuses thread idents, so a stale entry would
-    silently blind the profiler to whatever unrelated thread inherits
-    the ident next."""
+    """Remove a thread from the diagnosis-plane set. A runner thread
+    calls this on exit — the OS reuses thread idents, so a stale entry
+    would silently blind the profiler to whatever unrelated thread
+    inherits the ident next."""
     _diag_threads.discard(ident if ident is not None else threading.get_ident())
 
 
@@ -232,7 +234,6 @@ class SamplingProfiler:
         if hz <= 0:
             raise ValueError("profiler hz must be positive")
         self.hz = float(hz)
-        self._interval = 1.0 / self.hz
         self._max_stacks = max_stacks
         self._stack_depth = stack_depth
         self._lock = threading.Lock()
@@ -240,50 +241,30 @@ class SamplingProfiler:
         self._op_samples: dict[str, int] = {}
         self._samples = 0
         self._ticks = 0
-        self._stop = threading.Event()
-        self._thread: Optional[threading.Thread] = None
-        self._started_perf = 0.0
+        self._runner = Runner("gridbank-diag-profiler", self.sample_once, 1.0 / self.hz)
+        self._started_perf: Optional[float] = None  # None while stopped
         self._elapsed = 0.0  # accumulated across start/stop cycles
 
     @property
     def running(self) -> bool:
-        return self._thread is not None
+        return self._started_perf is not None
 
     def start(self) -> "SamplingProfiler":
-        if self._thread is not None:
-            return self
-        self._stop.clear()
-        self._started_perf = time.perf_counter()
-        self._thread = threading.Thread(
-            target=self._run, name="gridbank-diag-profiler", daemon=True
-        )
-        self._thread.start()
+        if self._started_perf is None:
+            self._started_perf = time.perf_counter()
+            self._runner.start()
         return self
 
     def stop(self) -> None:
-        thread = self._thread
-        if thread is None:
+        if self._started_perf is None:
             return
-        self._stop.set()
-        thread.join(timeout=2.0)
-        self._thread = None
+        self._runner.stop()
         self._elapsed += time.perf_counter() - self._started_perf
-
-    def _run(self) -> None:
-        register_diag_thread()
-        try:
-            while not self._stop.wait(self._interval):
-                try:
-                    self.sample_once()
-                except Exception:  # noqa: BLE001 - one bad sample must not
-                    # kill the loop; the failure count stays visible
-                    obs_metrics.counter("obs.diag.profiler_errors").inc()
-        finally:
-            unregister_diag_thread()
+        self._started_perf = None
 
     def sample_once(self) -> None:
-        """Take one sample of every live thread (the loop body; public so
-        tests and virtual-time drills can sample deterministically)."""
+        """Take one sample of every live thread (the runner's step; public
+        so tests and virtual-time drills can sample deterministically)."""
         frames = sys._current_frames()  # noqa: SLF001 - the documented API
         spans = obs_trace.thread_spans()
         with self._lock:
@@ -301,7 +282,7 @@ class SamplingProfiler:
                 self._samples += 1
 
     def _duration(self) -> float:
-        if self._thread is not None:
+        if self._started_perf is not None:
             return self._elapsed + (time.perf_counter() - self._started_perf)
         return self._elapsed
 
@@ -428,8 +409,7 @@ class FlightRecorder:
         self._prev_counters: dict = {}
         self._prev_folds: dict = {}
         self._error_names: frozenset = frozenset()
-        self._stop = threading.Event()
-        self._ticker: Optional[threading.Thread] = None
+        self._ticker = Runner("gridbank-diag-recorder", self.tick, tick_interval)
         self._started = False
 
     def start(self) -> "FlightRecorder":
@@ -442,10 +422,6 @@ class FlightRecorder:
         obs_trace.add_sink(self._span_sink)
         _recorders.append(self)
         if self.tick_interval > 0:
-            self._stop.clear()
-            self._ticker = threading.Thread(
-                target=self._run_ticker, name="gridbank-diag-recorder", daemon=True
-            )
             self._ticker.start()
         return self
 
@@ -453,10 +429,7 @@ class FlightRecorder:
         if not self._started:
             return
         self._started = False
-        if self._ticker is not None:
-            self._stop.set()
-            self._ticker.join(timeout=2.0)
-            self._ticker = None
+        self._ticker.stop()
         obs_trace.remove_sink(self._span_sink)
         obs_logging.detach_ring(self._log_handler, self._prev_level)
         if self in _recorders:
@@ -493,20 +466,10 @@ class FlightRecorder:
             method = attrs.get("method", "") if isinstance(attrs, dict) else ""
             self.trigger("unhandled_exception", error=error_type, method=str(method))
 
-    def _run_ticker(self) -> None:
-        register_diag_thread()
-        try:
-            while not self._stop.wait(self.tick_interval):
-                try:
-                    self.tick()
-                except Exception:  # noqa: BLE001 - recorder upkeep never crashes
-                    obs_metrics.counter("obs.diag.recorder_errors").inc()
-        finally:
-            unregister_diag_thread()
-
     def tick(self) -> None:
-        """Capture one metric-delta (and profile-fold-delta) sample;
-        public so tests and virtual-time drills can tick deterministically."""
+        """Capture one metric-delta (and profile-fold-delta) sample (the
+        runner's step; public so tests and virtual-time drills can tick
+        deterministically)."""
         counters = obs_metrics.snapshot()["counters"]
         delta = {}
         for key, value in counters.items():

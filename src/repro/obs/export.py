@@ -25,12 +25,12 @@ from __future__ import annotations
 
 import json
 import re
-import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Callable, Optional, Union
 
 from repro.obs import metrics as obs_metrics
+from repro.util.runner import Runner
 
 __all__ = [
     "render_prometheus",
@@ -205,35 +205,24 @@ class FileExporter:
         self.path = Path(path)
         self.interval = interval
         self._snapshot_fn = snapshot_fn
-        self._stop = threading.Event()
-        self._thread: Optional[threading.Thread] = None
+        self._runner = Runner("gridbank-metrics-file", self.write_once, interval)
 
-    def write_once(self) -> Path:
+    def write_once(self) -> None:
         text = render_prometheus(self._snapshot_fn())
         self.path.parent.mkdir(parents=True, exist_ok=True)
         tmp = self.path.with_suffix(self.path.suffix + ".tmp")
         tmp.write_text(text, encoding="utf-8")
         tmp.replace(self.path)
-        return self.path
 
     def start(self) -> "FileExporter":
-        if self._thread is not None:
+        if self._runner.alive:
             raise RuntimeError("exporter already started")
         self.write_once()
-
-        def loop() -> None:
-            while not self._stop.wait(self.interval):
-                self.write_once()
-
-        self._thread = threading.Thread(target=loop, name="gridbank-metrics-file", daemon=True)
-        self._thread.start()
+        self._runner.start()
         return self
 
     def stop(self) -> None:
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
+        self._runner.stop()
         # final write so the file reflects the last state at shutdown
         self.write_once()
 
@@ -264,7 +253,7 @@ class HTTPExporter:
         self._snapshot_fn = snapshot_fn
         self._health_fn = health_fn
         self._server: Optional[ThreadingHTTPServer] = None
-        self._thread: Optional[threading.Thread] = None
+        self._runner: Optional[Runner] = None
 
     def start(self) -> "HTTPExporter":
         if self._server is not None:
@@ -311,17 +300,16 @@ class HTTPExporter:
 
         self._server = ThreadingHTTPServer((self.host, self.port), Handler)
         self.port = self._server.server_address[1]
-        self._thread = threading.Thread(
-            target=self._server.serve_forever, name="gridbank-metrics-http", daemon=True
-        )
-        self._thread.start()
+        # the step is the stdlib server's own request poll: it blocks up
+        # to `timeout` for a connection and hands it to a handler thread,
+        # so the runner goes straight back into it (interval 0)
+        self._server.timeout = 0.5
+        self._runner = Runner("gridbank-metrics-http", self._server.handle_request, 0.0)
+        self._runner.start()
         return self
 
     def stop(self) -> None:
         if self._server is not None:
-            self._server.shutdown()
+            self._runner.stop()
             self._server.server_close()
             self._server = None
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None

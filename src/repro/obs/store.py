@@ -4,17 +4,13 @@ The paper's accounts layer journals ACCOUNT / TRANSACTION / TRANSFER
 records (sec 3.2, 5.1): the audit trail a bank must never lose. A trace
 span is none of those — it describes how a request was *served* — so it
 is kept the way telemetry is kept: cheaply, bounded, off the money path.
-Two sinks for :func:`repro.obs.trace.add_sink`:
-
-* :class:`SpanStore` — a bounded ring of append-only JSON-lines segments
-  in a directory of its own (``<home>/spans/``; the same ring in memory
-  for a bank without storage). An append takes the store's own lock and
-  nothing else: no database call, no WAL record, no fsync, no
-  replication, no thread. ``gridbank trace show`` still joins a trace to
-  the TRANSACTION/TRANSFER rows carrying its ``TraceID``, on the node
-  that served the request.
-* :class:`JsonlSpanSink` — appends each record as one JSON line to a
-  file, for out-of-process collectors that tail a log.
+The sink for :func:`repro.obs.trace.add_sink` is :class:`SpanStore` — a
+bounded ring of append-only JSON-lines segments in a directory of its
+own (``<home>/spans/``; the same ring in memory for a bank without
+storage). An append takes the store's own lock and nothing else: no
+database call, no WAL record, no fsync, no replication, no thread.
+``gridbank trace show`` still joins a trace to the TRANSACTION/TRANSFER
+rows carrying its ``TraceID``, on the node that served the request.
 
 Spans survive a clean shutdown and a restart (``flush()`` writes the
 buffer out); ``kill -9`` loses at most the write-behind buffer. A failed
@@ -33,7 +29,7 @@ from typing import Iterable, Iterator, Optional, Union
 
 from repro.obs import metrics as obs_metrics
 
-__all__ = ["SpanStore", "JsonlSpanSink", "render_waterfall"]
+__all__ = ["SpanStore", "render_waterfall"]
 
 #: a segment is closed at this many records and the next one opened
 SEGMENT_RECORDS = 1_000
@@ -244,31 +240,6 @@ class SpanStore:
         """Records retained, the write-behind buffer included."""
         with self._lock:
             return sum(self._count(s) for s in self._segments()) + len(self._buffer)
-
-
-class JsonlSpanSink:
-    """Span sink appending one JSON line per record to *path*.
-
-    The file is opened per write (append mode), so the sink survives log
-    rotation and never holds a handle across forks; span close is not a
-    hot path. Thread-safe via a lock around the append.
-    """
-
-    def __init__(self, path: Union[str, Path]) -> None:
-        self.path = Path(path)
-        self._lock = threading.Lock()
-
-    def __call__(self, record: dict) -> None:
-        line = json.dumps(record, sort_keys=True, separators=(",", ":"), default=str)
-        with self._lock:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            with open(self.path, "a", encoding="utf-8") as handle:
-                handle.write(line + "\n")
-
-    @staticmethod
-    def read(path: Union[str, Path]) -> list[dict]:
-        """Parse a JSONL span file back into records (skips torn lines)."""
-        return list(_parse_lines(Path(path).read_text(encoding="utf-8").splitlines()))
 
 
 # -- waterfall rendering -----------------------------------------------------

@@ -15,10 +15,9 @@ events (:func:`add_event` — retry attempts, breaker transitions), and on
 close flushes a plain-dict record to every registered sink
 (:func:`add_sink`). Sinks are how spans become durable — the bank's
 :class:`~repro.obs.store.SpanStore` appends them to a bounded segment
-ring beside the database, and :class:`~repro.obs.store.JsonlSpanSink`
-appends them to a JSON-lines file for out-of-process collection. A sink
-that raises never breaks the traced request: failures are swallowed into
-the ``obs.span_sink_errors`` counter.
+ring beside the database. A sink that raises never breaks the traced
+request: failures are swallowed into the ``obs.span_sink_errors``
+counter.
 
 IDs come from explicitly-seeded :class:`random.Random` generators (the
 library-wide determinism rule — see :mod:`repro.util.ids`); callers that

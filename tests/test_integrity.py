@@ -32,6 +32,7 @@ from repro.db import integrity
 from repro.db.replication import ReplicationLog
 from repro.errors import CorruptionError, DatabaseError, ValidationError
 from repro.net.transport import FaultPhase, FaultSchedule, InProcessNetwork
+from repro.obs import metrics as obs_metrics
 from repro.pki.ca import CertificateAuthority
 from repro.pki.certificate import DistinguishedName
 from repro.pki.validation import CertificateStore
@@ -376,45 +377,66 @@ class TestDiskFaults:
 
 
 class TestScrubber:
+    """The scrub job is a step: driven here by direct calls, no thread
+    and no sleep; one test runs it under its runner for the error policy."""
+
     def test_detects_and_reports_corruption(self):
-        passes = threading.Event()
-        caught = threading.Event()
-        state = {"corrupt": False}
+        state = {"passes": 0, "corrupt": False}
+        caught = []
 
         def scrub():
-            passes.set()
+            state["passes"] += 1
             if state["corrupt"]:
                 raise CorruptionError("scrub found damage", seq=5)
 
-        scrubber = integrity.Scrubber(
-            scrub, interval=0.05, on_corruption=lambda exc: caught.set()
-        )
-        scrubber.start()
-        try:
-            assert passes.wait(5.0)
-            state["corrupt"] = True
-            assert caught.wait(5.0)
-        finally:
-            scrubber.stop()
+        scrubber = integrity.Scrubber(scrub, interval=30.0, on_corruption=caught.append)
+        scrubber.step()
+        assert state["passes"] == 1 and caught == []
+        state["corrupt"] = True
+        scrubber.step()
+        assert [exc.seq for exc in caught] == [5]
+        scrubber.step()  # a handled corruption does not end the job
+        assert state["passes"] == 3 and len(caught) == 2
 
-    def test_repair_failure_does_not_kill_the_loop(self):
-        calls = []
-
-        def scrub():
-            calls.append(1)
+    def test_a_failed_scrub_or_repair_propagates_out_of_the_step(self):
+        def damaged():
             raise CorruptionError("still damaged")
 
         def failing_repair(exc):
             raise DatabaseError("peer unreachable")
 
+        with pytest.raises(DatabaseError):
+            integrity.Scrubber(damaged, on_corruption=failing_repair).step()
+        with pytest.raises(CorruptionError):  # nobody to hand it to: not swallowed
+            integrity.Scrubber(damaged).step()
+        with pytest.raises(OSError):
+            integrity.Scrubber(lambda: open("/nonexistent/wal")).step()
+
+    def test_repair_failure_does_not_kill_the_loop(self):
+        """At the parent a failed repair was swallowed with a bare
+        ``pass`` — no counter, no log line. Under the runner it is
+        counted per pass and the scrubber keeps scrubbing."""
+        passes = []
+        twice = threading.Event()
+
+        def scrub():
+            passes.append(1)
+            if len(passes) >= 2:
+                twice.set()
+            raise CorruptionError("still damaged")
+
+        def failing_repair(exc):
+            raise DatabaseError("peer unreachable")
+
+        errors = obs_metrics.counter("runner.step_errors", runner="gridbank-scrubber")
+        before = errors.value
         scrubber = integrity.Scrubber(scrub, interval=0.05, on_corruption=failing_repair)
         scrubber.start()
         try:
-            deadline = threading.Event()
-            deadline.wait(0.4)
-            assert len(calls) >= 2  # survived the failed repair, kept scrubbing
+            assert twice.wait(5.0)  # survived the failed repair, kept scrubbing
         finally:
             scrubber.stop()
+        assert errors.value - before == len(passes) >= 2
 
 
 class TestShipSideVerification:

@@ -15,7 +15,7 @@ import time
 
 import pytest
 
-from repro.bank.cluster import ClusterNode, PrimaryRouter, cluster_client
+from repro.bank.cluster import ClusterNode, PrimaryRouter, StandbyReplicator, cluster_client
 from repro.bank.server import GridBankServer
 from repro.core.api import GridBankAPI
 from repro.db.database import Database
@@ -262,20 +262,46 @@ class TestFailover:
         assert world["bank_b"].role == "primary"
 
     def test_auto_promote_on_lease_expiry(self, world):
-        node_b = world["node_b"]
+        """The lease is read off the bank's clock inside the replicator's
+        step, so the whole scenario is direct step() calls on virtual
+        time: no thread, no real-time wait."""
+        node_b, bank_b, clock = world["node_b"], world["bank_b"], world["clock"]
         node_b.auto_promote = True
         node_b.lease_timeout = 5.0
-        wait_caught_up(world["bank_a"], world["bank_b"])
+        wait_caught_up(world["bank_a"], bank_b)
+        node_b._stop_replicator()  # the fixture's thread; drive one by hand
+        node_b.long_poll = 0.0  # a dry fetch parks server-side in real time
+        replicator = node_b.replicator = StandbyReplicator(node_b, A)
+        assert replicator.step() is None  # caught up: pause one poll interval
         world["node_a"].crash()
+        clock.advance(4.0)
+        assert replicator.step() is None  # poll failed, lease not yet expired
+        assert bank_b.role == "standby"
+        clock.advance(1.5)  # 5.5 s of silence > the 5 s lease
+        replicator.step()  # promotes, which stops this replicator from inside
+        assert bank_b.role == "primary"
+        assert bank_b.primary_address == B
+        assert node_b.replicator is None and node_b.cluster_epoch == 2
 
-        def lease_expires():
-            # keep virtual time flowing: an in-flight long-poll may still
-            # succeed right after the crash, resetting the lease basis
-            world["clock"].advance(10.0)
-            return world["bank_b"].role == "primary"
-
-        wait_until(lease_expires)
-        assert world["bank_b"].primary_address == B
+    def test_a_backlog_drains_without_pausing(self, world):
+        """step() returns 0.0 ("go again at once") while the standby is
+        behind and None ("pause one poll interval") once it has caught up."""
+        node_b = world["node_b"]
+        wait_caught_up(world["bank_a"], world["bank_b"])
+        node_b._stop_replicator()
+        node_b.fetch_batch, node_b.long_poll = 1, 0.0
+        for _ in range(3):
+            world["alice"].request_direct_transfer(
+                world["alice_account"], world["gsp_account"], Credits(1)
+            )
+        replicator = node_b.replicator = StandbyReplicator(node_b, A)
+        delays = []
+        while not delays or delays[-1] is not None:
+            delays.append(replicator.step())
+            assert len(delays) < 20
+        assert delays[:-1] and set(delays[:-1]) == {0.0}
+        assert replicator.lag_records == 0
+        assert world["bank_a"].db.replication_position() == world["bank_b"].db.replication_position()
 
     def test_retry_in_flight_call_survives_failover_exactly_once(self, world):
         """The paper-critical composition: a client's write reaches the

@@ -26,6 +26,7 @@ from repro.bank.shard import (
     RING_SIZE,
     ShardMap,
     ShardNode,
+    ShardResolver,
     ShardRouter,
     account_token,
     sharded_total_funds,
@@ -159,6 +160,7 @@ def world(ca_keypair, keypair_a, keypair_c, tmp_path):
         "bank_ident": bank_ident,
         "admin_ident": admin_ident,
         "alice_ident": alice_ident,
+        "bob_ident": bob_ident,
         "router_for": router_for,
         "alice": alice,
         "bob": bob,
@@ -443,6 +445,36 @@ class TestCrossShard2PC:
         payload = TransferConfirmation.from_dict(replayed["confirmation"]).payload
         assert payload["intent_id"] == row["IntentID"]
         assert bank_s1.accounts.available_balance(world["alice_account"]) == Credits(925)
+
+    def test_resolver_step_redrives_on_the_primary_only(self, world):
+        """The background resolver is a step: called directly here, no
+        thread. s2's coordinator prepares and "dies"; the intent row
+        replicates to s2's standby, whose step must leave it alone (the
+        primary resolves it and the outcome ships through the WAL)."""
+        shards, banks = world["shards"], world["banks"]
+        row = shards["s2"]._prepare(
+            world["bob_ident"].subject, world["bob_account"], world["alice_account"],
+            Credits(40), "resolver-step-1",
+        )
+        wait_caught_up(banks[S2A], banks[S2B])
+        assert [r["IntentID"] for r in shards["s2b"].pending_intents()] == [row["IntentID"]]
+
+        def alice_balance():
+            return banks[S1].accounts.available_balance(world["alice_account"])
+
+        ShardResolver(shards["s2b"], 60.0).step()  # a standby: nothing
+        banks[S2A].endpoint.crashed = True
+        ShardResolver(shards["s2"], 60.0).step()  # a dead primary: nothing
+        banks[S2A].endpoint.crashed = False
+        assert alice_balance() == Credits(1000)
+        assert [r["IntentID"] for r in shards["s2"].pending_intents()] == [row["IntentID"]]
+
+        ShardResolver(shards["s2"], 60.0).step()
+        assert alice_balance() == Credits(1040)
+        assert banks[S2A].db.find("xfer_intents", (row["IntentID"],))["State"] == INTENT_COMMITTED
+        assert total_funds(world) == Credits(1500)
+        ShardResolver(shards["s2"], 60.0).step()  # nothing left: idempotent
+        assert alice_balance() == Credits(1040)
 
     def test_participant_down_leaves_funds_reserved(self, world):
         """With the whole destination group unreachable the transfer

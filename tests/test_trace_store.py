@@ -33,7 +33,7 @@ from repro.obs import export as obs_export
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.obs import store as obs_store
-from repro.obs.store import JsonlSpanSink, SpanStore, render_waterfall
+from repro.obs.store import SpanStore, render_waterfall
 from repro.util.gbtime import VirtualClock
 from repro.util.money import Credits
 
@@ -311,15 +311,6 @@ class TestSpanStore:
             assert {r["name"] for r in store.grep('"N":1')} == {"op.fast", "op.slow"}
             assert store.grep("no-such-needle") == []
 
-    def test_jsonl_sink_roundtrip(self, tmp_path):
-        path = tmp_path / "spans" / "out.jsonl"
-        sink = JsonlSpanSink(path)
-        sink(self._record())
-        sink(self._record(span_id="bbbb0001"))
-        records = JsonlSpanSink.read(path)
-        assert len(records) == 2
-        assert records[0]["name"] == "unit.op"
-
     def test_waterfall_renders_hierarchy_events_and_ledger(self):
         records = [
             self._record(span_id="root0000", name="rpc.call", start_epoch=1000.0),
@@ -516,6 +507,33 @@ class TestPrometheusExport:
         exporter = obs_export.FileExporter(out, snapshot_fn=self._snapshot)
         exporter.write_once()
         assert "bank_dedup_hits 3" in out.read_text()
+
+    def test_file_exporter_survives_a_failed_write(self, tmp_path):
+        """At the parent the loop had no ``try``: one failed write_once()
+        ended the gridbank-metrics-file thread and the textfile went
+        stale for the rest of the process."""
+        out = tmp_path / "metrics.prom"
+        calls = []
+        rewritten = threading.Event()
+
+        def snapshot():
+            calls.append(1)
+            if len(calls) == 2:  # the thread's first rewrite (start() made the first)
+                raise OSError("disk full")
+            if len(calls) == 3:
+                rewritten.set()
+            return {"counters": {"writes": float(len(calls))}, "gauges": {}, "histograms": {}}
+
+        errors = obs_metrics.counter("runner.step_errors", runner="gridbank-metrics-file")
+        before = errors.value
+        exporter = obs_export.FileExporter(out, interval=0.02, snapshot_fn=snapshot).start()
+        try:
+            assert "writes 1" in out.read_text()
+            assert rewritten.wait(5.0)
+        finally:
+            exporter.stop()  # joins, then the final write
+        assert errors.value == before + 1
+        assert f"writes {len(calls)}" in out.read_text() and len(calls) >= 4
 
     def test_http_exporter_serves_scrapes(self):
         exporter = obs_export.HTTPExporter(port=0, snapshot_fn=self._snapshot).start()

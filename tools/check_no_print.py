@@ -12,6 +12,12 @@ Allowlisted (their stdout IS their contract, not diagnostics):
 the regression gate, the gridbench pair comparison, and this checker
 itself.
 
+Second rule, same walk: background work is a ``step()`` under the one
+:class:`repro.util.runner.Runner`, so any ``threading.Thread(...)`` call
+or ``Thread`` subclass under ``src/repro/bank``, ``src/repro/db`` or
+``src/repro/obs`` fails too (the runner module is the only construction
+site in ``src/`` outside ``net/``).
+
 Run via ``make lint`` (also: ``python tools/check_no_print.py``).
 """
 
@@ -34,22 +40,35 @@ SCAN_ROOTS = [
 ]
 
 
-def find_print_calls(path: Path) -> list[int]:
-    """Line numbers of bare ``print(...)`` calls in *path*."""
+# packages (relative to src/) that may not construct or subclass a Thread
+NO_THREAD_PACKAGES = (Path("repro/bank"), Path("repro/db"), Path("repro/obs"))
+
+
+def _is_thread(node: ast.expr) -> bool:
+    """``Thread`` or ``<anything>.Thread`` (``threading.Thread``)."""
+    return (isinstance(node, ast.Name) and node.id == "Thread") or (
+        isinstance(node, ast.Attribute) and node.attr == "Thread"
+    )
+
+
+def find_offences(path: Path, threads: bool = False) -> list[tuple[int, str]]:
+    """``(line, what)`` for each bare ``print(...)`` call in *path* and,
+    with *threads*, each ``Thread(...)`` construction or subclass."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    lines = []
+    found = []
     for node in ast.walk(tree):
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name)
-            and node.func.id == "print"
-        ):
-            lines.append(node.lineno)
-    return lines
+        if isinstance(node, ast.Call):
+            if isinstance(node.func, ast.Name) and node.func.id == "print":
+                found.append((node.lineno, "print()"))
+            elif threads and _is_thread(node.func):
+                found.append((node.lineno, "Thread() outside the Runner"))
+        elif threads and isinstance(node, ast.ClassDef) and any(map(_is_thread, node.bases)):
+            found.append((node.lineno, "Thread subclass"))
+    return found
 
 
 def main() -> int:
-    offenders: list[tuple[Path, int]] = []
+    offenders: list[tuple[Path, int, str]] = []
     scanned = 0
     for root, allowlist in SCAN_ROOTS:
         if not root.is_dir():
@@ -59,16 +78,21 @@ def main() -> int:
             if relative in allowlist:
                 continue
             scanned += 1
+            threads = any(package in relative.parents for package in NO_THREAD_PACKAGES)
             try:
-                for line in find_print_calls(path):
-                    offenders.append((path.relative_to(REPO_ROOT), line))
+                for line, what in find_offences(path, threads):
+                    offenders.append((path.relative_to(REPO_ROOT), line, what))
             except SyntaxError as exc:
                 print(f"check_no_print: cannot parse {path}: {exc}", file=sys.stderr)
                 return 1
     if offenders:
-        print("bare print() in library code — use repro.obs.logging instead:", file=sys.stderr)
-        for relative, line in offenders:
-            print(f"  {relative}:{line}", file=sys.stderr)
+        print(
+            "library code must log through repro.obs.logging, not print(), and run "
+            "background work as a step under repro.util.runner.Runner:",
+            file=sys.stderr,
+        )
+        for relative, line, what in offenders:
+            print(f"  {relative}:{line}: {what}", file=sys.stderr)
         return 1
     print(f"check_no_print: OK ({scanned} modules clean)")
     return 0
