@@ -48,11 +48,10 @@ from __future__ import annotations
 
 import functools
 import threading
-import time
 from collections import deque
 from typing import Callable, Iterable, Optional
 
-from repro.bank.server import GridBankServer
+from repro.bank.server import PRIMARY, GridBankServer
 from repro.db.integrity import Scrubber
 from repro.db.replication import FETCH_OK, FETCH_RESYNC
 from repro.errors import (
@@ -103,7 +102,6 @@ class ClusterNode:
         fetch_batch: int = 256,
         long_poll: float = 0.5,
         scrub_interval: Optional[float] = None,
-        auto_repair: bool = True,
         diag: Optional[object] = None,
     ) -> None:
         self.bank = bank
@@ -133,8 +131,7 @@ class ClusterNode:
         bank.primary_address = address if bank.role == "primary" else bank.primary_address
         self._register_operations()
         #: background scrubber re-verifying cold WAL/snapshot bytes; on
-        #: corruption it attempts a replica-backed repair (auto_repair)
-        self.auto_repair = auto_repair
+        #: corruption it attempts a replica-backed repair
         self.scrubber: Optional[Scrubber] = None
         if scrub_interval is not None and bank.db.path is not None:
             self.scrubber = Scrubber(
@@ -269,9 +266,8 @@ class ClusterNode:
             "integrity.scrub_corruption",
             node=self.address, seq=exc.seq, offset=exc.offset, reason=str(exc),
         )
-        if self.auto_repair:
-            # a failed repair propagates: the runner counts and logs it
-            self.repair(reason="scrubber")
+        # a failed repair propagates: the runner counts and logs it
+        self.repair(reason="scrubber")
 
     def repair(self, peer_address: Optional[str] = None, reason: str = "operator") -> dict:
         """Self-heal from a healthy peer after local storage corruption.
@@ -413,40 +409,36 @@ class ClusterNode:
         )
 
     def _register_operations(self) -> None:
-        # plumbing: no account locks, and a standby answers at any lag
-        # (these are the verbs that measure and repair the lag)
-        register = functools.partial(self.bank.register, staleness_exempt=True)
+        # plumbing: no account locks, a standby answers at any lag (these
+        # are the verbs that measure and repair the lag), and none of it is
+        # principal workload. Peers may call it; the two verbs that change
+        # who is primary or rewrite local storage take an administrator.
+        self.bank.access["peer"] = self._require_peer
+        register = functools.partial(
+            self.bank.register, access="peer", staleness_exempt=True, tracked=False
+        )
         register("Replication.Status", self.op_replication_status)
-        register("Replication.Snapshot", self.op_replication_snapshot)
-        register("Replication.Fetch", self.op_replication_fetch)
-        register("Cluster.Promote", self.op_cluster_promote)
+        # the stream and its bootstrap come from the primary only, so a
+        # standby whose upstream was demoted re-routes by the refusal
+        register("Replication.Snapshot", self.op_replication_snapshot, kind=PRIMARY)
+        register("Replication.Fetch", self.op_replication_fetch, kind=PRIMARY)
+        register("Cluster.Promote", self.op_cluster_promote, access="admin")
         register("Cluster.Demote", self.op_cluster_demote)
         register("Telemetry.Snapshot", self.op_telemetry_snapshot)
         register("Integrity.Status", self.op_integrity_status)
-        register("Integrity.Repair", self.op_integrity_repair)
+        register("Integrity.Repair", self.op_integrity_repair, access="admin")
         register("Diag.Profile", self.op_diag_profile)
         register("Diag.FlightRecord", self.op_diag_flight_record)
 
     def op_replication_status(self, subject: str, params: dict) -> dict:
-        self._require_peer(subject)
         return self.status()
 
     def op_replication_snapshot(self, subject: str, params: dict) -> dict:
-        self._require_peer(subject)
-        if self.bank.role != "primary":
-            raise NotPrimaryError.for_primary(
-                self.bank.primary_address, "snapshot bootstrap requires the primary"
-            )
         state = self.bank.db.state_dump()
         obs_metrics.counter("replication.snapshots_served").inc()
         return {"state": state, "cluster_epoch": self.cluster_epoch}
 
     def op_replication_fetch(self, subject: str, params: dict) -> dict:
-        self._require_peer(subject)
-        if self.bank.role != "primary":
-            raise NotPrimaryError.for_primary(
-                self.bank.primary_address, "the replication stream requires the primary"
-            )
         status, epoch, last_seq, records = self.log.fetch(
             int(params.get("epoch", 0)),
             int(params.get("from_seq", 0)),
@@ -467,18 +459,14 @@ class ClusterNode:
         }
 
     def op_cluster_promote(self, subject: str, params: dict) -> dict:
-        if not self.bank.admin.is_administrator(subject):
-            raise AuthorizationError(f"subject {subject!r} is not an administrator")
         return self.promote(reason=str(params.get("reason", "operator")))
 
     def op_cluster_demote(self, subject: str, params: dict) -> dict:
-        self._require_peer(subject)
         self.demote(int(params["cluster_epoch"]), str(params.get("primary_address", "")))
         return self.status()
 
     def op_integrity_status(self, subject: str, params: dict) -> dict:
         """Latched corruption state plus (optionally) a fresh scrub."""
-        self._require_peer(subject)
         if bool(params.get("scrub", False)) and self.bank.db.path is not None:
             try:
                 self._scrub_pass()
@@ -487,21 +475,19 @@ class ClusterNode:
         return self.bank.db.integrity_status()
 
     def op_integrity_repair(self, subject: str, params: dict) -> dict:
-        if not self.bank.admin.is_administrator(subject):
-            raise AuthorizationError(f"subject {subject!r} is not an administrator")
         peer = params.get("peer") or None
         return self.repair(peer_address=peer, reason=str(params.get("reason", "operator")))
 
     def op_telemetry_snapshot(self, subject: str, params: dict) -> dict:
         """One node's full telemetry view for ``gridbank top``: replication
         status, per-objective SLO state, usage top-K and hottest ops."""
-        self._require_peer(subject)
         top = int(params.get("top", 5))
         snap = self.status()
         metrics_snap = obs_metrics.snapshot()
         snap["slo"] = self.bank.slo.snapshot()
         snap["usage"] = self.bank.usage.snapshot(top)
-        snap["hot_ops"] = hot_operations(metrics_snap, limit=top)
+        plumbing = {op.name for op in self.bank.ops.values() if not op.tracked}
+        snap["hot_ops"] = hot_operations(metrics_snap, limit=top, skip=plumbing)
         snap["net"] = frontend_snapshot(metrics_snap)
         return snap
 
@@ -515,7 +501,6 @@ class ClusterNode:
     def op_diag_profile(self, subject: str, params: dict) -> dict:
         """Per-op CPU attribution + stripe-lock/WAL contention stats for
         ``gridbank profile`` / ``gridbank debug-bundle``."""
-        self._require_peer(subject)
         plane = self._diag_plane()
         if plane is None:
             return {"enabled": False}
@@ -524,7 +509,6 @@ class ClusterNode:
     def op_diag_flight_record(self, subject: str, params: dict) -> dict:
         """The flight recorder's rings (recent/slow spans, logs, metric
         deltas, fold deltas, trigger history) for bundle collection."""
-        self._require_peer(subject)
         plane = self._diag_plane()
         if plane is None:
             return {"enabled": False}

@@ -48,7 +48,7 @@ from repro.obs import trace as obs_trace
 from repro.obs.logging import get_logger
 from repro.obs.slo import SLOEngine, default_bank_objectives
 from repro.obs.store import SpanStore
-from repro.obs.usage import UNTRACKED_OPS, UsageMeter
+from repro.obs.usage import UsageMeter
 from repro.payments.cheque import GridCheque, GridChequeProtocol
 from repro.payments.direct import DirectTransferProtocol
 from repro.payments.hashchain import GridHashCommitment, GridHashProtocol, PaymentTick
@@ -58,12 +58,46 @@ from repro.pki.validation import CertificateStore
 from repro.util.gbtime import Clock, SystemClock, Timestamp
 from repro.util.money import Credits
 
-__all__ = ["GridBankServer", "Op"]
+__all__ = ["GridBankServer", "Op", "READ", "PRIMARY", "WRITE"]
 
 _log = get_logger("bank.server")
 
 # what a request without an idempotency key holds instead of a key lock
 _UNLOCKED = contextlib.nullcontext()
+
+#: The three row kinds. A ``read`` is served by any node inside the
+#: staleness bound, and re-executing it is harmless. A ``write`` is served
+#: by the primary only and its effects apply at most once: they commit in
+#: one WAL line with the reply row a re-sent key replays. ``primary`` is
+#: the plumbing between them: verbs only the primary may answer (the
+#: replication stream, the rebalance steps) that are idempotent by their
+#: own construction, so they take no reply row. There is no fourth kind:
+#: a deduplicated op that a standby serves cannot be written down.
+READ, PRIMARY, WRITE = "read", "primary", "write"
+
+
+def _anyone(subject: str) -> None:
+    """The ``anyone`` access check: whoever the connection policy let in."""
+
+
+# -- the ``moved`` column: GridCurrency one successful call moved ----------------
+
+
+def _paid(params: dict, result):
+    return result["paid"]
+
+
+def _stated_amount(params: dict, result):
+    return params["amount"]
+
+
+def _transferred(params: dict, result):
+    # the confirmation is a Signed envelope: the amount sits in its payload
+    return result["confirmation"]["payload"]["amount"]
+
+
+def _batch_paid(params: dict, result):
+    return sum((entry["paid"] for entry in result if entry["ok"]), Credits(0))
 
 
 @dataclass(frozen=True)
@@ -78,10 +112,12 @@ class Op:
     handler: Operation  #: the layer code, ``(subject, params) -> result``
     name: str  #: metric/span/SLO stem: the handler's name minus ``op_``
     span_name: str
-    #: Effects must apply at most once: served by the primary only and
-    #: deduplicated through the durable reply cache. Everything else is a
-    #: pure read (re-execution is harmless and cheaper than caching).
-    mutating: bool
+    kind: str  #: :data:`READ`, :data:`PRIMARY` or :data:`WRITE`
+    #: Who may call: one of the bank's four named checks (``bank.access``),
+    #: ``(subject) -> None`` raising :class:`AuthorizationError`. Decided
+    #: from the subject alone; checks that need the row (does the caller
+    #: own this account?) stay in the handler, where the row is read.
+    access: Callable[[str], None]
     #: Accounts whose stripes the op holds (exclusive when mutating,
     #: shared otherwise). Best-effort on malformed input; None = no locks.
     accounts_of: Optional[Callable[[dict], tuple]]
@@ -93,12 +129,25 @@ class Op:
     #: The reply key, for a mutating op that dedups on something other
     #: than the request's idempotency key (``Shard.Apply``: the intent).
     reply_key: Optional[Callable[[dict], str]]
-    tracked: bool  #: sampled by the SLO engine and the usage meter
+    #: GridCurrency one successful call moved, ``(params, result) ->
+    #: amount``, for the caller's usage row; None on rows that move none.
+    moved: Optional[Callable[[dict, Any], Any]]
+    #: Principal workload: sampled by the SLO engine and the usage meter,
+    #: listed among the hot ops, its spans stored. False for the traffic
+    #: nodes and operators generate themselves (replication polls,
+    #: telemetry scrapes, rebalance verbs), which runs at whatever cadence
+    #: the topology needs and would poison the latency objective.
+    tracked: bool
     requests: obs_metrics.Counter
     errors: obs_metrics.Counter
     latency: obs_metrics.Histogram
     dedup_hits: obs_metrics.Counter
     rejections: obs_metrics.Counter
+
+    @property
+    def mutating(self) -> bool:
+        """Effects apply at most once, through the durable reply cache."""
+        return self.kind == WRITE
 
 
 class GridBankServer:
@@ -112,7 +161,6 @@ class GridBankServer:
         bank_number: int = 1,
         branch_number: int = 1,
         open_enrollment: bool = True,
-        slo_objectives=None,
     ) -> None:
         self.identity = identity
         self.clock = clock if clock is not None else SystemClock()
@@ -186,12 +234,7 @@ class GridBankServer:
         # moved), rolled up through the same WAL'd database. A standby's
         # meter accumulates but never persists — replicated rows arrive
         # from the primary instead.
-        self.slo = SLOEngine(
-            clock=self.clock,
-            objectives=(
-                slo_objectives if slo_objectives is not None else default_bank_objectives()
-            ),
-        )
+        self.slo = SLOEngine(clock=self.clock, objectives=default_bank_objectives())
         self.usage = UsageMeter(
             self.db,
             self.clock,
@@ -199,6 +242,13 @@ class GridBankServer:
             should_persist=lambda: self.role == "primary",
         )
         self.endpoint.usage_sink = self._record_wire_usage
+        #: the named access checks a row chooses from; a ClusterNode adds
+        #: ``peer`` (it knows the peers)
+        self.access: dict[str, Callable[[str], None]] = {
+            "anyone": _anyone,
+            "standing": self._require_standing,
+            "admin": self._require_admin,
+        }
         #: the op table, wire method -> descriptor
         self.ops: dict[str, Op] = {}
         self._register_operations()
@@ -271,38 +321,6 @@ class GridBankServer:
             observed = max(observed, self.clock.epoch() - sent_at)
         return max(observed, 0.0)
 
-    @staticmethod
-    def _credits_float(value) -> float:
-        if isinstance(value, Credits):
-            return value.to_float()
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            return float(value)
-        return 0.0
-
-    @classmethod
-    def _currency_moved(cls, op_name: str, params: dict, result) -> float:
-        """GridCurrency moved by one successful dispatch, for usage rows."""
-        try:
-            if op_name == "direct_transfer":
-                # the confirmation is a Signed envelope: amount sits in
-                # its payload, not at the top level
-                confirmation = result["confirmation"]
-                payload = confirmation.get("payload", confirmation)
-                return cls._credits_float(payload["amount"])
-            if op_name in ("redeem_cheque", "redeem_hashchain"):
-                return cls._credits_float(result["paid"])
-            if op_name == "redeem_cheque_batch":
-                return sum(
-                    cls._credits_float(entry.get("paid"))
-                    for entry in result
-                    if isinstance(entry, dict) and entry.get("ok")
-                )
-            if op_name in ("admin_deposit", "admin_withdraw"):
-                return cls._credits_float(params.get("amount"))
-        except (KeyError, TypeError):
-            return 0.0
-        return 0.0
-
     # -- the op table and its one dispatch ------------------------------------------
 
     def register(
@@ -311,33 +329,43 @@ class GridBankServer:
         handler: Operation,
         accounts_of: Optional[Callable[[dict], tuple]] = None,
         *,
-        mutating: bool = False,
+        access: str,
+        kind: str = READ,
         guard_accounts: Optional[Callable[[dict], tuple]] = None,
         staleness_exempt: bool = False,
         reply_key: Optional[Callable[[dict], str]] = None,
+        moved: Optional[Callable[[dict, Any], Any]] = None,
+        tracked: bool = True,
     ) -> Op:
         """Add *method* to the op table and expose it on the endpoint.
 
         The one registration call for the bank's own sec 5.2 / 5.2.1
         operations, the cluster and shard planes, and payment-protocol
         extensions alike: whatever is registered here is served by
-        :meth:`dispatch` and gets every guard, the exactly-once envelope
-        and the ``bank.op.<name>.*`` instruments. *guard_accounts*
-        defaults to *accounts_of*. Instruments are resolved once, here,
-        so a dispatch pays no registry lookup for them.
+        :meth:`dispatch` and gets every guard, the authorisation named by
+        *access* (a key of ``bank.access``; there is no default, so a row
+        cannot be added without saying who may call it), the exactly-once
+        envelope, usage metering and the ``bank.op.<name>.*`` instruments.
+        *guard_accounts* defaults to *accounts_of*. Instruments are
+        resolved once, here, so a dispatch pays no registry lookup for
+        them.
         """
+        if kind not in (READ, PRIMARY, WRITE):
+            raise ValueError(f"{method}: unknown row kind {kind!r}")
         name = handler.__name__.removeprefix("op_")
         op = Op(
             method=method,
             handler=handler,
             name=name,
             span_name=f"bank.op.{name}",
-            mutating=mutating,
+            kind=kind,
+            access=self.access[access],
             accounts_of=accounts_of,
             guard_accounts=guard_accounts if guard_accounts is not None else accounts_of,
             staleness_exempt=staleness_exempt,
             reply_key=reply_key,
-            tracked=name not in UNTRACKED_OPS,
+            moved=moved,
+            tracked=tracked,
             requests=obs_metrics.counter(f"bank.op.{name}.requests"),
             errors=obs_metrics.counter(f"bank.op.{name}.errors"),
             latency=obs_metrics.histogram(f"bank.op.{name}.latency_seconds"),
@@ -369,27 +397,43 @@ class GridBankServer:
                 shard = self.shard
                 if shard is not None and op.guard_accounts is not None:
                     shard.guard(op.method, op.guard_accounts(params))
-                if op.mutating:
-                    # 4. role check, writes: a standby refuses BEFORE
-                    #    reading its reply cache, which only reflects what
-                    #    has replicated so far — answering from it could
-                    #    serve a stale reply for a call the primary has
-                    #    since superseded. The error carries the primary's
-                    #    address (when known) so routing clients redirect
-                    #    without a topology lookup.
+                if op.kind != READ:
+                    # 4. role check, writes and primary-only plumbing: a
+                    #    standby refuses BEFORE reading its reply cache,
+                    #    which only reflects what has replicated so far —
+                    #    answering from it could serve a stale reply for a
+                    #    call the primary has since superseded. The error
+                    #    carries the primary's address (when known) so
+                    #    routing clients redirect without a topology lookup.
                     if self.role != "primary":
                         op.rejections.inc()
                         raise NotPrimaryError.for_primary(
                             self.primary_address,
                             f"{op.method} requires the primary; this node is a {self.role}",
                         )
+                elif self.role != "primary" and not op.staleness_exempt:
+                    # 4. role check, reads: a standby whose lag (seconds
+                    #    since it last matched the primary's position)
+                    #    exceeds the configured bound refuses with a typed
+                    #    error instead of silently serving arbitrarily old
+                    #    state. Primaries, standbys without a bound, and
+                    #    exempt ops always answer.
+                    bound = self.read_staleness_bound
+                    lag_of = self.replica_lag
+                    if bound is not None and lag_of is not None:
+                        lag = lag_of()
+                        if lag > bound:
+                            raise ReplicaStaleError(
+                                f"replica lag {lag:.3f}s exceeds the staleness bound {bound:.3f}s"
+                            )
+                if op.mutating:
                     if op.reply_key is not None:
                         key = op.reply_key(params)
                     else:
                         context = current_request()
                         key = context.idempotency_key if context is not None else ""
                     # a direct transfer whose recipient lives on another
-                    # shard goes to step 7, and takes its own stripes there
+                    # shard goes to step 8, and takes its own stripes there
                     detached = shard is not None and shard.wants(op.method, params)
                     touched = ()
                     if op.accounts_of is not None and not detached:
@@ -399,7 +443,7 @@ class GridBankServer:
                     #    duplicate blocks until the original's reply is
                     #    cached rather than racing it. A request without a
                     #    key (in-process callers, legacy clients) skips
-                    #    this, step 6 and the reply row of step 8.
+                    #    this, step 6 and the reply row of step 9.
                     derived = op.reply_key is not None
                     with self.key_lock(key, derived) if key else _UNLOCKED:
                         # 6. reply lookup: a live duplicate, or a retry
@@ -411,37 +455,35 @@ class GridBankServer:
                             obs_trace.add_event("bank.dedup_hit", op=op.method, key=key)
                             _log.info("bank.dedup_hit", op=op.method, subject=subject, key=key)
                             result = ReplyCache.replay(cached)
-                        elif detached:
-                            # 7. cross-shard: the prepare must be durable
-                            #    BEFORE the remote credit, and nested
-                            #    transaction blocks are savepoints, not
-                            #    commits — so the coordinator runs outside
-                            #    step 8's single transaction and reaches
-                            #    commit_once() itself, at its commit phase
-                            result = shard.coordinate(subject, params, key)
                         else:
-                            # 8. stripes -> transaction -> handler -> reply
-                            result = self.commit_once(
-                                key, subject, op.method, touched,
-                                functools.partial(op.handler, subject, params),
-                            )
-                else:
-                    # 4. role check, reads: a standby whose lag (seconds
-                    #    since it last matched the primary's position)
-                    #    exceeds the configured bound refuses with a typed
-                    #    error instead of silently serving arbitrarily old
-                    #    state. Primaries, standbys without a bound, and
-                    #    exempt ops always answer.
-                    if self.role != "primary" and not op.staleness_exempt:
-                        bound = self.read_staleness_bound
-                        lag_of = self.replica_lag
-                        if bound is not None and lag_of is not None:
-                            lag = lag_of()
-                            if lag > bound:
-                                raise ReplicaStaleError(
-                                    f"replica lag {lag:.3f}s exceeds the staleness bound {bound:.3f}s"
+                            # 7. access: who may call is the row's, not the
+                            #    handler's. AFTER the replay, which needs
+                            #    no second check (a reply row answers only
+                            #    the subject that wrote it); BEFORE
+                            #    anything is taken, so an unauthorised
+                            #    request holds no stripe, opens no
+                            #    transaction and never reaches the 2PC.
+                            op.access(subject)
+                            if detached:
+                                # 8. cross-shard: the prepare must be
+                                #    durable BEFORE the remote credit, and
+                                #    nested transaction blocks are
+                                #    savepoints, not commits — so the
+                                #    coordinator runs outside step 9's
+                                #    single transaction and reaches
+                                #    commit_once() itself, at its commit
+                                #    phase
+                                result = shard.coordinate(subject, params, key)
+                            else:
+                                # 9. stripes -> transaction -> handler -> reply
+                                result = self.commit_once(
+                                    key, subject, op.method, touched,
+                                    functools.partial(op.handler, subject, params),
                                 )
-                    # 5. shared stripes: many reads proceed in parallel,
+                else:
+                    # 7. access, as above: before any stripe
+                    op.access(subject)
+                    # 8. shared stripes: many reads proceed in parallel,
                     #    but none overlaps a mutator mid-flight on the
                     #    same account
                     if op.accounts_of is None:
@@ -459,7 +501,7 @@ class GridBankServer:
                     error=type(exc).__name__, reason=str(exc),
                 )
                 raise
-            # 9. latency, SLO sample, usage sample
+            # 10. latency, SLO sample, usage sample
             elapsed = time.perf_counter() - started
             op.latency.observe(elapsed)
             self._account(op, subject, params, result, elapsed, ok=True)
@@ -506,15 +548,13 @@ class GridBankServer:
     def _account(
         self, op: Op, subject: str, params: dict, result, elapsed: float, ok: bool
     ) -> None:
-        """SLO and usage samples for one dispatch. Cluster plumbing
-        (:data:`~repro.obs.usage.UNTRACKED_OPS`) is skipped: replication
-        long-polls and telemetry scrapes are not principal workload and
-        would poison the latency objective."""
+        """SLO and usage samples for one dispatch of a tracked row."""
         if not op.tracked:
             return
         context = current_request()
         sent_at = context.sent_at if context is not None else None
         observed = self._observed_latency(elapsed, sent_at)
+        moved = Credits(op.moved(params, result)).to_float() if ok and op.moved else 0.0
         # attribute lookups at call time: the serve CLI may swap in a
         # differently-tuned engine after construction
         self.slo.record(op.name, ok=ok, latency=observed)
@@ -523,7 +563,7 @@ class GridBankServer:
             op.name,
             ok=ok,
             latency_seconds=observed,
-            currency_moved=(self._currency_moved(op.name, params, result) if ok else 0.0),
+            currency_moved=moved,
         )
 
     # -- lock-set extraction ------------------------------------------------------
@@ -597,14 +637,18 @@ class GridBankServer:
         return (row["DrawerAccountID"], row["RecipientAccountID"])
 
     def _register_operations(self) -> None:
-        """The sec 5.2 / 5.2.1 rows of the op table, by verb: a ``write``
-        row is mutating, a ``read`` row is not."""
-        read, write = self.register, functools.partial(self.register, mutating=True)
+        """The sec 5.2 / 5.2.1 rows of the op table, by verb and by who
+        may call: sec 5.2's account holders (``standing``: an account or
+        the administrator bit) and sec 5.2.1's administrators."""
+        read = functools.partial(self.register, access="standing")
+        write = functools.partial(self.register, access="standing", kind=WRITE)
+        admin = functools.partial(self.register, access="admin", kind=WRITE)
         account = self._param_accounts("account_id")
         # BankInfo stays serveable on any node at any lag — it is how
-        # clients discover roles/addresses in the first place
-        read("BankInfo", self.op_bank_info, staleness_exempt=True)
-        write("CreateAccount", self.op_create_account)
+        # clients discover roles/addresses in the first place — and, like
+        # CreateAccount, to a subject that holds nothing here yet
+        read("BankInfo", self.op_bank_info, access="anyone", staleness_exempt=True)
+        write("CreateAccount", self.op_create_account, access="anyone")
         read("RequestAccountDetails", self.op_account_details, account)
         write("UpdateAccountDetails", self.op_update_account, account)
         read("RequestAccountStatement", self.op_statement, account)
@@ -615,28 +659,36 @@ class GridBankServer:
             self.op_direct_transfer,
             self._param_accounts("from_account", "to_account"),
             guard_accounts=self._param_accounts("from_account"),
+            moved=_transferred,
         )
         # drains the inbox: a duplicate must replay, not re-drain
         write("FetchConfirmations", self.op_fetch_confirmations)
         write("RequestGridCheque", self.op_request_cheque, account)
-        write("RedeemGridCheque", self.op_redeem_cheque, self._instrument_accounts("cheque"))
-        write("RedeemGridChequeBatch", self.op_redeem_cheque_batch, self._batch_accounts)
-        write("CancelGridCheque", self.op_cancel_cheque, self._instrument_accounts("cheque"))
-        write("RequestGridHash", self.op_request_hashchain, account)
-        write("RedeemGridHash", self.op_redeem_hashchain, self._instrument_accounts("commitment"))
-        read("EstimatePrice", self.op_estimate_price)
-        write("Admin.Deposit", self.op_admin_deposit, account)
-        write("Admin.Withdraw", self.op_admin_withdraw, account)
-        write("Admin.ChangeCreditLimit", self.op_admin_change_credit_limit, account)
-        write("Admin.CancelTransfer", self.op_admin_cancel_transfer, self._cancel_transfer_accounts)
+        cheque = self._instrument_accounts("cheque")
+        write("RedeemGridCheque", self.op_redeem_cheque, cheque, moved=_paid)
         write(
+            "RedeemGridChequeBatch", self.op_redeem_cheque_batch, self._batch_accounts,
+            moved=_batch_paid,
+        )
+        write("CancelGridCheque", self.op_cancel_cheque, cheque)
+        write("RequestGridHash", self.op_request_hashchain, account)
+        write(
+            "RedeemGridHash", self.op_redeem_hashchain, self._instrument_accounts("commitment"),
+            moved=_paid,
+        )
+        read("EstimatePrice", self.op_estimate_price)
+        admin("Admin.Deposit", self.op_admin_deposit, account, moved=_stated_amount)
+        admin("Admin.Withdraw", self.op_admin_withdraw, account, moved=_stated_amount)
+        admin("Admin.ChangeCreditLimit", self.op_admin_change_credit_limit, account)
+        admin("Admin.CancelTransfer", self.op_admin_cancel_transfer, self._cancel_transfer_accounts)
+        admin(
             "Admin.CloseAccount",
             self.op_admin_close_account,
             self._param_accounts("account_id", "transfer_to"),
         )
-        write("Admin.AddAdministrator", self.op_admin_add_administrator)
+        admin("Admin.AddAdministrator", self.op_admin_add_administrator)
 
-    # -- per-call checks ----------------------------------------------------------
+    # -- the access checks, and the per-row check handlers make ------------------
 
     def _require_standing(self, subject: str) -> None:
         """Operations beyond CreateAccount require an account or admin bit."""
@@ -685,11 +737,9 @@ class GridBankServer:
         return {"account_id": account_id}
 
     def op_account_details(self, subject: str, params: dict) -> dict:
-        self._require_standing(subject)
         return self._require_owner_or_admin(subject, params["account_id"])
 
     def op_update_account(self, subject: str, params: dict) -> dict:
-        self._require_standing(subject)
         self._require_owner_or_admin(subject, params["account_id"])
         return self.accounts.update_account(
             params["account_id"],
@@ -698,7 +748,6 @@ class GridBankServer:
         )
 
     def op_statement(self, subject: str, params: dict) -> dict:
-        self._require_standing(subject)
         self._require_owner_or_admin(subject, params["account_id"])
         return self.accounts.statement(
             params["account_id"],
@@ -709,7 +758,6 @@ class GridBankServer:
     def op_funds_availability_check(self, subject: str, params: dict) -> dict:
         """Perform Funds Availability Check (sec 5.2): the confirmed amount
         moves to the locked balance as the guarantee."""
-        self._require_standing(subject)
         account_id = params["account_id"]
         self._require_owner_or_admin(subject, account_id)
         amount = self._amount(params)
@@ -730,7 +778,6 @@ class GridBankServer:
         return locked - reserved
 
     def op_release_funds(self, subject: str, params: dict) -> dict:
-        self._require_standing(subject)
         account_id = params["account_id"]
         self._require_owner_or_admin(subject, account_id)
         amount = self._amount(params)
@@ -746,7 +793,6 @@ class GridBankServer:
         return {"released": amount}
 
     def op_direct_transfer(self, subject: str, params: dict) -> dict:
-        self._require_standing(subject)
         from_account = params["from_account"]
         self._require_owner_or_admin(subject, from_account)
         to_account = params["to_account"]
@@ -776,7 +822,6 @@ class GridBankServer:
         Only entries addressed to accounts the caller owns are returned
         (and drained); other principals' confirmations stay queued.
         """
-        self._require_standing(subject)
         with self._inbox_lock:
             inbox = self._confirmation_inboxes.get(params["address"], [])
             mine = [entry["confirmation"] for entry in inbox if entry["owner"] == subject]
@@ -788,7 +833,6 @@ class GridBankServer:
         return mine
 
     def op_request_cheque(self, subject: str, params: dict) -> dict:
-        self._require_standing(subject)
         cheque = self.cheques.issue(
             drawer_subject=subject,
             drawer_account=params["account_id"],
@@ -798,7 +842,6 @@ class GridBankServer:
         return {"cheque": cheque.to_dict()}
 
     def op_redeem_cheque(self, subject: str, params: dict) -> dict:
-        self._require_standing(subject)
         result = self.cheques.redeem(
             redeemer_subject=subject,
             cheque=GridCheque.from_dict(params["cheque"]),
@@ -824,7 +867,6 @@ class GridBankServer:
         :meth:`~repro.payments.cheque.GridChequeProtocol.redeem_batch`
         keeps its all-or-nothing semantics for callers that want them.)
         """
-        self._require_standing(subject)
         results: list[dict] = []
         rejected = obs_metrics.counter("bank.cheque_batch.rejected")
         for position, item in enumerate(params["items"]):
@@ -875,12 +917,10 @@ class GridBankServer:
         return results
 
     def op_cancel_cheque(self, subject: str, params: dict) -> dict:
-        self._require_standing(subject)
         released = self.cheques.cancel(subject, GridCheque.from_dict(params["cheque"]))
         return {"released": released}
 
     def op_request_hashchain(self, subject: str, params: dict) -> dict:
-        self._require_standing(subject)
         length = params["length"]
         if not isinstance(length, int) or isinstance(length, bool):
             raise ValidationError("length must be an int")
@@ -895,7 +935,6 @@ class GridBankServer:
         return {"commitment": commitment.to_dict()}
 
     def op_redeem_hashchain(self, subject: str, params: dict) -> dict:
-        self._require_standing(subject)
         commitment = GridHashCommitment.from_dict(params["commitment"])
         tick = None
         if params.get("index"):
@@ -920,7 +959,6 @@ class GridBankServer:
         }
 
     def op_estimate_price(self, subject: str, params: dict) -> dict:
-        self._require_standing(subject)
         description = ResourceDescription(**params["description"])
         estimate = self.pricing.estimate(description)
         return {"unit_price": estimate}
@@ -928,33 +966,27 @@ class GridBankServer:
     # -- admin operations (sec 5.2.1) ------------------------------------------------
 
     def op_admin_deposit(self, subject: str, params: dict) -> dict:
-        self._require_admin(subject)
         txn = self.admin.deposit(params["account_id"], self._amount(params))
         return {"transaction_id": txn}
 
     def op_admin_withdraw(self, subject: str, params: dict) -> dict:
-        self._require_admin(subject)
         txn = self.admin.withdraw(params["account_id"], self._amount(params))
         return {"transaction_id": txn}
 
     def op_admin_change_credit_limit(self, subject: str, params: dict) -> dict:
-        self._require_admin(subject)
         self.admin.change_credit_limit(params["account_id"], self._amount(params, "credit_limit"))
         return {"confirmed": True}
 
     def op_admin_cancel_transfer(self, subject: str, params: dict) -> dict:
-        self._require_admin(subject)
         compensating = self.admin.cancel_transfer(params["transaction_id"])
         return {"compensating_transaction_id": compensating}
 
     def op_admin_close_account(self, subject: str, params: dict) -> dict:
-        self._require_admin(subject)
         balance = self.admin.close_account(
             params["account_id"], transfer_to=params.get("transfer_to", "")
         )
         return {"outstanding_balance": balance}
 
     def op_admin_add_administrator(self, subject: str, params: dict) -> dict:
-        self._require_admin(subject)
         self.admin.add_administrator(params["certificate_name"])
         return {"confirmed": True}

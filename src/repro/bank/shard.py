@@ -81,6 +81,7 @@ from repro.bank.records import (
     credits_to_db,
     db_to_credits,
 )
+from repro.bank.server import PRIMARY, WRITE
 from repro.crypto.signature import Signed
 from repro.db.query import eq
 from repro.errors import (
@@ -88,13 +89,12 @@ from repro.errors import (
     AuthorizationError,
     InstrumentError,
     NotFoundError,
-    NotPrimaryError,
     ReproError,
     SettlementError,
     ValidationError,
     WrongShardError,
 )
-from repro.net.retry import RetryPolicy
+from repro.net.retry import RetryPolicy, sleep_for
 from repro.net.rpc import RPCClient
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
@@ -122,6 +122,10 @@ _log = get_logger("bank.shard")
 RING_SIZE = 1 << 32
 
 _MAP_ROW_KEY = "map"
+
+#: a router's pause after its n-th WrongShardError is n times this,
+#: capped at 0.2 s: long enough to ride out a split installing
+_BOUNCE_BACKOFF = 0.02
 
 #: Errors from the participant that abort the intent (and refund the
 #: drawer) rather than leaving it pending: the refusal is semantic, not
@@ -327,7 +331,6 @@ class ShardNode:
         shard_id: str,
         shard_map: Optional[ShardMap] = None,
         resolve_interval: Optional[float] = None,
-        apply_retry: Optional[RetryPolicy] = None,
     ) -> None:
         self.node = node
         self.bank = node.bank
@@ -336,7 +339,6 @@ class ShardNode:
         self._peer_lock = threading.Lock()
         self._peer_pool: dict[str, list[tuple[tuple[str, ...], RPCClient]]] = {}
         self._intent_seq = itertools.count(1)
-        self._apply_retry = apply_retry
         self._bounces = obs_metrics.counter("bank.shard.bounces", shard=self.shard_id)
         self._register_operations()
         self.bank.accounts.id_filter = self._accepts_account_id
@@ -496,11 +498,11 @@ class ShardNode:
         claimed here INSTEAD of running its single-transaction envelope,
         because the prepare has to be durable *before* the remote credit.
 
-        The caller holds the key's in-flight lock (when there is a key)
-        and has already missed the reply cache.
+        The caller holds the key's in-flight lock (when there is a key),
+        has already missed the reply cache and has run the row's access
+        check; the ownership check below needs the account row.
         """
         bank = self.bank
-        bank._require_standing(subject)
         from_account = str(params["from_account"])
         bank._require_owner_or_admin(subject, from_account)
         to_account = str(params["to_account"])
@@ -763,16 +765,13 @@ class ShardNode:
                 except ReproError:
                     pass
         bank = self.bank
-        retry = self._apply_retry
-        if retry is None:
-            retry = RetryPolicy(max_attempts=6, base_delay=0.02, max_delay=0.25)
         return cluster_client(
             bank.identity,
             bank.endpoint.trust_store,
             self.node.connect,
             addresses,
             clock=bank.clock,
-            retry_policy=retry,
+            retry_policy=RetryPolicy(max_attempts=6, base_delay=0.02, max_delay=0.25),
         )
 
     def _checkin_peer(self, shard_id: str, addresses: tuple[str, ...], client: RPCClient) -> None:
@@ -842,35 +841,35 @@ class ShardNode:
     # -- RPC operations -------------------------------------------------------
 
     def _register_operations(self) -> None:
-        # plumbing: no account locks, no staleness bound; the verbs that
-        # write check the role themselves
-        register = functools.partial(self.bank.register, staleness_exempt=True)
-        register("Shard.Map", self.op_shard_map)
+        # plumbing between peers: no account locks, no staleness bound,
+        # not principal workload
+        register = functools.partial(
+            self.bank.register, access="peer", staleness_exempt=True, tracked=False
+        )
+        # routers bootstrap from the map before they hold anything here
+        register("Shard.Map", self.op_shard_map, access="anyone")
         register("Shard.Status", self.op_shard_status)
-        register("Shard.Install", self.op_shard_install)
-        register("Shard.Export", self.op_shard_export)
-        register("Shard.Import", self.op_shard_import)
-        register("Shard.Evict", self.op_shard_evict)
-        register("Shard.Resolve", self.op_shard_resolve)
-        # the participant half of the 2PC is an ordinary mutating op whose
-        # reply key is the intent: guarded on the recipient, primary-only,
+        # the rebalance steps act on the primary's rows, and each is
+        # idempotent by its own construction (version fence, import
+        # marker, keyed rows): primary-only, no reply row
+        register("Shard.Install", self.op_shard_install, kind=PRIMARY)
+        register("Shard.Export", self.op_shard_export, kind=PRIMARY)
+        register("Shard.Import", self.op_shard_import, kind=PRIMARY)
+        register("Shard.Evict", self.op_shard_evict, kind=PRIMARY)
+        register("Shard.Resolve", self.op_shard_resolve, kind=PRIMARY)
+        # the participant half of the 2PC is an ordinary write whose reply
+        # key is the intent: guarded on the recipient, primary-only,
         # credit and reply row in one WAL line
-        self._apply_op = self.bank.register(
+        self._apply_op = register(
             "Shard.Apply",
             self.op_shard_apply,
             self.bank._param_accounts("to_account"),
-            mutating=True,
+            kind=WRITE,
             reply_key=lambda params: f"2pc:{params['intent_id']}",
         )
 
-    def _require_primary(self, what: str) -> None:
-        if self.bank.role != "primary":
-            raise NotPrimaryError.for_primary(
-                self.bank.primary_address, f"{what} requires the shard primary"
-            )
-
     def op_shard_map(self, subject: str, params: dict) -> dict:
-        """Unauthenticated (like BankInfo): routers bootstrap from it."""
+        """Open to anyone (like BankInfo): routers bootstrap from it."""
         shard_map = self.installed_map()
         return {
             "shard": self.shard_id,
@@ -878,7 +877,6 @@ class ShardNode:
         }
 
     def op_shard_status(self, subject: str, params: dict) -> dict:
-        self.node._require_peer(subject)
         shard_map = self.installed_map()
         owned = 0
         if shard_map is not None:
@@ -905,7 +903,6 @@ class ShardNode:
         coordinator retry after participant failover replays on the
         promoted standby instead of double-crediting.
         """
-        self.node._require_peer(subject)
         bank = self.bank
         to_account = str(params["to_account"])
         amount = Credits(params["amount"]).require_positive("transfer amount")
@@ -929,8 +926,6 @@ class ShardNode:
         return {"transaction_id": txn_id, "shard": self.shard_id}
 
     def op_shard_install(self, subject: str, params: dict) -> dict:
-        self.node._require_peer(subject)
-        self._require_primary("Shard.Install")
         return self.install_map(ShardMap.from_dict(params["map"]))
 
     def op_shard_export(self, subject: str, params: dict) -> dict:
@@ -955,8 +950,6 @@ class ShardNode:
           target (the guard bounces before any cache lookup) and simply
           age out.
         """
-        self.node._require_peer(subject)
-        self._require_primary("Shard.Export")
         shard_map = self.installed_map()
         if shard_map is None:
             return {
@@ -1006,8 +999,6 @@ class ShardNode:
         the same transaction as the ledger rows, makes the remap
         exactly-once across rebalance-driver retries and crash recovery.
         """
-        self.node._require_peer(subject)
-        self._require_primary("Shard.Import")
         bank = self.bank
         rows = params.get("accounts") or []
         ledger_entries = params.get("transactions") or []
@@ -1089,8 +1080,6 @@ class ShardNode:
         unreachable behind the ownership guard, and age out of the
         bounded cache on their own.
         """
-        self.node._require_peer(subject)
-        self._require_primary("Shard.Evict")
         bank = self.bank
         shard_map = self.installed_map()
         if shard_map is None:
@@ -1133,8 +1122,6 @@ class ShardNode:
         return {"evicted": len(doomed)}
 
     def op_shard_resolve(self, subject: str, params: dict) -> dict:
-        self.node._require_peer(subject)
-        self._require_primary("Shard.Resolve")
         return self.resolve_pending()
 
 
@@ -1186,8 +1173,6 @@ class ShardRouter:
         rng=None,
         retry_policy: Optional[RetryPolicy] = None,
         max_bounces: int = 8,
-        bounce_backoff: float = 0.02,
-        sleep: Callable[[float], None] = time.sleep,
     ) -> None:
         self.credential = credential
         self.trust_store = trust_store
@@ -1197,8 +1182,6 @@ class ShardRouter:
         self.rng = rng
         self.retry_policy = retry_policy
         self.max_bounces = int(max_bounces)
-        self.bounce_backoff = float(bounce_backoff)
-        self._sleep = sleep
         self._clients: dict[str, tuple[tuple[str, ...], RPCClient]] = {}
         self._lock = threading.Lock()
         self._rr = itertools.count()
@@ -1322,7 +1305,7 @@ class ShardRouter:
                     except SettlementError:
                         pass
                 if attempt + 1 < self.max_bounces:
-                    self._sleep(min(self.bounce_backoff * (attempt + 1), 0.2))
+                    sleep_for(self.clock, min(_BOUNCE_BACKOFF * (attempt + 1), 0.2))
         assert last_exc is not None
         raise last_exc
 

@@ -500,29 +500,31 @@ def _tcp_connect(address: str):
     return TCPClientConnection((host, int(port)))
 
 
-def _workload_span_sink(store):
+def _workload_span_sink(bank):
     """The span sink of a served bank: its span store (queryable later
-    with ``gridbank trace``) behind a filter. The store is local to the
-    node, so a standby records what it serves just as a primary does."""
+    with ``gridbank trace``) behind the op table's ``tracked`` column.
+    The store is local to the node, so a standby records what it serves
+    just as a primary does."""
+    plumbing: set[str] = set()
+    rows = 0
 
     def persist(record):
-        # replication polling is continuous; persisting a span per poll
-        # would turn the ring over at the poll rate. Those spans still
-        # reach the JSONL sink and the metrics registry.
-        name = str(record.get("name", ""))
-        method = str(record.get("attrs", {}).get("method", ""))
-        if name.startswith("bank.op.replication_") or method.startswith("Replication."):
+        # plumbing (replication polls, telemetry scrapes, rebalance verbs)
+        # runs at whatever cadence the topology needs; a span per poll
+        # would turn the ring over at the poll rate. Its bank.op span and
+        # its RPC dispatch span are dropped; what it runs underneath
+        # (shard.2pc, integrity.repair) still persists, and the flight
+        # recorder sees everything. Rows are only ever added, and the
+        # shard plane adds its rows after this sink is built.
+        nonlocal rows
+        if rows != len(bank.ops):
+            rows = len(bank.ops)
+            for op in bank.ops.values():
+                if not op.tracked:
+                    plumbing.update((op.span_name, op.method))
+        if record.get("name") in plumbing or record.get("attrs", {}).get("method") in plumbing:
             return
-        # diagnosis-plane collection is operator traffic, not workload —
-        # same treatment (the flight recorder still sees these spans)
-        if name.startswith("bank.op.diag_") or method.startswith("Diag."):
-            return
-        # shard plumbing (map fetches, rebalance verbs, resolver sweeps)
-        # is inter-node traffic at whatever cadence the topology needs;
-        # the cross-shard 2PC span itself (shard.2pc) still persists
-        if name.startswith("bank.op.shard_") or method.startswith("Shard."):
-            return
-        store(record)
+        bank.spans(record)
 
     return persist
 
@@ -532,6 +534,34 @@ def cmd_serve(args) -> int:
     from repro.net import frontend_snapshot as _frontend_snapshot
     from repro.net.aio import AsyncTCPServer
     from repro.net.tcp import TCPServer
+
+    # flags are checked before anything is opened or started: a refusal
+    # here leaves no thread, socket or lock file behind
+    op_rates = {}
+    for spec in args.sample_op or ():
+        op, _, rate = spec.partition("=")
+        try:
+            if not op:
+                raise ValueError(spec)
+            op_rates[op] = float(rate)
+        except ValueError:
+            print(f"error: --sample-op expects OP=RATE, got {spec!r}", file=sys.stderr)
+            return 1
+    # the threaded front end may run without a dispatch pool (0 workers:
+    # no pipelined dispatch); the async one has nowhere else to run a handler
+    fewest_workers = 1 if args.backend == "async" else 0
+    problem = None
+    if args.workers < fewest_workers:
+        problem = f"--workers must be >= {fewest_workers} on the {args.backend} backend"
+    elif args.dispatch_queue < 1:
+        problem = "--dispatch-queue must be >= 1"
+    elif args.max_connections is not None and args.max_connections < 1:
+        problem = "--max-connections must be >= 1"
+    elif args.rate_limit is not None and args.rate_limit <= 0:
+        problem = "--rate-limit must be > 0"
+    if problem is not None:
+        print(f"error: {problem}", file=sys.stderr)
+        return 1
 
     home = Path(args.home)
     bank = _load_bank(home)
@@ -572,15 +602,8 @@ def cmd_serve(args) -> int:
 
     # adaptive sampling sits in front of the span store only — the
     # flight recorder keeps the pre-sampling stream
-    op_rates = {}
-    for spec in args.sample_op or ():
-        op, sep, rate = spec.partition("=")
-        if not sep or not op:
-            print(f"error: --sample-op expects OP=RATE, got {spec!r}", file=sys.stderr)
-            return 1
-        op_rates[op] = float(rate)
     sampler = SamplingSpanSink(
-        _workload_span_sink(bank.spans),
+        _workload_span_sink(bank),
         SamplingPolicy(
             default_rate=args.sample_rate,
             op_rates=op_rates,

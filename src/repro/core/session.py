@@ -88,7 +88,6 @@ class GridSession:
     def __init__(
         self,
         seed: int = 0,
-        bank_funds_per_user: float = 0.0,
         faults: Optional[FaultPlan] = None,
         retry_attempts: int = 0,
     ) -> None:
@@ -125,7 +124,6 @@ class GridSession:
         self.bank.admin.add_administrator(admin_ident.subject)
         self.admin_api = self._bank_api(admin_ident)
         self.participants: dict[str, Participant] = {}
-        self._default_funds = bank_funds_per_user
 
     # -- construction -----------------------------------------------------------
 
@@ -148,16 +146,15 @@ class GridSession:
         client.connect()
         return GridBankAPI(client, rng=random.Random(self.rng.getrandbits(32)))
 
-    def add_consumer(self, name: str, funds: Optional[float] = None, org: str = "VO-A") -> Participant:
+    def add_consumer(self, name: str, funds: float = 0.0, org: str = "VO-A") -> Participant:
         """A GSC: identity + funded bank account."""
         if name in self.participants:
             raise ValidationError(f"participant {name!r} already exists")
         identity = self.ca.issue_identity(DistinguishedName(org, name), key_bits=512)
         api = self._bank_api(identity)
         account_id = api.create_account(organization_name=org)
-        amount = funds if funds is not None else self._default_funds
-        if amount > 0:
-            self.admin_api.admin_deposit(account_id, Credits(amount))
+        if funds > 0:
+            self.admin_api.admin_deposit(account_id, Credits(funds))
         participant = Participant(
             name=name, identity=identity, api=api, account_id=account_id,
             host=f"{name}.{org.lower()}.example.org",

@@ -81,6 +81,8 @@ def _log():
 
 #: upper bound on the group-commit linger knob (seconds)
 _MAX_LINGER = 0.002
+#: most records one leader writes in a single batch while lingering
+_MAX_BATCH = 128
 
 
 class _TxnFrame:
@@ -152,7 +154,7 @@ class _GroupCommitWriter:
     the flush lock. Whoever acquires it is the *leader*: it drains every
     record queued by then (its own included, plus — when a ``linger`` is
     configured — anything arriving within that bound, up to
-    ``max_batch``), hands the whole batch to ``write_batch`` for a single
+    ``_MAX_BATCH``), hands the whole batch to ``write_batch`` for a single
     write+flush, and releases every ticket it covered. Committers that
     find their ticket already released when they get the lock were
     covered by the previous leader and return immediately.
@@ -168,10 +170,9 @@ class _GroupCommitWriter:
     only adds latency to buy bigger batches and defaults to 0.
     """
 
-    def __init__(self, write_batch, linger: float = 0.0, max_batch: int = 128) -> None:
+    def __init__(self, write_batch, linger: float = 0.0) -> None:
         self._write_batch = write_batch
         self._linger = min(max(linger, 0.0), _MAX_LINGER)
-        self._max_batch = max(max_batch, 1)
         self._queue: deque = deque()
         self._cond = threading.Condition()
         self._flush_lock = threading.Lock()
@@ -241,7 +242,7 @@ class _GroupCommitWriter:
             if self._linger > 0.0 and not self._stopped:
                 started = time.perf_counter() if hook is not None else 0.0
                 deadline = time.monotonic() + self._linger
-                while len(self._queue) < self._max_batch and not self._stopped:
+                while len(self._queue) < _MAX_BATCH and not self._stopped:
                     remaining = deadline - time.monotonic()
                     if remaining <= 0.0:
                         break
@@ -274,7 +275,6 @@ class Database:
         durability: str = "flush",
         group_commit: bool = True,
         commit_linger: float = 0.0,
-        max_batch: int = 128,
         storage=None,
     ) -> None:
         if durability not in ("flush", "fsync"):
@@ -290,7 +290,6 @@ class Database:
         self._durability = durability
         self._group_commit = group_commit
         self._commit_linger = commit_linger
-        self._max_batch = max_batch
         self._writer: Optional[_GroupCommitWriter] = None
         # replication position: journal lines committed since the last
         # snapshot, and which snapshot generation they belong to (see
@@ -636,9 +635,7 @@ class Database:
             self._wal_seq = base_seq + replayed
             self._wal_handle = self._open_wal(wal_file, "ab")
             if self._group_commit:
-                self._writer = _GroupCommitWriter(
-                    self._write_batch, linger=self._commit_linger, max_batch=self._max_batch
-                )
+                self._writer = _GroupCommitWriter(self._write_batch, linger=self._commit_linger)
             self._recovered = True
             return replayed
 

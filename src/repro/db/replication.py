@@ -45,12 +45,11 @@ _MAX_RETAINED = 100_000
 class ReplicationLog:
     """In-memory, condition-guarded tail of committed journal lines."""
 
-    def __init__(self, epoch: int, base_seq: int, max_retained: int = _MAX_RETAINED) -> None:
+    def __init__(self, epoch: int, base_seq: int) -> None:
         self._cond = threading.Condition()
         self._epoch = int(epoch)
         self._base_seq = int(base_seq)  # records held: base_seq+1 .. base_seq+len
         self._records: list[bytes] = []
-        self._max_retained = max(int(max_retained), 1)
 
     # -- primary side -------------------------------------------------------
 
@@ -65,8 +64,8 @@ class ReplicationLog:
                 self._base_seq = int(seq) - 1
                 self._records = []
             self._records.append(payload)
-            if len(self._records) > self._max_retained:
-                overflow = len(self._records) - self._max_retained
+            if len(self._records) > _MAX_RETAINED:
+                overflow = len(self._records) - _MAX_RETAINED
                 del self._records[:overflow]
                 self._base_seq += overflow
             self._cond.notify_all()

@@ -32,7 +32,7 @@ Offload is **adaptive**: an executor hop costs more than trivial work
 (submit, worker wake-up, loop wake-up — tens of microseconds each on a
 busy box), so each stage keeps a moving average of its observed runtime
 and is dispatched inline on the loop once it proves cheaper than
-``offload_threshold``. Stages start pessimistic (offloaded) and a stage
+``_OFFLOAD_THRESHOLD``. Stages start pessimistic (offloaded) and a stage
 that turns expensive again (the average rises) moves back to the pool,
 so the loop never blocks longer than roughly the threshold per
 misclassified call. Crypto handshakes and ledger commits stay on the
@@ -70,6 +70,7 @@ from typing import Callable, Optional
 
 from repro.errors import ProtocolError
 from repro.net.message import MAX_FRAME, frame, make_error
+from repro.net.tcp import MAX_INFLIGHT
 from repro.obs import metrics as obs_metrics
 from repro.obs.logging import get_logger
 
@@ -78,6 +79,12 @@ __all__ = ["AsyncTCPServer", "TokenBucket"]
 _log = get_logger("net.aio")
 
 _LEN = struct.Struct(">I")
+
+#: a stage whose average runtime is under this (seconds) runs inline on
+#: the loop: an executor hop costs tens of microseconds on a busy box
+_OFFLOAD_THRESHOLD = 0.0005
+#: how long an overload_signal answer is reused (seconds)
+_OVERLOAD_SIGNAL_INTERVAL = 0.25
 
 
 class TokenBucket:
@@ -119,11 +126,10 @@ class _StageCost:
     without a lock — a lost update just delays the flip by one sample.
     """
 
-    __slots__ = ("ema", "threshold")
+    __slots__ = ("ema",)
 
-    def __init__(self, threshold: float) -> None:
+    def __init__(self) -> None:
         self.ema: Optional[float] = None
-        self.threshold = threshold
 
     def observe(self, seconds: float) -> None:
         ema = self.ema
@@ -131,7 +137,7 @@ class _StageCost:
 
     @property
     def offload(self) -> bool:
-        return self.ema is None or self.ema >= self.threshold
+        return self.ema is None or self.ema >= _OFFLOAD_THRESHOLD
 
 
 class _Connection:
@@ -145,7 +151,6 @@ class _Connection:
         handler,
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
-        max_inflight: int,
     ) -> None:
         self.handler = handler
         self.reader = reader
@@ -154,7 +159,7 @@ class _Connection:
         # the loop, and whoever seals enqueues the write onto the loop's
         # FIFO callback queue before releasing — wire order == seal order
         self.seal_lock = threading.Lock()
-        self.inflight = asyncio.Semaphore(max_inflight)
+        self.inflight = asyncio.Semaphore(MAX_INFLIGHT)
         self.last_activity = _time.monotonic()
         self.mid_frame = False
         self.established = False
@@ -196,7 +201,6 @@ class AsyncTCPServer:
         host: str = "127.0.0.1",
         port: int = 0,
         workers: int = 4,
-        max_inflight: int = 32,
         max_connections: Optional[int] = None,
         dispatch_queue: int = 256,
         rate_limit: Optional[float] = None,
@@ -204,17 +208,12 @@ class AsyncTCPServer:
         handshake_timeout: float = 5.0,
         idle_timeout: Optional[float] = None,
         overload_signal: Optional[Callable[[], bool]] = None,
-        overload_signal_interval: float = 0.25,
-        offload_threshold: float = 0.0005,
     ) -> None:
         if workers < 1:
             raise ValueError("the async backend needs at least one pool worker")
-        if max_inflight < 1:
-            raise ValueError("max_inflight must be >= 1")
         if dispatch_queue < 1:
             raise ValueError("dispatch_queue must be >= 1")
         self._factory = handler_factory
-        self._max_inflight = max_inflight
         self._max_connections = max_connections
         self._dispatch_queue = dispatch_queue
         self._rate_limit = rate_limit
@@ -223,14 +222,13 @@ class AsyncTCPServer:
         self._idle_timeout = idle_timeout
         # optional load-aware admission (e.g. bank.overloaded — True while
         # an SLO objective is paging): consulted at the queue gate, but
-        # cached for overload_signal_interval seconds so burn-rate
+        # cached for _OVERLOAD_SIGNAL_INTERVAL seconds so burn-rate
         # evaluation stays off the per-request path
         self._overload_signal = overload_signal
-        self._overload_signal_interval = overload_signal_interval
         self._overload_cached = (0.0, False)  # (checked_at, overloaded)
-        self._prepare_cost = _StageCost(offload_threshold)
-        self._complete_cost = _StageCost(offload_threshold)
-        self._seal_cost = _StageCost(offload_threshold)
+        self._prepare_cost = _StageCost()
+        self._complete_cost = _StageCost()
+        self._seal_cost = _StageCost()
         # reaper sweep cadence: a quarter of the tightest budget gives at
         # most ~25% overshoot on a reap, floored so tiny test timeouts do
         # not spin the loop and capped so huge budgets still sweep
@@ -364,7 +362,7 @@ class AsyncTCPServer:
             handler.transport_backend = self.backend
         except AttributeError:
             pass
-        conn = _Connection(handler, reader, writer, self._max_inflight)
+        conn = _Connection(handler, reader, writer)
         self._connections.add(conn)
         try:
             await self._read_loop(reader, conn)
@@ -377,7 +375,7 @@ class AsyncTCPServer:
                 # drain: re-acquire every permit so no dispatch outlives
                 # the socket silently (same contract as the threaded
                 # backend's serve-loop teardown)
-                for _ in range(self._max_inflight):
+                for _ in range(MAX_INFLIGHT):
                     await conn.inflight.acquire()
             except asyncio.CancelledError:
                 pass  # cancelled again mid-drain: give up gracefully
@@ -529,7 +527,7 @@ class AsyncTCPServer:
         """Cached read of the external overload signal (loop thread only)."""
         now = _time.monotonic()
         checked_at, overloaded = self._overload_cached
-        if now - checked_at >= self._overload_signal_interval:
+        if now - checked_at >= _OVERLOAD_SIGNAL_INTERVAL:
             assert self._overload_signal is not None
             try:
                 overloaded = bool(self._overload_signal())

@@ -101,6 +101,8 @@ class ConnectionRefused(TransportError):
 
 
 _RESUME_NONCE_LEN = 32
+#: seconds a session ticket stays redeemable
+_TICKET_TTL = 900.0
 
 
 def _resume_mac(master: bytes, label: bytes, *parts: bytes) -> bytes:
@@ -136,20 +138,18 @@ class SessionTicketStore:
         clock: Clock,
         rng: random.Random,
         capacity: int = 1024,
-        ttl: float = 900.0,
     ) -> None:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self._clock = clock
         self._rng = rng
         self.capacity = capacity
-        self.ttl = ttl
         self._lock = threading.Lock()
         self._entries: OrderedDict[str, tuple[str, bytes, float]] = OrderedDict()
 
     def issue(self, subject: str, master_secret: bytes) -> str:
         token = random_token(self._rng, nbytes=16)
-        expires = self._clock.epoch() + self.ttl
+        expires = self._clock.epoch() + _TICKET_TTL
         with self._lock:
             self._entries[token] = (subject, master_secret, expires)
             while len(self._entries) > self.capacity:

@@ -36,9 +36,13 @@ from repro.net.message import frame, unframe_stream
 from repro.obs import metrics as obs_metrics
 from repro.obs.logging import get_logger
 
-__all__ = ["TCPServer", "TCPClientConnection"]
+__all__ = ["TCPServer", "TCPClientConnection", "MAX_INFLIGHT"]
 
 _log = get_logger("net.tcp")
+
+#: unanswered requests a single connection may have queued, on either
+#: front end; the reader stops reading at the bound (backpressure)
+MAX_INFLIGHT = 32
 
 
 class TCPServer:
@@ -47,8 +51,8 @@ class TCPServer:
     ``with TCPServer(endpoint.connection_handler) as server: ...`` listens
     on an ephemeral loopback port; :attr:`address` is ``(host, port)``.
     *workers* sizes the shared dispatch pool used for pipelined handlers
-    (0 disables pipelined dispatch entirely); *max_inflight* bounds the
-    number of unanswered requests a single connection may queue.
+    (0 disables pipelined dispatch entirely); :data:`MAX_INFLIGHT` bounds
+    the number of unanswered requests a single connection may queue.
     *max_connections* caps live connection threads — accepts past the cap
     are closed at the door (``net.overload_rejections{reason=connections}``)
     rather than spawning yet another stack. *idle_timeout* arms a socket
@@ -64,14 +68,10 @@ class TCPServer:
         host: str = "127.0.0.1",
         port: int = 0,
         workers: int = 4,
-        max_inflight: int = 32,
         max_connections: Optional[int] = None,
         idle_timeout: Optional[float] = None,
     ) -> None:
-        if max_inflight < 1:
-            raise ValueError("max_inflight must be >= 1")
         self._factory = handler_factory
-        self._max_inflight = max_inflight
         self._max_connections = max_connections
         self._idle_timeout = idle_timeout
         self._accepts = obs_metrics.counter("net.accepts", backend=self.backend)
@@ -135,7 +135,7 @@ class TCPServer:
         except AttributeError:
             pass
         send_lock = threading.Lock()
-        inflight = threading.BoundedSemaphore(self._max_inflight)
+        inflight = threading.BoundedSemaphore(MAX_INFLIGHT)
         prepare = getattr(handler, "prepare", None) if self._pool is not None else None
         self._conn_gauge.add(1)
         try:
@@ -170,7 +170,7 @@ class TCPServer:
             # drain in-flight dispatches before tearing the socket down so
             # every accepted request gets its response written (or fails
             # loudly against a peer-closed socket, never silently dropped)
-            for _ in range(self._max_inflight):
+            for _ in range(MAX_INFLIGHT):
                 inflight.acquire()
             handler.close()
             try:

@@ -36,8 +36,9 @@ Three cooperating pieces:
 Everything here is observation of the observer, so the cardinal rule is
 *do no harm*: hooks are single ``is not None`` checks when disabled,
 ring appends are O(1) deque operations, trigger paths swallow their own
-errors into counters, and the plane's own threads are excluded from
-profiles and usage metering (see ``UNTRACKED_OPS``).
+errors into counters, the plane's own threads are excluded from
+profiles, and its RPCs are untracked rows of the op table (no usage
+metering, no SLO sample).
 """
 
 from __future__ import annotations
@@ -229,13 +230,11 @@ class SamplingProfiler:
 
     DEFAULT_HZ = 25.0
 
-    def __init__(self, hz: float = DEFAULT_HZ, max_stacks: int = 2000,
-                 stack_depth: int = _STACK_DEPTH) -> None:
+    def __init__(self, hz: float = DEFAULT_HZ, max_stacks: int = 2000) -> None:
         if hz <= 0:
             raise ValueError("profiler hz must be positive")
         self.hz = float(hz)
         self._max_stacks = max_stacks
-        self._stack_depth = stack_depth
         self._lock = threading.Lock()
         self._folds: dict[tuple[str, str], int] = {}
         self._op_samples: dict[str, int] = {}
@@ -274,7 +273,7 @@ class SamplingProfiler:
                     continue
                 entry = spans.get(ident)
                 op = entry[0] if entry is not None else "(untraced)"
-                key = (op, fold_stack(frame, self._stack_depth))
+                key = (op, fold_stack(frame))
                 if key not in self._folds and len(self._folds) >= self._max_stacks:
                     key = (op, "(overflow)")
                 self._folds[key] = self._folds.get(key, 0) + 1
@@ -358,6 +357,13 @@ def _repro_error_names() -> frozenset:
     return frozenset(names)
 
 
+#: ring sizes of the flight recorder: log records, per-tick metric
+#: deltas (two minutes at the default tick) and per-tick fold deltas
+_LOG_CAPACITY = 512
+_DELTA_CAPACITY = 120
+_FOLD_CAPACITY = 64
+
+
 class FlightRecorder:
     """Bounded rings of the recent past, dumped when a trigger fires.
 
@@ -381,9 +387,6 @@ class FlightRecorder:
         clock: Optional[Clock] = None,
         dump_dir: Optional[Union[str, Path]] = None,
         span_capacity: int = 512,
-        log_capacity: int = 512,
-        delta_capacity: int = 120,
-        fold_capacity: int = 64,
         tick_interval: float = 1.0,
         min_dump_interval: float = 30.0,
         deadline_storm_threshold: int = 8,
@@ -397,9 +400,9 @@ class FlightRecorder:
         self.deadline_storm_threshold = deadline_storm_threshold
         self.deadline_storm_window = deadline_storm_window
         self._spans: deque = deque(maxlen=span_capacity)
-        self._deltas: deque = deque(maxlen=delta_capacity)
-        self._folds: deque = deque(maxlen=fold_capacity)
-        self._log_handler = obs_logging.RingHandler(capacity=log_capacity)
+        self._deltas: deque = deque(maxlen=_DELTA_CAPACITY)
+        self._folds: deque = deque(maxlen=_FOLD_CAPACITY)
+        self._log_handler = obs_logging.RingHandler(capacity=_LOG_CAPACITY)
         self._prev_level = 0
         self._deadlines: deque = deque()
         self._trigger_lock = threading.Lock()

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 import threading
-from typing import Callable, Optional
+from typing import Callable, Collection, Optional
 
 from repro.db.database import Database
 from repro.db.schema import Column, TableSchema
@@ -48,7 +48,6 @@ __all__ = [
     "usage_schema",
     "UsageMeter",
     "hot_operations",
-    "UNTRACKED_OPS",
 ]
 
 _log = get_logger("obs.usage")
@@ -57,32 +56,6 @@ USAGE_TABLE = "usage_rollups"
 
 _W_PRINCIPAL = 128
 _OVERFLOW_PRINCIPAL = "(other)"
-
-#: Cluster-plumbing ops excluded from SLOs, usage metering and the hot-op
-#: view: replication polls, telemetry scrapes and diagnosis-plane
-#: collection are continuous background traffic between nodes (or
-#: operators), not principal workload.
-UNTRACKED_OPS = frozenset(
-    {
-        "replication_status",
-        "replication_snapshot",
-        "replication_fetch",
-        "cluster_promote",
-        "cluster_demote",
-        "telemetry_snapshot",
-        "diag_profile",
-        "diag_flight_record",
-        "shard_map",
-        "shard_status",
-        "shard_install",
-        "shard_export",
-        "shard_import",
-        "shard_evict",
-        "shard_apply",
-        "shard_resolve",
-    }
-)
-
 
 def usage_schema() -> TableSchema:
     """USAGE_ROLLUPS — one row per (principal, rollup period).
@@ -374,12 +347,13 @@ class UsageMeter:
             self._period_start = self._quantize(self.clock.epoch())
 
 
-def hot_operations(snapshot: dict, limit: int = 5) -> list[dict]:
+def hot_operations(snapshot: dict, limit: int = 5, skip: Collection[str] = ()) -> list[dict]:
     """Rank bank ops by request count from a metrics snapshot.
 
     Reads the ``bank.op.<op>.requests`` / ``.errors`` counters and the
     ``.latency_seconds`` histogram summaries the dispatch wrapper
-    maintains; cluster-plumbing ops (:data:`UNTRACKED_OPS`) are skipped.
+    maintains; *skip* names the ops to leave out (the caller passes the
+    op table's untracked rows: cluster plumbing is not workload).
     """
     ops: dict[str, dict] = {}
 
@@ -393,16 +367,16 @@ def hot_operations(snapshot: dict, limit: int = 5) -> list[dict]:
             continue
         if key.endswith(".requests"):
             op = key[len("bank.op."):-len(".requests")]
-            if op not in UNTRACKED_OPS:
+            if op not in skip:
                 entry(op)["requests"] = int(value)
         elif key.endswith(".errors"):
             op = key[len("bank.op."):-len(".errors")]
-            if op not in UNTRACKED_OPS:
+            if op not in skip:
                 entry(op)["errors"] = int(value)
     for key, summary in snapshot.get("histograms", {}).items():
         if key.startswith("bank.op.") and key.endswith(".latency_seconds"):
             op = key[len("bank.op."):-len(".latency_seconds")]
-            if op not in UNTRACKED_OPS:
+            if op not in skip:
                 entry(op)["p95_seconds"] = float(summary.get("p95", 0.0))
     ranked = sorted(ops.values(), key=lambda e: (-e["requests"], e["op"]))
     return [e for e in ranked if e["requests"] > 0][: max(0, limit)]

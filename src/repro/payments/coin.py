@@ -156,9 +156,11 @@ def install(server) -> GridCoinProtocol:
 
     This is the whole integration — three rows in the server's op table.
     Nothing in GB Accounts, GB Security, or the other protocol modules
-    changes, and the rows get what every mutating operation gets: the
-    shard guard, primary-only service, exactly-once replay of a re-sent
-    idempotency key, account stripes, and ``bank.op.*`` instruments.
+    changes, and the rows get what every write gets: the shard guard,
+    primary-only service, exactly-once replay of a re-sent idempotency
+    key, the ``standing`` access check, account stripes, usage metering
+    (a redemption reports the coin's value as currency moved) and
+    ``bank.op.*`` instruments.
     """
     protocol = GridCoinProtocol(
         server.accounts, server.registry, server.identity.private_key,
@@ -166,13 +168,11 @@ def install(server) -> GridCoinProtocol:
     )
 
     def op_mint_coins(subject: str, params: dict):
-        server._require_standing(subject)
         count = params.get("count", 1)
         coins = protocol.mint(subject, params["account_id"], params["value"], count=count)
         return {"coins": [coin.to_dict() for coin in coins]}
 
     def op_redeem_coin(subject: str, params: dict):
-        server._require_standing(subject)
         return protocol.redeem(
             subject,
             GridCoin.from_dict(params["coin"]),
@@ -181,14 +181,20 @@ def install(server) -> GridCoinProtocol:
         )
 
     def op_refund_coin(subject: str, params: dict):
-        server._require_standing(subject)
         return {"refunded": protocol.refund(subject, GridCoin.from_dict(params["coin"]))}
 
     # a coin's wire dict carries its drawer account like a cheque's does;
     # a redemption adds the payee account from the request
     coin_accounts = server._instrument_accounts("coin")
     mint_accounts = server._param_accounts("account_id")
-    server.register("MintGridCoins", op_mint_coins, mint_accounts, mutating=True)
-    server.register("RedeemGridCoin", op_redeem_coin, coin_accounts, mutating=True)
-    server.register("RefundGridCoin", op_refund_coin, coin_accounts, mutating=True)
+    server.register(
+        "MintGridCoins", op_mint_coins, mint_accounts, access="standing", kind="write"
+    )
+    server.register(
+        "RedeemGridCoin", op_redeem_coin, coin_accounts, access="standing", kind="write",
+        moved=lambda params, result: result["paid"],
+    )
+    server.register(
+        "RefundGridCoin", op_refund_coin, coin_accounts, access="standing", kind="write"
+    )
     return protocol

@@ -10,10 +10,16 @@ import random
 import pytest
 
 from repro.bank.cluster import ClusterNode
+from repro.bank.server import GridBankServer
 from repro.bank.shard import ShardMap, ShardNode
 from repro.crypto.rsa import RSAKeyPair, generate_keypair
 from repro.net.rpc import RequestContext, request_scope
 from repro.net.transport import InProcessNetwork
+from repro.payments import coin
+from repro.pki.ca import CertificateAuthority
+from repro.pki.certificate import DistinguishedName
+from repro.pki.validation import CertificateStore
+from repro.util.gbtime import VirtualClock
 
 
 def deliver_keyed(bank, method: str, subject: str, key: str, **params):
@@ -51,6 +57,25 @@ def keypair_c() -> RSAKeyPair:
 @pytest.fixture(scope="session")
 def ca_keypair() -> RSAKeyPair:
     return generate_keypair(bits=512, rng=random.Random(2001))
+
+
+@pytest.fixture()
+def attached_bank(ca_keypair, keypair_a):
+    """A bank with everything that adds rows to the op table attached:
+    the core sec 5.2 / 5.2.1 listing, the cluster plane, the shard plane
+    and the GridCoin extension."""
+    clock = VirtualClock()
+    ca = CertificateAuthority(
+        DistinguishedName("GridBank", "Root CA"), clock=clock, keypair=ca_keypair
+    )
+    identity = ca.issue_identity(DistinguishedName("GridBank", "server"), keypair=keypair_a)
+    bank = GridBankServer(identity, CertificateStore([ca.root_certificate]), clock=clock)
+    node = ClusterNode(bank, "here", InProcessNetwork().connect)
+    shard = ShardNode(node, "s1")
+    coin.install(bank)
+    yield bank
+    shard.close()
+    node.close()
 
 
 @pytest.hookimpl(hookwrapper=True)

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.bank.server import GridBankServer
+from repro.bank.server import PRIMARY, READ, WRITE, GridBankServer
 from repro.crypto.hashes import HashChain
 from repro.errors import (
     AuthorizationError,
@@ -462,6 +462,18 @@ READS = {
 NO_ACCOUNT = {"CreateAccount", "FetchConfirmations", "Admin.AddAdministrator"}
 
 
+# for the properties over a fully attached bank (core + cluster plane +
+# shard plane + GridCoin), whatever its rows are
+STRANGER = "/O=Nowhere/CN=stranger"
+# enough for every row's accounts_of / reply_key extractor to run
+PROBE = {"account_id": "01-0001-00000001", "from_account": "01-0001-00000001",
+         "to_account": "01-0001-00000002", "intent_id": "probe"}
+PRIMARY_ONLY = {
+    "Shard.Install", "Shard.Export", "Shard.Import", "Shard.Evict", "Shard.Resolve",
+    "Replication.Snapshot", "Replication.Fetch",
+}
+
+
 class TestOpTable:
     def test_registered_methods_and_their_classification(self, bank):
         assert set(bank.ops) == MUTATING | READS
@@ -486,11 +498,12 @@ class TestOpTable:
 
     @pytest.mark.parametrize(
         "refusal, reply_cached",
-        [(WrongShardError, False), (NotPrimaryError, True)],
-        ids=["wrong_shard_before_role", "role_before_reply_cache"],
+        [(WrongShardError, False), (NotPrimaryError, True), (AuthorizationError, True)],
+        ids=["wrong_shard_before_role", "role_before_reply_cache", "replay_before_access"],
     )
     def test_check_order(self, bank, grid, refusal, reply_cached):
-        """Which refusal a standby gives when more than one applies."""
+        """Which refusal a request gets when more than one applies:
+        shard, then role, then the replay, then the access check."""
         admin = grid["admin_ident"].subject
         account = bank.accounts.create_account(grid["alice"].subject)
         deposit = dict(account_id=account, amount=Credits(5))
@@ -504,14 +517,115 @@ class TestOpTable:
             # a standby of the shard that does not own the account: the
             # client must learn the owning shard, not this shard's primary
             shard = attach_foreign_shard(bank, account)
-        bank.role = "standby"
+        key = "order-1"
+        if refusal is AuthorizationError:
+            # a primary whose caller has lost the administrator bit: the key
+            # it used while it held the bit still replays, a new one is refused
+            bank.admin.remove_administrator(admin)
+            assert deliver_keyed(bank, "Admin.Deposit", admin, key, **deposit) == first
+            key = "order-2"
+        else:
+            bank.role = "standby"
         hits = obs_metrics.counter("bank.dedup_hits")
         before = hits.value
         try:
             with pytest.raises(refusal):
-                deliver_keyed(bank, "Admin.Deposit", admin, "order-1", **deposit)
+                deliver_keyed(bank, "Admin.Deposit", admin, key, **deposit)
         finally:
             if shard is not None:
                 shard.close()
         assert hits.value == before
         assert bank.accounts.available_balance(account) == Credits(5 if reply_cached else 0)
+
+
+    def test_moved_column_meters_every_row_that_moves_money(self, bank, grid):
+        alice, gsp, admin = (grid[who].subject for who in ("alice", "gsp", "admin_ident"))
+        moving = {
+            "RequestDirectTransfer", "RedeemGridCheque", "RedeemGridChequeBatch",
+            "RedeemGridHash", "Admin.Deposit", "Admin.Withdraw",
+        }
+        assert {m for m, op in bank.ops.items() if op.moved is not None} == moving
+
+        def call(method, subject, **params):
+            return deliver_keyed(bank, method, subject, "", **params)
+
+        src, dst = bank.accounts.create_account(alice), bank.accounts.create_account(gsp)
+        call("Admin.Deposit", admin, account_id=src, amount=Credits(100))
+        call("Admin.Withdraw", admin, account_id=src, amount=10)
+        call("RequestDirectTransfer", alice, from_account=src, to_account=dst, amount=Credits(5))
+        cheques = [
+            call("RequestGridCheque", alice, account_id=src, payee_subject=gsp,
+                 amount=Credits(10))["cheque"]
+            for _ in range(3)
+        ]
+        call("RedeemGridCheque", gsp, cheque=cheques[0], payee_account=dst, charge=Credits(8))
+        items = [{"cheque": c, "payee_account": dst, "charge": Credits(3)} for c in cheques]
+        assert [r["ok"] for r in call("RedeemGridChequeBatch", gsp, items=items)] == [False, True, True]
+        chain = HashChain(4, rng=random.Random(4))
+        commitment = call(
+            "RequestGridHash", alice, account_id=src, payee_subject=gsp,
+            root=chain.root, length=4, link_value=Credits(0.5),
+        )["commitment"]
+        call("RedeemGridHash", gsp, commitment=commitment, payee_account=dst,
+             index=2, link=chain.link(2))
+        moved = {row["principal"]: row["currency_moved"] for row in bank.usage.top_principals(5)}
+        assert moved == {admin: 110.0, alice: 5.0, gsp: 8.0 + 6.0 + 1.0}
+
+    # -- properties over every row of a fully attached bank --------------------
+
+    def test_every_row_says_who_may_call(self, attached_bank):
+        bank = attached_bank
+        assert set(bank.access) == {"anyone", "standing", "admin", "peer"}
+        named = {check: name for name, check in bank.access.items()}
+        by_access = {method: named[op.access] for method, op in bank.ops.items()}
+        assert {m for m, name in by_access.items() if name == "anyone"} == {
+            "BankInfo", "CreateAccount", "Shard.Map",
+        }
+        assert {m for m, name in by_access.items() if name == "admin"} == {
+            m for m in bank.ops if m.startswith("Admin.")
+        } | {"Cluster.Promote", "Integrity.Repair"}
+        with pytest.raises(TypeError):
+            bank.register("Nameless", bank.op_bank_info)  # access has no default
+
+    def test_row_kinds(self, attached_bank):
+        ops = attached_bank.ops
+        assert {op.kind for op in ops.values()} == {READ, PRIMARY, WRITE}
+        assert {m for m, op in ops.items() if op.kind == PRIMARY} == PRIMARY_ONLY
+        assert {m for m, op in ops.items() if op.mutating} == {
+            m for m, op in ops.items() if op.kind == WRITE
+        } == MUTATING | {"Shard.Apply", "MintGridCoins", "RedeemGridCoin", "RefundGridCoin"}
+        with pytest.raises(ValueError):
+            attached_bank.register("Odd", attached_bank.op_bank_info, access="anyone", kind="cached")
+
+    def test_a_stranger_is_refused_before_anything_is_taken(self, attached_bank, monkeypatch):
+        bank = attached_bank
+        taken = []
+        for owner, name in ((bank.db, "transaction"), (bank.locks, "exclusive"), (bank.locks, "shared")):
+            inner = getattr(owner, name)
+            monkeypatch.setattr(
+                owner, name, lambda *a, _inner=inner, _name=name: taken.append(_name) or _inner(*a)
+            )
+        position = bank.db.replication_position()
+        guarded = [m for m, op in bank.ops.items() if op.access is not bank.access["anyone"]]
+        assert len(guarded) == len(bank.ops) - 3
+        for method in guarded:
+            with pytest.raises(AuthorizationError):
+                deliver_keyed(bank, method, STRANGER, f"stranger-{method}", **PROBE)
+            assert bank.db.find("replies", (f"stranger-{method}",)) is None
+        assert taken == []
+        assert bank.db.replication_position() == position
+
+    def test_writes_and_primary_only_rows_refuse_on_a_standby(self, attached_bank):
+        bank = attached_bank
+        bank.role, bank.primary_address = "standby", "primary:7"
+        position = bank.db.replication_position()
+        needs_primary = [m for m, op in bank.ops.items() if op.kind != READ]
+        assert set(needs_primary) >= PRIMARY_ONLY | MUTATING
+        for method in needs_primary:
+            # even for a caller the access check would refuse: role comes first
+            with pytest.raises(NotPrimaryError) as caught:
+                deliver_keyed(bank, method, STRANGER, f"standby-{method}", **PROBE)
+            assert caught.value.primary_address == "primary:7"
+        assert bank.db.replication_position() == position
+        # reads keep answering there
+        assert deliver_keyed(bank, "BankInfo", STRANGER, "")["role"] == "standby"

@@ -137,6 +137,30 @@ class TestServe:
         assert "server stopped" in out
 
 
+    @pytest.mark.parametrize(
+        "flags, complaint",
+        [
+            (["--backend", "async", "--workers", "0"], "--workers must be >= 1 on the async"),
+            (["--backend", "async", "--dispatch-queue", "0"], "--dispatch-queue must be >= 1"),
+            (["--workers", "-1"], "--workers must be >= 0 on the threads"),
+            (["--max-connections", "0"], "--max-connections must be >= 1"),
+            (["--rate-limit", "-5"], "--rate-limit must be > 0"),
+            (["--sample-op", "direct_transfer=often"], "--sample-op expects OP=RATE"),
+        ],
+    )
+    def test_bad_flags_are_refused_before_anything_starts(self, home, capsys, flags, complaint):
+        from repro.obs import diag as obs_diag
+
+        code, out, err = run(["serve", "--home", home, "--duration", "0.2", *flags], capsys)
+        assert code == 1
+        assert err.startswith("error: ") and complaint in err and "Traceback" not in err
+        assert out == ""  # not even the diagnosis-plane banner
+        assert obs_diag.active_plane() is None
+        # nothing was opened either: the home serves straight afterwards
+        code, out, _ = run(["serve", "--home", home, "--workers", "0", "--duration", "0.1"], capsys)
+        assert code == 0 and "server stopped" in out
+
+
 class TestFsck:
     def _seed(self, home, capsys):
         _, out, _ = run(["create-account", "--home", home, "--subject", "/O=A/CN=a"], capsys)

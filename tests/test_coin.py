@@ -154,6 +154,13 @@ class TestInheritsTheGuards:
         assert keyed(world, "RedeemGridCoin", BOB, "redeem-1", **redeem) == paid
         assert world["bank"].accounts.available_balance(world["accounts"]["bob"]) == Credits(3)
 
+    def test_a_redemption_is_metered_at_the_coins_value(self, world):
+        (coin,) = world["protocol"].mint(ALICE, world["accounts"]["alice"], Credits(7))
+        redeem = dict(coin=coin.to_dict(), payee_account=world["accounts"]["bob"])
+        keyed(world, "RedeemGridCoin", BOB, "redeem-7", **redeem)
+        (bob,) = [r for r in world["bank"].usage.top_principals(5) if r["principal"] == BOB]
+        assert bob["ops"] == 1 and bob["currency_moved"] == 7.0
+
     def test_standby_refuses_all_three(self, world):
         account = world["accounts"]["alice"]
         (coin,) = world["protocol"].mint(ALICE, account, Credits(4))

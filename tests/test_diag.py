@@ -44,7 +44,6 @@ from repro.obs.diag import (
 from repro.obs.export import render_prometheus
 from repro.obs.logging import get_logger
 from repro.obs.slo import Objective, SLOEngine
-from repro.obs.usage import UNTRACKED_OPS
 from repro.pki.ca import CertificateAuthority
 from repro.pki.certificate import DistinguishedName
 from repro.pki.validation import CertificateStore
@@ -792,9 +791,10 @@ class TestDiagRPCs:
         finally:
             client.close()
 
-    def test_diag_ops_are_untracked_and_unmetered(self):
-        assert "diag_profile" in UNTRACKED_OPS
-        assert "diag_flight_record" in UNTRACKED_OPS
+    def test_diag_ops_are_untracked_and_unmetered(self, cluster):
+        ops = cluster["banks"][0].ops
+        assert not ops["Diag.Profile"].tracked
+        assert not ops["Diag.FlightRecord"].tracked
 
 
 class TestDebugBundle:

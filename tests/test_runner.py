@@ -189,7 +189,8 @@ class TestLifecycle:
 
 
 class TestLintRule:
-    """``make lint`` keeps ``threading.Thread`` out of bank/, db/ and obs/."""
+    """``make lint`` keeps ``threading.Thread`` out of bank/, db/ and obs/,
+    and access/role checks out of op handlers."""
 
     def _tool(self):
         spec = importlib.util.spec_from_file_location(
@@ -218,6 +219,31 @@ class TestLintRule:
         tool = self._tool()
         assert sorted(line for line, _ in tool.find_offences(source, threads=True)) == [3, 5, 7, 8]
         assert tool.find_offences(source) == []  # the rule is scoped by package
+
+    def test_access_and_role_checks_inside_handlers_are_offences(self, tmp_path):
+        source = tmp_path / "plane.py"
+        source.write_text(
+            "class ShardNode:\n"
+            "    def coordinate(self, subject, params, key):\n"
+            "        self.bank._require_standing(subject)\n"
+            "        self.bank._require_owner_or_admin(subject, params['from_account'])\n"
+            "    def op_shard_install(self, subject, params):\n"
+            "        self.node._require_peer(subject)\n"
+            "        self._require_primary('Shard.Install')\n"
+            "    def _require_primary(self, what):\n"
+            "        _require_admin(what)\n"  # not a handler: the definitions may call anything
+            "class Other:\n"
+            "    def coordinate(self, subject):\n"
+            "        self._require_standing(subject)\n"
+            "def install(server):\n"
+            "    def op_mint_coins(subject, params):\n"
+            "        server._require_standing(subject)\n"
+            "    server.register('Mint', op_mint_coins, access=server._require_standing)\n",
+            encoding="utf-8",
+        )
+        tool = self._tool()
+        assert sorted(line for line, _ in tool.find_offences(source, handlers=True)) == [3, 6, 7, 15]
+        assert tool.find_offences(source) == []  # the rule is scoped to src/
 
     def test_the_tree_is_clean(self):
         assert self._tool().main() == 0

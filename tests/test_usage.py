@@ -14,7 +14,6 @@ import pytest
 from repro.db.database import Database
 from repro.obs import metrics as obs_metrics
 from repro.obs.usage import (
-    UNTRACKED_OPS,
     USAGE_TABLE,
     UsageMeter,
     hot_operations,
@@ -22,6 +21,7 @@ from repro.obs.usage import (
 from repro.rur.formats import from_blob
 from repro.util.gbtime import VirtualClock
 from repro.util.serialize import canonical_loads
+from tests.conftest import deliver_keyed
 
 ALICE = "O=VO-A, CN=alice"
 BOB = "O=VO-B, CN=bob"
@@ -231,7 +231,7 @@ class TestQuerySide:
 
 
 class TestHotOperations:
-    def test_ranks_bank_ops_and_skips_cluster_plumbing(self):
+    def test_ranks_bank_ops_and_skips_cluster_plumbing(self, attached_bank):
         snapshot = {
             "counters": {
                 "bank.op.direct_transfer.requests": 40,
@@ -246,7 +246,8 @@ class TestHotOperations:
                 "bank.op.replication_fetch.latency_seconds": {"p95": 0.5},
             },
         }
-        ranked = hot_operations(snapshot, limit=5)
+        plumbing = {op.name for op in attached_bank.ops.values() if not op.tracked}
+        ranked = hot_operations(snapshot, limit=5, skip=plumbing)
         assert [e["op"] for e in ranked] == ["direct_transfer", "account_statement"]
         assert ranked[0]["errors"] == 2
         assert ranked[0]["p95_seconds"] == pytest.approx(0.125)
@@ -255,7 +256,20 @@ class TestHotOperations:
     def test_zero_request_ops_are_omitted(self):
         assert hot_operations({"counters": {"bank.op.pay.errors": 3}}) == []
 
-    def test_untracked_ops_cover_the_cluster_plane(self):
-        assert "replication_fetch" in UNTRACKED_OPS
-        assert "telemetry_snapshot" in UNTRACKED_OPS
-        assert "direct_transfer" not in UNTRACKED_OPS
+    def test_untracked_ops_cover_the_cluster_plane(self, attached_bank):
+        ops = attached_bank.ops
+        assert not ops["Replication.Fetch"].tracked
+        assert not ops["Telemetry.Snapshot"].tracked
+        assert ops["RequestDirectTransfer"].tracked
+
+    def test_a_health_poll_is_neither_sampled_nor_billed(self, attached_bank):
+        bank = attached_bank
+        slo_before = bank.slo.snapshot()
+        status = deliver_keyed(bank, "Integrity.Status", bank.subject, "")
+        assert status["ok"] is True
+        assert bank.slo.snapshot() == slo_before
+        assert bank.usage.top_principals(5) == []
+        # ... while principal workload on the same bank is both
+        deliver_keyed(bank, "BankInfo", bank.subject, "")
+        assert bank.slo.snapshot() != slo_before
+        assert [row["ops"] for row in bank.usage.top_principals(5)] == [1]

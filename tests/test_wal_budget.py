@@ -11,7 +11,10 @@ own spans still holds the primary's WAL byte for byte.
 
 import random
 
+import pytest
+
 from repro.cli import _workload_span_sink
+from repro.errors import AuthorizationError
 from repro.net.rpc import RPCClient
 from repro.obs import trace as obs_trace
 from repro.obs.sampling import SamplingPolicy, SamplingSpanSink
@@ -28,7 +31,7 @@ TRANSFER_LINE_MAX = 1_800
 def _serve_sinks(world):  # noqa: F811
     """What ``cmd_serve`` installs, once per node."""
     return [
-        SamplingSpanSink(_workload_span_sink(world[bank].spans), SamplingPolicy())
+        SamplingSpanSink(_workload_span_sink(world[bank]), SamplingPolicy())
         for bank in ("bank_a", "bank_b")
     ]
 
@@ -86,3 +89,31 @@ def test_transfer_appends_one_record_and_a_read_appends_none(world, tmp_path):  
     # each node's spans are files beside its own database directory
     assert list((tmp_path / "spans" / A).iterdir())
     assert list((tmp_path / "spans" / B).iterdir())
+
+
+def test_plumbing_spans_stay_out_of_the_ring(world):  # noqa: F811
+    """The serve-time sink stores principal workload only: what the op
+    table marks untracked (scrapes, health polls, failover verbs) would
+    turn the bounded ring over at the poll rate."""
+    primary = world["bank_a"]
+    wait_caught_up(primary, world["bank_b"])
+    admin = world["admin"]._client
+    sink = SamplingSpanSink(_workload_span_sink(primary), SamplingPolicy())
+    obs_trace.add_sink(sink)
+    try:
+        stored = len(primary.spans)
+        assert admin.call("Telemetry.Snapshot")["role"] == "primary"
+        assert admin.call("Integrity.Status")["ok"] is True
+        with pytest.raises(AuthorizationError, match="stale demotion"):
+            admin.call("Cluster.Demote", cluster_epoch=0, primary_address=B)
+        assert len(primary.spans) == stored
+        # what plumbing runs underneath is still stored, and so is workload
+        with obs_trace.span("shard.2pc", kind="shard"):
+            pass
+        assert len(primary.spans) == stored + 1
+        world["alice"].request_direct_transfer(
+            world["alice_account"], world["gsp_account"], Credits(5)
+        )
+        assert len(primary.spans) >= stored + 3  # + dispatch + bank.op
+    finally:
+        obs_trace.remove_sink(sink)

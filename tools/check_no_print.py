@@ -18,6 +18,14 @@ or ``Thread`` subclass under ``src/repro/bank``, ``src/repro/db`` or
 ``src/repro/obs`` fails too (the runner module is the only construction
 site in ``src/`` outside ``net/``).
 
+Third rule, same walk: who may call an operation and which role serves
+it are columns of the bank's op table (``access``, ``kind``), checked by
+``GridBankServer.dispatch`` before a stripe or a transaction is taken.
+So under ``src/`` a function named ``op_*``, or ``ShardNode.coordinate``
+(the 2PC path dispatch hands a transfer instead of its handler), that
+calls ``_require_standing``, ``_require_admin``, ``_require_peer`` or
+``_require_primary`` fails.
+
 Run via ``make lint`` (also: ``python tools/check_no_print.py``).
 """
 
@@ -51,9 +59,27 @@ def _is_thread(node: ast.expr) -> bool:
     )
 
 
-def find_offences(path: Path, threads: bool = False) -> list[tuple[int, str]]:
-    """``(line, what)`` for each bare ``print(...)`` call in *path* and,
-    with *threads*, each ``Thread(...)`` construction or subclass."""
+# the subject-class and role checks the op table's columns replace
+ROW_CHECKS = {"_require_standing", "_require_admin", "_require_peer", "_require_primary"}
+
+
+def _row_checks(function: ast.AST) -> list[tuple[int, str]]:
+    """Calls of a :data:`ROW_CHECKS` name anywhere inside *function*."""
+    found = []
+    for node in ast.walk(function):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            if name in ROW_CHECKS:
+                found.append((node.lineno, f"{name}() in {function.name}: declare it on the op's row"))
+    return found
+
+
+def find_offences(
+    path: Path, threads: bool = False, handlers: bool = False
+) -> list[tuple[int, str]]:
+    """``(line, what)`` for each bare ``print(...)`` call in *path*; with
+    *threads*, each ``Thread(...)`` construction or subclass; with
+    *handlers*, each access or role check inside an op handler."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     found = []
     for node in ast.walk(tree):
@@ -62,8 +88,15 @@ def find_offences(path: Path, threads: bool = False) -> list[tuple[int, str]]:
                 found.append((node.lineno, "print()"))
             elif threads and _is_thread(node.func):
                 found.append((node.lineno, "Thread() outside the Runner"))
-        elif threads and isinstance(node, ast.ClassDef) and any(map(_is_thread, node.bases)):
-            found.append((node.lineno, "Thread subclass"))
+        elif isinstance(node, ast.ClassDef):
+            if threads and any(map(_is_thread, node.bases)):
+                found.append((node.lineno, "Thread subclass"))
+            if handlers and node.name == "ShardNode":
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and item.name == "coordinate":
+                        found.extend(_row_checks(item))
+        elif handlers and isinstance(node, ast.FunctionDef) and node.name.startswith("op_"):
+            found.extend(_row_checks(node))
     return found
 
 
@@ -80,15 +113,16 @@ def main() -> int:
             scanned += 1
             threads = any(package in relative.parents for package in NO_THREAD_PACKAGES)
             try:
-                for line, what in find_offences(path, threads):
+                for line, what in find_offences(path, threads, handlers=root.name == "src"):
                     offenders.append((path.relative_to(REPO_ROOT), line, what))
             except SyntaxError as exc:
                 print(f"check_no_print: cannot parse {path}: {exc}", file=sys.stderr)
                 return 1
     if offenders:
         print(
-            "library code must log through repro.obs.logging, not print(), and run "
-            "background work as a step under repro.util.runner.Runner:",
+            "library code must log through repro.obs.logging, not print(), run "
+            "background work as a step under repro.util.runner.Runner, and leave "
+            "who may call an op to its row in the op table:",
             file=sys.stderr,
         )
         for relative, line, what in offenders:
