@@ -26,7 +26,7 @@ import pytest
 from repro.bank.server import GridBankServer
 from repro.crypto.signature import configure_verify_cache
 from repro.db.database import Database
-from repro.net.rpc import RPCClient
+from repro.net.rpc import RPCClient, session_cache
 from repro.net.tcp import TCPClientConnection, TCPServer
 from repro.obs import metrics as obs_metrics
 from repro.pki.ca import CertificateAuthority
@@ -94,8 +94,10 @@ def measure_serialized_baseline(tmp_path) -> float:
         for attempt in range(2):  # best-of-2 smooths scheduler noise
             start = time.perf_counter()
             for i in range(BASELINE_JOBS):
+                # the seed had no session cache: a trust store of its own
+                # per job is what makes every job sign on in full
                 client = RPCClient(
-                    TCPClientConnection(server.address), ident, store,
+                    TCPClientConnection(server.address), ident, CertificateStore(store.roots()),
                     clock=clock, rng=random.Random(1000 + attempt * 1000 + i),
                 )
                 client.connect()
@@ -177,7 +179,7 @@ def test_conc_8_clients_vs_serialized(benchmark, concurrent_world, tmp_path):
     # cache re-verifies the same certificates and hits instead of paying RSA
     client0 = concurrent_world["clients"][0][0]
     for _ in range(2):  # first handshake refills the cleared cache, second hits
-        client0._session = None
+        session_cache.clear()
         client0._connection.close()
         client0.call("BankInfo")
     assert obs_metrics.counter("crypto.verify_cache.hits").value > 0

@@ -12,7 +12,7 @@ import random
 import pytest
 
 from _worlds import connect_client, make_bank_world
-from repro.net.rpc import ConnectionRefused, RPCClient
+from repro.net.rpc import ConnectionRefused, RPCClient, session_cache
 from repro.pki.certificate import DistinguishedName
 from repro.util.money import Credits
 
@@ -35,6 +35,7 @@ def test_fig3_security_layer_handshake(benchmark, world):
 
     def connect_and_close():
         seq[0] += 1
+        session_cache.clear()  # Fig. 3's security layer is the full handshake, not a resume
         client = connect_client(world, world["alice"], seed=100 + seq[0])
         client.close()
 

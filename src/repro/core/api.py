@@ -18,7 +18,6 @@ from typing import Optional, Sequence
 from repro.crypto.hashes import HashChain
 from repro.crypto.keys import public_key_from_dict
 from repro.crypto.rsa import RSAPublicKey
-from repro.errors import ReproError, TransportError
 from repro.net.rpc import RPCClient
 from repro.payments.cheque import GridCheque
 from repro.payments.direct import TransferConfirmation
@@ -146,55 +145,6 @@ class GridBankAPI:
             ],
         )
 
-    def redeem_cheque_batch_pipelined(
-        self, items: Sequence[tuple[GridCheque, str, Credits, bytes]], window: int = 32
-    ) -> list[dict]:
-        """Redeem many cheques as independent pipelined ``RedeemGridCheque``
-        calls on one connection.
-
-        Same per-item result shape as :meth:`redeem_cheque_batch` (``ok``/
-        ``position``/settlement fields), but instead of one large request
-        executed serially inside the bank, up to *window* redemptions are
-        in flight at once and the server overlaps their signature checks
-        and settlements on its worker pool. A rejected cheque yields an
-        ``ok: False`` entry; a transport failure aborts the whole batch
-        (unfinished items were never acknowledged — their idempotency
-        keys make a replay through ``call()`` safe).
-        """
-        results: list[dict] = []
-        with self._client.pipeline(window) as pl:
-            calls = [
-                pl.submit(
-                    "RedeemGridCheque",
-                    cheque=cheque.to_dict(),
-                    payee_account=payee_account,
-                    charge=charge,
-                    rur_blob=rur_blob,
-                )
-                for cheque, payee_account, charge, rur_blob in items
-            ]
-            for position, call in enumerate(calls):
-                try:
-                    settled = call.result()
-                except TransportError:
-                    raise
-                except ReproError as exc:
-                    results.append(
-                        {
-                            "ok": False,
-                            "position": position,
-                            "cheque_id": items[position][0].cheque_id,
-                            "transaction_id": None,
-                            "paid": Credits(0),
-                            "released": Credits(0),
-                            "error_type": type(exc).__name__,
-                            "error": str(exc),
-                        }
-                    )
-                else:
-                    results.append({"ok": True, "position": position, **settled})
-        return results
-
     def cancel_cheque(self, cheque: GridCheque) -> Credits:
         return self._client.call("CancelGridCheque", cheque=cheque.to_dict())["released"]
 
@@ -236,57 +186,6 @@ class GridBankAPI:
             link=tick.link if tick is not None else b"",
             rur_blob=rur_blob,
         )
-
-    def redeem_hashchain_batch_pipelined(
-        self,
-        items: Sequence[tuple[GridHashCommitment, str, Optional[PaymentTick], bytes]],
-        window: int = 32,
-    ) -> list[dict]:
-        """Settle many hash-chain commitments as pipelined ``RedeemGridHash``
-        calls — the pay-as-you-go mirror of
-        :meth:`redeem_cheque_batch_pipelined`, same ``ok``-tagged entries.
-        """
-        results: list[dict] = []
-        with self._client.pipeline(window) as pl:
-            calls = [
-                pl.submit(
-                    "RedeemGridHash",
-                    commitment=commitment.to_dict(),
-                    payee_account=payee_account,
-                    index=tick.index if tick is not None else 0,
-                    link=tick.link if tick is not None else b"",
-                    rur_blob=rur_blob,
-                )
-                for commitment, payee_account, tick, rur_blob in items
-            ]
-            for position, call in enumerate(calls):
-                try:
-                    settled = call.result()
-                except TransportError:
-                    raise
-                except ReproError as exc:
-                    results.append(
-                        {
-                            "ok": False,
-                            "position": position,
-                            "commitment_id": items[position][0].commitment_id,
-                            "transaction_id": None,
-                            "paid": Credits(0),
-                            "released": Credits(0),
-                            "links_redeemed": 0,
-                            "error_type": type(exc).__name__,
-                            "error": str(exc),
-                        }
-                    )
-                else:
-                    results.append({"ok": True, "position": position, **settled})
-        return results
-
-    def pipeline(self, window: int = 32):
-        """Raw pipelined-call context on the underlying client (see
-        :meth:`repro.net.rpc.RPCClient.pipeline`) for callers composing
-        their own batches, e.g. the charging module's bulk settlement."""
-        return self._client.pipeline(window)
 
     # -- misc ------------------------------------------------------------------------------
 

@@ -15,7 +15,7 @@ payment instrument for processing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 from repro.core.api import GridBankAPI
 from repro.core.rates import ServiceRatesRecord
@@ -221,68 +221,6 @@ class GridBankChargingModule:
         obs_metrics.counter("core.charging.amount_charged").inc(calculation.total.to_float())
         obs_metrics.counter("core.charging.revenue").inc(earned.to_float())
         return calculation, result
-
-    def settle_many(
-        self,
-        jobs: Sequence[tuple[str, ResourceUsageRecord, ServiceRatesRecord]],
-    ) -> list[tuple[ChargeCalculation, dict]]:
-        """Settle several engagements in one pipelined bank interaction.
-
-        The charge calculations happen locally as in :meth:`settle`; the
-        cheque and hash-chain redemptions then go out as pipelined RPCs on
-        one connection, so the bank overlaps their signature checks and
-        ledger transactions instead of serializing full round trips.
-        Results are in *jobs* order. Unlike per-call :meth:`settle` there
-        is no transparent retry inside the pipeline — a transport failure
-        raises before any bookkeeping is applied for the affected jobs.
-        """
-        prepared = []
-        for ref, rur, rates in jobs:
-            ticket = self._ticket(ref)
-            prepared.append((ref, ticket, self.calculate_charge(rur, rates), to_blob(rur)))
-        results: list[Optional[dict]] = [None] * len(prepared)
-        with self.bank.pipeline() as pl:
-            calls = []
-            for idx, (_ref, ticket, calculation, rur_blob) in enumerate(prepared):
-                instrument = ticket.instrument
-                if isinstance(instrument, GridCheque):
-                    charge = calculation.total
-                    if charge > instrument.amount_limit:
-                        charge = instrument.amount_limit
-                    calls.append((idx, pl.submit(
-                        "RedeemGridCheque",
-                        cheque=instrument.to_dict(),
-                        payee_account=self.gsp_account_id,
-                        charge=charge,
-                        rur_blob=rur_blob,
-                    )))
-                elif isinstance(instrument, GridHashCommitment):
-                    assert ticket.verifier is not None
-                    tick = ticket.verifier.best_tick
-                    calls.append((idx, pl.submit(
-                        "RedeemGridHash",
-                        commitment=instrument.to_dict(),
-                        payee_account=self.gsp_account_id,
-                        index=tick.index if tick is not None else 0,
-                        link=tick.link if tick is not None else b"",
-                        rur_blob=rur_blob,
-                    )))
-                else:
-                    results[idx] = {"paid": ZERO, "prepaid": True}
-            for idx, call in calls:
-                results[idx] = call.result()
-        settled: list[tuple[ChargeCalculation, dict]] = []
-        for (ref, _ticket, calculation, _blob), result in zip(prepared, results):
-            assert result is not None
-            earned = Credits(result.get("paid", ZERO))
-            self.release(ref)
-            self.charges_settled += 1
-            self.revenue = self.revenue + earned
-            obs_metrics.counter("core.charging.settlements").inc()
-            obs_metrics.counter("core.charging.amount_charged").inc(calculation.total.to_float())
-            obs_metrics.counter("core.charging.revenue").inc(earned.to_float())
-            settled.append((calculation, result))
-        return settled
 
     def release(self, ref: str) -> None:
         """End an engagement; when the consumer's last engagement ends,

@@ -297,6 +297,7 @@ class Database:
         self._wal_seq = 0
         self._snapshot_epoch = 1
         self._replication = None  # Optional[ReplicationLog], attached lazily
+        self._journal = None  # Optional[MemoryJournal]: what that log reads where there is no WAL
         # ``storage`` is a FaultyStorage-compatible shim routing file
         # opens and fsyncs through a disk fault plan in tests
         self._storage = storage
@@ -508,6 +509,13 @@ class Database:
             return self._storage.open(wal_file, mode)
         return open(wal_file, mode)
 
+    def _read_wal(self, offset: int, length: int) -> bytes:
+        """What the WAL file holds at ``[offset, offset + length)`` now —
+        the replication log's view of history, through the same storage
+        shim the writer uses."""
+        with self._open_wal(self._path / _WAL_NAME, "rb") as handle:
+            return os.pread(handle.fileno(), length, offset)
+
     def _fsync_handle(self, handle) -> None:
         if self._storage is not None:
             self._storage.fsync(handle)
@@ -679,6 +687,7 @@ class Database:
                     "restart to recover"
                 )
             crashpoint("db.commit.pre_write")
+            start = handle.tell()
             try:
                 handle.write(b"".join(payloads))
                 handle.flush()
@@ -690,18 +699,21 @@ class Database:
                 _log().error("wal.write_failed", reason=str(exc))
                 raise DatabaseError(f"journal write failed: {exc}") from exc
             crashpoint("db.commit.post_write")
-            self._record_committed(payloads)
+            self._record_committed(payloads, start)
 
-    def _record_committed(self, payloads: Sequence[bytes]) -> None:
-        """Advance the replication position past *payloads*, in the order
-        they hit the WAL. Caller holds ``_io_lock``, which is also what
-        makes log order identical to file order — the replication stream
-        a standby replays IS the byte sequence recovery would replay."""
+    def _record_committed(self, payloads: Sequence[bytes], start: int) -> None:
+        """Advance the replication position past *payloads*, written
+        back to back from journal offset *start*. Caller holds
+        ``_io_lock``, which is also what makes log order identical to
+        file order — the replication stream a standby replays IS the
+        byte sequence recovery would replay, read back from where
+        recovery would read it."""
         log = self._replication
         for payload in payloads:
             self._wal_seq += 1
             if log is not None:
-                log.append(self._snapshot_epoch, self._wal_seq, payload)
+                log.append(self._snapshot_epoch, self._wal_seq, start, len(payload))
+            start += len(payload)
 
     def _write_journal(self, redo_ops: list[dict]) -> None:
         if not redo_ops:
@@ -715,9 +727,9 @@ class Database:
             # forced into a snapshot resync rather than silently
             # streaming from a diverged position.
             with self._io_lock:
-                if self._replication is not None:
+                if self._journal is not None:
                     payload = integrity.frame_record(canonical_dumps({"ops": redo_ops}))
-                    self._record_committed([payload])
+                    self._record_committed([payload], self._journal.write(payload))
                 else:
                     self._wal_seq += 1
             return
@@ -775,20 +787,23 @@ class Database:
             integrity.fsync_dir(self._path)
             crashpoint("db.checkpoint.post_rename")
             with self._io_lock:
+                # new snapshot generation: sequence numbers restart and
+                # standbys polling the old epoch are told to resync. The
+                # log learns first: a fetch reads the WAL under the
+                # log's condition, so one racing this truncation sees
+                # the old bytes or the new epoch, never half a file
+                if self._replication is not None:
+                    self._replication.reset(self._snapshot_epoch + 1, 0)
                 if self._wal_handle is not None:
                     self._wal_handle.close()
                 self._wal_handle = self._open_wal(self._path / _WAL_NAME, "wb")
                 self._wal_handle.flush()
                 self._wal_poisoned = None  # fresh handle, fresh file
-                # new snapshot generation: sequence numbers restart and
-                # standbys polling the old epoch are told to resync
                 self._snapshot_epoch += 1
                 self._wal_seq = 0
                 integrity.atomic_write(
                     self._path / _EPOCH_NAME, b"%d 0" % self._snapshot_epoch
                 )
-                if self._replication is not None:
-                    self._replication.reset(self._snapshot_epoch, 0)
             crashpoint("db.checkpoint.post_truncate")
 
     # -- replication --------------------------------------------------------------
@@ -798,11 +813,21 @@ class Database:
         that records every journal line committed from now on. Lines
         committed *before* attachment are not in the log — a standby that
         needs them bootstraps from :meth:`state_dump` instead."""
-        from repro.db.replication import ReplicationLog
+        from repro.db.replication import MemoryJournal, ReplicationLog
 
         with self._io_lock:
-            if self._replication is None:
-                self._replication = ReplicationLog(self._snapshot_epoch, self._wal_seq)
+            if self._replication is not None:
+                return self._replication
+            if self._path is None:
+                journal = self._journal = MemoryJournal()
+                read, start, discard = journal.read, 0, journal.discard
+            else:
+                handle = self._wal_handle
+                read, discard = self._read_wal, None
+                start = handle.tell() if handle is not None else 0
+            self._replication = ReplicationLog(
+                self._snapshot_epoch, self._wal_seq, read, start, discard
+            )
             return self._replication
 
     def replication_position(self) -> tuple:
@@ -854,6 +879,8 @@ class Database:
                 self._wal_seq = int(dump["seq"])
                 if self._replication is not None:
                     self._replication.reset(self._snapshot_epoch, self._wal_seq)
+                if self._journal is not None:
+                    self._journal.truncate()
                 if self._path is not None and self._recovered:
                     snapshot_file = self._path / _SNAPSHOT_NAME
                     records = sum(len(rows) for rows in dump["tables"].values())
@@ -904,7 +931,8 @@ class Database:
             self._write_batch([payload])
         else:
             with self._io_lock:
-                self._record_committed([payload])
+                start = self._journal.write(payload) if self._journal is not None else 0
+                self._record_committed([payload], start)
         crashpoint("db.replication.post_apply")
 
     # -- storage integrity ---------------------------------------------------------

@@ -18,73 +18,126 @@ Epoch rules:
   log was attached after some lines were already written, or reset by a
   checkpoint) also gets ``resync`` — the log never invents history.
 
-The log lives entirely in memory: its contents are exactly the WAL
-lines since the last snapshot, which recovery would replay from disk
-anyway, so a primary restart rebuilds an equivalent stream position
-from durable state alone.
+The log holds no journal bytes of its own. It is an index — the byte
+offset at which each retained record ends — over the journal the
+database already wrote: ``wal.gbdb`` for a persistent home, read back
+through the same storage shim the writer uses, or the
+:class:`MemoryJournal` an in-memory database appends to instead. What
+:meth:`ReplicationLog.fetch` verifies and ships is therefore what is on
+disk, and a primary that goes a long time between checkpoints grows by
+eight bytes a commit, not by the commit.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Optional
+from array import array
+from typing import Callable, Optional
 
 from repro.db import integrity
 
-__all__ = ["ReplicationLog", "FETCH_OK", "FETCH_RESYNC"]
+__all__ = ["ReplicationLog", "MemoryJournal", "FETCH_OK", "FETCH_RESYNC"]
 
 FETCH_OK = "ok"
 FETCH_RESYNC = "resync"
 
-#: retention guard — a primary that never checkpoints would otherwise
-#: grow the log without bound; past this many records the oldest are
-#: dropped and slow standbys are forced into a snapshot resync.
+#: retention guard for a journal held in RAM — a :class:`MemoryJournal`
+#: nobody checkpoints would otherwise grow without bound; past this many
+#: records the oldest are dropped and slow standbys are forced into a
+#: snapshot resync. A journal on disk is bounded by the checkpoint alone.
 _MAX_RETAINED = 100_000
 
 
-class ReplicationLog:
-    """In-memory, condition-guarded tail of committed journal lines."""
+class MemoryJournal:
+    """The journal of a database with no storage path: the same framed
+    lines a WAL would hold, addressed by the same absolute offsets."""
 
-    def __init__(self, epoch: int, base_seq: int) -> None:
+    def __init__(self) -> None:
+        self._data = bytearray()
+        self._start = 0  # offset of _data[0]; grows as the head is discarded
+
+    def write(self, payload: bytes) -> int:
+        """Append one line; returns the offset of its first byte."""
+        self._data += payload
+        return self._start + len(self._data) - len(payload)
+
+    def read(self, offset: int, length: int) -> bytes:
+        at = offset - self._start
+        return bytes(self._data[at : at + length])
+
+    def discard(self, offset: int) -> None:
+        """Drop everything before *offset*."""
+        del self._data[: offset - self._start]
+        self._start = offset
+
+    def truncate(self) -> None:
+        """Start over at offset 0, as reopening a WAL with ``"wb"`` does."""
+        self._data.clear()
+        self._start = 0
+
+
+class ReplicationLog:
+    """Condition-guarded index over the committed tail of a journal.
+
+    *read* is ``read(offset, length) -> bytes`` over that journal and
+    *start* the offset at which the first record after *base_seq* will
+    begin. *discard*, given only for a journal held in RAM, is how the
+    log hands back bytes it no longer indexes — and what makes it apply
+    ``_MAX_RETAINED``.
+    """
+
+    def __init__(
+        self,
+        epoch: int,
+        base_seq: int,
+        read: Callable[[int, int], bytes],
+        start: int = 0,
+        discard: Optional[Callable[[int], None]] = None,
+    ) -> None:
         self._cond = threading.Condition()
+        self._read = read
+        self._discard = discard
         self._epoch = int(epoch)
         self._base_seq = int(base_seq)  # records held: base_seq+1 .. base_seq+len
-        self._records: list[bytes] = []
+        # _ends[i] is where record base_seq+i ends, so record base_seq+i+1
+        # is the bytes [_ends[i], _ends[i+1]); _ends[0] is the tail's start
+        self._ends = array("q", [start])
 
     # -- primary side -------------------------------------------------------
 
-    def append(self, epoch: int, seq: int, payload: bytes) -> None:
-        """Record one committed journal line. Caller (the database, under
-        its I/O lock) guarantees *seq* is contiguous within *epoch*."""
+    def append(self, epoch: int, seq: int, start: int, length: int) -> None:
+        """Record one committed journal line, already written and flushed
+        at ``[start, start + length)``. Caller (the database, under its
+        I/O lock) guarantees *seq* is contiguous within *epoch*."""
         with self._cond:
             if epoch != self._epoch:
                 # the database bumped its epoch (checkpoint) without
                 # calling reset() first — treat as an implicit reset
                 self._epoch = int(epoch)
                 self._base_seq = int(seq) - 1
-                self._records = []
-            self._records.append(payload)
-            if len(self._records) > _MAX_RETAINED:
-                overflow = len(self._records) - _MAX_RETAINED
-                del self._records[:overflow]
+                self._ends = array("q", [start])
+            self._ends.append(start + length)
+            overflow = len(self._ends) - 1 - _MAX_RETAINED
+            if self._discard is not None and overflow > 0:
+                del self._ends[:overflow]
                 self._base_seq += overflow
+                self._discard(self._ends[0])
             self._cond.notify_all()
 
     def reset(self, epoch: int, base_seq: int) -> None:
         """Start a new epoch (checkpoint on the primary, or a state load
-        on a standby that may later be promoted)."""
+        on a standby that may later be promoted) over a journal about to
+        be truncated to nothing. The database calls this *before* it
+        truncates, so a fetch — which reads under the same condition —
+        sees either the old bytes or the new epoch, never a journal cut
+        from under it."""
         with self._cond:
             self._epoch = int(epoch)
             self._base_seq = int(base_seq)
-            self._records = []
+            self._ends = array("q", [0])
             self._cond.notify_all()
 
     # -- standby side -------------------------------------------------------
-
-    def position(self) -> tuple[int, int]:
-        """``(epoch, last_seq)`` of the newest record the log covers."""
-        with self._cond:
-            return self._epoch, self._base_seq + len(self._records)
 
     def fetch(
         self,
@@ -104,25 +157,24 @@ class ReplicationLog:
         max_records = max(int(max_records), 1)
         with self._cond:
             if timeout > 0.0 and epoch == self._epoch:
-                last = self._base_seq + len(self._records)
-                if from_seq >= last:
+                if from_seq >= self._base_seq + len(self._ends) - 1:
                     self._cond.wait(timeout)
-            last = self._base_seq + len(self._records)
+            last = self._base_seq + len(self._ends) - 1
             if epoch != self._epoch or from_seq < self._base_seq:
                 return FETCH_RESYNC, self._epoch, last, []
-            start = from_seq - self._base_seq
-            chunk = self._records[start : start + max_records]
-            # verify each frame before shipping: a record damaged after
-            # commit (bit rot in this process's heap is unlikely, but the
-            # bytes may have been re-read from a damaged WAL) must raise
-            # CorruptionError on the serving side, never stream garbage
-            # a standby would then durably append
+            first = from_seq - self._base_seq
+            ends = self._ends[first : first + max_records + 1]
+            if len(ends) < 2:
+                return FETCH_OK, self._epoch, last, []
+            data = self._read(ends[0], ends[-1] - ends[0])
+            # verify each frame before shipping: these are the bytes the
+            # journal holds now, and a record damaged since its commit
+            # (bit rot, a bad sector) must raise CorruptionError on the
+            # serving side, never stream garbage a standby would then
+            # durably append
             records = []
-            for i, payload in enumerate(chunk):
+            for i in range(len(ends) - 1):
+                payload = data[ends[i] - ends[0] : ends[i + 1] - ends[0]]
                 integrity.parse_record(payload.rstrip(b"\n"), seq=from_seq + i + 1)
                 records.append([from_seq + i + 1, payload])
             return FETCH_OK, self._epoch, last, records
-
-    def __len__(self) -> int:
-        with self._cond:
-            return len(self._records)

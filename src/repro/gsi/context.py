@@ -85,10 +85,12 @@ class SecurityContext:
         self._rng = rng if rng is not None else random.Random()
         self.peer_subject: Optional[str] = None
         self.established = False
-        self.resumed = False
         self._nonce_i: Optional[bytes] = None
         self._nonce_a: Optional[bytes] = None
         self._peer_leaf: Optional[Certificate] = None
+        #: what a resumption must re-check about the validated peer chain
+        #: without RSA: ``(earliest not_after, ((issuer, serial), ...))``
+        self.peer_chain: Optional[tuple[float, tuple]] = None
         self._send: Optional[ChannelCipher] = None
         self._recv: Optional[ChannelCipher] = None
         self._master: Optional[bytes] = None
@@ -139,6 +141,11 @@ class SecurityContext:
             subject = validate_chain(chain, self._store, self._clock.now())
         except Exception as exc:
             raise AuthenticationError(f"peer chain rejected: {exc}") from exc
+        anchors = filter(None, (self._store.root_for(c.issuer) for c in chain))
+        self.peer_chain = (
+            min(c.body.not_after for c in (*chain, *anchors)),
+            tuple((c.issuer, c.serial) for c in chain),
+        )
         return subject, chain[0]
 
     def _process_hello(self, token: dict) -> dict:
@@ -220,6 +227,12 @@ class SecurityContext:
     # -- session resumption ---------------------------------------------------
 
     @property
+    def local_fingerprint(self) -> bytes:
+        """Identifies this side's leaf certificate (its issuer's signature
+        over it): a renewed proxy is a different principal to a cache."""
+        return self._cred.leaf.signature
+
+    @property
     def master_secret(self) -> bytes:
         """The established session's master secret (resumption material)."""
         if not self.established or self._master is None:
@@ -234,9 +247,11 @@ class SecurityContext:
         replay), skipping the certificate-chain validation and RSA key
         exchange of the full handshake. The caller is responsible for
         having authenticated the peer via the resumption exchange's MACs
-        (see :class:`repro.net.rpc.SessionTicketStore` and the
+        (see :class:`repro.net.rpc.SessionCache` and the
         ``gsi_resume`` message) — possession of the master secret is the
-        proof of identity here, exactly as in TLS session tickets.
+        proof of identity here, exactly as in TLS session tickets — and
+        for having re-checked :attr:`peer_chain` of the session that
+        minted the secret against today's clock and revocation lists.
         """
         if self.established or self._state != "new":
             raise ProtocolError("cannot resume a used context")
@@ -247,7 +262,6 @@ class SecurityContext:
         self._install_keys(sha256(master_secret + nonce_i + nonce_a))
         self._state = "established"
         self.established = True
-        self.resumed = True
 
     # -- record protection ---------------------------------------------------
 

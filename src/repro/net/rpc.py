@@ -24,10 +24,12 @@ sequence order). ``handle()`` composes all three for synchronous
 transports. On the client, :meth:`RPCClient.pipeline` keeps a window of
 requests in flight on one connection, matching responses to calls by
 envelope id. Session resumption: the server returns a bearer ticket with
-the ``established`` reply; a client holding the ticket and the session's
-master secret can skip the three-token handshake on reconnect via a
-``gsi_resume`` exchange authenticated by HMACs in both directions, with
-fresh nonces mixed into the resumed channel keys.
+the ``established`` reply, and the client files it with the session's
+master secret in the process-wide :data:`session_cache`. Any later
+client for the same server, credential and trust store skips the
+three-token handshake via a ``gsi_resume`` exchange authenticated by
+HMACs in both directions, with fresh nonces mixed into the resumed
+channel keys — single sign-on that is paid once (DESIGN §18).
 
 Exactly-once layer: every request envelope carries a stable idempotency
 key (``client_nonce:seq``) and an optional absolute deadline. The server
@@ -45,13 +47,15 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import hashlib
+import hmac
 import random
 import threading
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Callable, Iterator, NamedTuple, Optional
 
-from repro.crypto.hashes import sha256
 from repro.errors import (
     AuthenticationError,
     ChannelError,
@@ -86,7 +90,8 @@ __all__ = [
     "Operation",
     "PendingCall",
     "RequestContext",
-    "SessionTicketStore",
+    "SessionCache",
+    "session_cache",
     "current_request",
     "request_scope",
 ]
@@ -105,73 +110,108 @@ _RESUME_NONCE_LEN = 32
 _TICKET_TTL = 900.0
 
 
-def _resume_mac(master: bytes, label: bytes, *parts: bytes) -> bytes:
-    """HMAC-SHA256 (RFC 2104 construction over our own sha256)."""
-    key = master.ljust(64, b"\x00")
-    inner = sha256(bytes(b ^ 0x36 for b in key) + label + b"".join(parts))
-    return sha256(bytes(b ^ 0x5C for b in key) + inner)
+class _Session(NamedTuple):
+    """What one side keeps of a full handshake so a later connection can
+    skip it: the peer it authenticated, the secret both ends derived, and
+    the facts about the peer's chain that must still hold on that day."""
+
+    subject: str
+    master: bytes
+    #: min(mint time + ``_TICKET_TTL``, earliest ``not_after`` in the peer's chain)
+    expires: float
+    #: the validated peer chain's ``(issuer, serial)`` pairs
+    serials: tuple
+    #: the server's handle for the session (client side only)
+    ticket: str = ""
+
+    @classmethod
+    def of(cls, context: SecurityContext, now: float, ticket: str = "") -> "_Session":
+        assert context.peer_subject is not None and context.peer_chain is not None
+        not_after, serials = context.peer_chain
+        return cls(
+            context.peer_subject, context.master_secret,
+            min(now + _TICKET_TTL, not_after), serials, ticket,
+        )
+
+    def live(self, now: float, store: CertificateStore) -> bool:
+        """Everything the full handshake refuses that needs no RSA: an
+        expired chain, and a serial *store* has since listed as revoked."""
+        return now <= self.expires and not any(
+            store.revokes(issuer, serial) for issuer, serial in self.serials
+        )
+
+    def proof(self, label: bytes, *parts: bytes) -> bytes:
+        return hmac.new(self.master, label + b"".join(parts), hashlib.sha256).digest()
+
+    def proves(self, mac: Any, label: bytes, *parts: bytes) -> bool:
+        return isinstance(mac, bytes) and hmac.compare_digest(mac, self.proof(label, *parts))
 
 
-def _mac_equal(a: Any, b: bytes) -> bool:
-    """Constant-time-ish MAC comparison (no early exit on first mismatch)."""
-    if not isinstance(a, bytes) or len(a) != len(b):
-        return False
-    diff = 0
-    for x, y in zip(a, b):
-        diff |= x ^ y
-    return diff == 0
+class SessionCache:
+    """Bounded LRU of resumable sessions, one per ``(key, trust store)``.
 
-
-class SessionTicketStore:
-    """Bearer tickets for GSI session resumption (TLS-session-ticket style).
-
-    The endpoint issues a ticket with every ``established`` reply, mapping
-    an opaque token to ``(subject, master_secret)``. A later connection
-    presenting the ticket plus an HMAC keyed by the master secret skips
-    the full handshake. Tickets are reusable until they age out (TTL) or
-    are evicted (LRU capacity) — a miss simply falls back to the full
-    handshake, so eviction is a performance event, not a failure.
+    An endpoint keys it by the bearer ticket it returned with the
+    ``established`` reply (TLS-session-ticket style); the process-wide
+    :data:`session_cache` keys the client half by ``(peer address,
+    fingerprint of the credential's leaf certificate)``. The trust store
+    *object* is part of every key because what a side is willing to
+    believe about its peer is part of who it is, and an entry goes when
+    its store does. A session that is no longer :meth:`~_Session.live`
+    is a miss (and gone); at the bound the one idle longest goes. A miss
+    only ever costs the full handshake, which refuses with its own error
+    where it must.
     """
 
-    def __init__(
-        self,
-        clock: Clock,
-        rng: random.Random,
-        capacity: int = 1024,
-    ) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self._clock = clock
-        self._rng = rng
+    def __init__(self, capacity: int) -> None:
         self.capacity = capacity
-        self._lock = threading.Lock()
-        self._entries: OrderedDict[str, tuple[str, bytes, float]] = OrderedDict()
+        # re-entrant: a trust store can be collected, and its callback
+        # run, while this thread is inside one of the methods below
+        self._lock = threading.RLock()
+        self._entries: OrderedDict[tuple, tuple[_Session, weakref.ref]] = OrderedDict()
 
-    def issue(self, subject: str, master_secret: bytes) -> str:
-        token = random_token(self._rng, nbytes=16)
-        expires = self._clock.epoch() + _TICKET_TTL
+    def get(self, key: object, store: CertificateStore, now: float) -> Optional[_Session]:
+        slot = (key, id(store))
         with self._lock:
-            self._entries[token] = (subject, master_secret, expires)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-        return token
-
-    def redeem(self, token: str) -> Optional[tuple[str, bytes]]:
-        """Look a ticket up; ``None`` on miss or expiry (ticket survives)."""
-        with self._lock:
-            entry = self._entries.get(token)
+            entry = self._entries.get(slot)
             if entry is None:
                 return None
-            subject, master, expires = entry
-            if self._clock.epoch() > expires:
-                del self._entries[token]
+            if not entry[0].live(now, store):
+                del self._entries[slot]
                 return None
-            self._entries.move_to_end(token)
-            return subject, master
+            self._entries.move_to_end(slot)
+            return entry[0]
+
+    def put(self, key: object, store: CertificateStore, session: _Session) -> None:
+        slot = (key, id(store))
+        with self._lock:
+            self._entries[slot] = (session, weakref.ref(store, lambda _: self._drop(slot)))
+            self._entries.move_to_end(slot)
+            while len(self._entries) > self.capacity:
+                self._entries.popitem(last=False)
+
+    def drop(self, key: object, store: CertificateStore, session: _Session) -> None:
+        """Forget *session* (the peer did) unless a newer one replaced it."""
+        self._drop((key, id(store)), session)
+
+    def _drop(self, slot: tuple, session: Optional[_Session] = None) -> None:
+        with self._lock:
+            entry = self._entries.get(slot)
+            if entry is not None and (session is None or entry[0] is session):
+                del self._entries[slot]
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
 
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
+
+
+#: the client half, shared by every :class:`RPCClient` in the process;
+#: there is deliberately no way to opt out, and at 64 principals the one
+#: idle longest pays one full handshake
+session_cache = SessionCache(64)
 
 
 @dataclass(frozen=True)
@@ -317,31 +357,33 @@ class _ServerConnection:
             return canonical_dumps({"kind": "refused", "reason": "subject not authorized"})
         self._open = True
         self._endpoint.accepted_connections += 1
-        ticket = self._endpoint.session_tickets.issue(subject, self._context.master_secret)
+        ticket = random_token(self._rng, nbytes=16)
+        endpoint = self._endpoint
+        endpoint.session_tickets.put(
+            ticket, endpoint.trust_store, _Session.of(self._context, endpoint.clock.epoch())
+        )
         return canonical_dumps({"kind": "established", "subject": subject, "ticket": ticket})
 
     def _handle_resume(self, message: dict) -> bytes:
         ticket = message.get("ticket")
         nonce_i = message.get("nonce")
-        entry = (
-            self._endpoint.session_tickets.redeem(ticket)
+        endpoint = self._endpoint
+        session = (
+            endpoint.session_tickets.get(ticket, endpoint.trust_store, endpoint.clock.epoch())
             if isinstance(ticket, str)
             else None
         )
-        valid = (
-            entry is not None
-            and isinstance(nonce_i, bytes)
-            and len(nonce_i) == _RESUME_NONCE_LEN
-        )
-        if valid:
-            subject, master = entry  # type: ignore[misc]
-            expected = _resume_mac(master, b"gsi-resume-client", ticket.encode("ascii"), nonce_i)
-            valid = _mac_equal(message.get("mac"), expected)
-        if not valid:
+        if (
+            session is None
+            or not isinstance(nonce_i, bytes)
+            or len(nonce_i) != _RESUME_NONCE_LEN
+            or not session.proves(message.get("mac"), b"gsi-resume-client", ticket.encode(), nonce_i)
+        ):
             # not a refusal: the connection stays pre-handshake, and the
             # client falls back to the full three-token exchange on it
             obs_metrics.counter("gsi.resume.missed").inc()
             return canonical_dumps({"kind": "resume_miss"})
+        subject, master = session.subject, session.master
         if not self._endpoint.policy.is_authorized(subject):
             # re-check at resume time: a revocation after ticket issue
             # must not be laundered through the resumption fast path
@@ -358,7 +400,7 @@ class _ServerConnection:
                 "kind": "resumed",
                 "subject": subject,
                 "nonce": nonce_a,
-                "mac": _resume_mac(master, b"gsi-resume-server", nonce_i, nonce_a),
+                "mac": session.proof(b"gsi-resume-server", nonce_i, nonce_a),
             }
         )
 
@@ -467,9 +509,9 @@ class ServiceEndpoint:
         # instances are not safe to share across threads unguarded
         self._rng_lock = threading.Lock()
         self.operations: dict[str, Operation] = {}
-        self.session_tickets = SessionTicketStore(
-            self.clock, random.Random(self._rng.getrandbits(64))
-        )
+        #: bearer ticket -> the session it resumes (reusable until it
+        #: stops being live or 1,024 newer ones push it out)
+        self.session_tickets = SessionCache(1024)
         self.accepted_connections = 0
         self.refused_connections = 0
         # kill switch for failover drills: a crashed endpoint answers
@@ -530,9 +572,6 @@ class RPCClient:
         self._reconnect = reconnect
         self._context = self._new_context()
         self._next_id = 1
-        # (ticket, master_secret, server_subject) from the last full
-        # handshake — lets reconnects skip the handshake via gsi_resume
-        self._session: Optional[tuple[str, bytes, str]] = None
         self.server_subject: Optional[str] = None
         self.connected = False
 
@@ -546,6 +585,14 @@ class RPCClient:
         )
 
     # -- connection management ------------------------------------------------
+
+    def _session_key(self) -> Optional[tuple]:
+        """Where this client's session lives in :data:`session_cache`;
+        ``None`` over a connection that cannot say whom it reached."""
+        peer = getattr(self._connection, "peer", None)
+        if peer is None:
+            return None
+        return (peer, self._context.local_fingerprint), self._trust_store
 
     def connect(self) -> str:
         """Run the handshake; returns the server's authenticated subject.
@@ -574,12 +621,14 @@ class RPCClient:
                 self._replace_connection()
 
     def _handshake(self) -> str:
-        if self._session is not None:
-            subject = self._try_resume()
-            if subject is not None:
-                return subject
+        key = self._session_key()
+        session = session_cache.get(*key, self._clock.epoch()) if key is not None else None
+        if session is not None:
+            if self._try_resume(session):
+                return session.subject
             # resume miss: the connection is still pre-handshake on the
             # server side, so fall through to the full exchange on it
+            session_cache.drop(*key, session)
         token = self._context.step()
         while True:
             reply = parse_payload(self._connection.request(canonical_dumps({"kind": "gsi", "token": token})))
@@ -592,8 +641,8 @@ class RPCClient:
                 self.server_subject = self._context.peer_subject
                 assert self.server_subject is not None
                 ticket = reply.get("ticket")
-                if isinstance(ticket, str) and ticket:
-                    self._session = (ticket, self._context.master_secret, self.server_subject)
+                if key is not None and isinstance(ticket, str) and ticket:
+                    session_cache.put(*key, _Session.of(self._context, self._clock.epoch(), ticket))
                 return self.server_subject
             if reply["kind"] != "gsi":
                 raise ProtocolError(f"unexpected handshake reply kind {reply['kind']!r}")
@@ -601,26 +650,23 @@ class RPCClient:
             if token is None:
                 raise ProtocolError("handshake ended without establishment")
 
-    def _try_resume(self) -> Optional[str]:
-        """Attempt ticket resumption; ``None`` means fall back to the full
+    def _try_resume(self, session: _Session) -> bool:
+        """Attempt ticket resumption; ``False`` means fall back to the full
         handshake (the only non-error outcome besides success)."""
-        assert self._session is not None
-        ticket, master, subject = self._session
         nonce_i = self._rng.getrandbits(8 * _RESUME_NONCE_LEN).to_bytes(_RESUME_NONCE_LEN, "big")
         payload = canonical_dumps(
             {
                 "kind": "gsi_resume",
-                "ticket": ticket,
+                "ticket": session.ticket,
                 "nonce": nonce_i,
-                "mac": _resume_mac(master, b"gsi-resume-client", ticket.encode("ascii"), nonce_i),
+                "mac": session.proof(b"gsi-resume-client", session.ticket.encode(), nonce_i),
             }
         )
         reply = parse_payload(self._connection.request(payload))
         kind = reply.get("kind")
         if kind == "resume_miss":
-            self._session = None
             obs_metrics.counter("rpc.client.resume_misses").inc()
-            return None
+            return False
         if kind == "refused":
             raise ConnectionRefused(reply.get("reason", "connection refused"))
         if kind != "resumed":
@@ -628,14 +674,14 @@ class RPCClient:
         nonce_a = reply.get("nonce")
         if not isinstance(nonce_a, bytes) or len(nonce_a) != _RESUME_NONCE_LEN:
             raise ProtocolError("bad resumption nonce from server")
-        if not _mac_equal(reply.get("mac"), _resume_mac(master, b"gsi-resume-server", nonce_i, nonce_a)):
+        if not session.proves(reply.get("mac"), b"gsi-resume-server", nonce_i, nonce_a):
             # whoever answered does not hold the master secret
             raise AuthenticationError("server failed resumption proof")
-        self._context.resume(master, nonce_i, nonce_a, subject)
+        self._context.resume(session.master, nonce_i, nonce_a, session.subject)
         self.connected = True
-        self.server_subject = subject
+        self.server_subject = session.subject
         obs_metrics.counter("rpc.client.resumes").inc()
-        return subject
+        return True
 
     def _replace_connection(self) -> None:
         """Swap in a fresh connection + security context (pre-handshake)."""

@@ -272,6 +272,13 @@ class TCPClientConnection:
         self._sock = socket.create_connection(address, timeout=timeout)
         self._healthy = True
         self._frames = unframe_stream(self._sock.recv)
+        self._peer = self._sock.getpeername()
+
+    @property
+    def peer(self) -> tuple:
+        """The address this connection reached — what an
+        :class:`~repro.net.rpc.RPCClient` keys its cached session by."""
+        return self._peer
 
     @property
     def healthy(self) -> bool:

@@ -192,13 +192,21 @@ class ClientConnection:
     and responses arrive in submission order as a serial server would
     produce them."""
 
-    def __init__(self, handler: ConnectionHandler, network: "InProcessNetwork") -> None:
+    def __init__(self, handler: ConnectionHandler, network: "InProcessNetwork", address: str) -> None:
         self._handler = handler
         self._network = network
+        self._address = address
         self._closed = False
         self._broken = False
         self._responses: deque[bytes] = deque()
         self.stats = TransportStats()
+
+    @property
+    def peer(self) -> tuple:
+        """The service this connection reached, as a real socket's
+        ``getpeername()`` would say it: the same address on another
+        network is another server."""
+        return id(self._network), self._address
 
     @property
     def healthy(self) -> bool:
@@ -290,7 +298,7 @@ class InProcessNetwork:
         if factory is None:
             raise TransportError(f"connection refused: no service at {address!r}")
         self.stats.connections += 1
-        return ClientConnection(factory(), self)
+        return ClientConnection(factory(), self, address)
 
     def addresses(self) -> list[str]:
         return sorted(self._services)

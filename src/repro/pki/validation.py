@@ -46,7 +46,11 @@ class CertificateStore:
         self._revoked[ca_subject] = set(revoked_serials)
 
     def is_revoked(self, certificate: Certificate) -> bool:
-        return certificate.serial in self._revoked.get(certificate.issuer, ())
+        return self.revokes(certificate.issuer, certificate.serial)
+
+    def revokes(self, issuer: str, serial: int) -> bool:
+        """Is *serial* on *issuer*'s installed revocation list?"""
+        return serial in self._revoked.get(issuer, ())
 
     def roots(self) -> list[Certificate]:
         return list(self._roots.values())

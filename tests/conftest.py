@@ -13,13 +13,20 @@ from repro.bank.cluster import ClusterNode
 from repro.bank.server import GridBankServer
 from repro.bank.shard import ShardMap, ShardNode
 from repro.crypto.rsa import RSAKeyPair, generate_keypair
-from repro.net.rpc import RequestContext, request_scope
+from repro.net.rpc import RequestContext, request_scope, session_cache
 from repro.net.transport import InProcessNetwork
 from repro.payments import coin
 from repro.pki.ca import CertificateAuthority
 from repro.pki.certificate import DistinguishedName
 from repro.pki.validation import CertificateStore
 from repro.util.gbtime import VirtualClock
+
+
+@pytest.fixture(autouse=True)
+def _fresh_session_cache():
+    """The client session cache is process-wide; no test inherits another's
+    sign-on (module-scoped worlds reuse one credential and trust store)."""
+    session_cache.clear()
 
 
 def deliver_keyed(bank, method: str, subject: str, key: str, **params):

@@ -30,7 +30,7 @@ from repro.errors import (
 )
 from repro.gsi.authorization import AllowAllPolicy
 from repro.net.message import frame
-from repro.net.rpc import RPCClient, RequestContext, ServiceEndpoint, request_scope
+from repro.net.rpc import RPCClient, RequestContext, ServiceEndpoint, request_scope, session_cache
 from repro.net.tcp import TCPClientConnection, TCPServer
 from repro.net.transport import InProcessNetwork
 from repro.obs import metrics as obs_metrics
@@ -481,10 +481,13 @@ class TestSessionResumption:
         )
         client.connect()
         # server loses its tickets (restart / eviction)
-        endpoint.session_tickets._entries.clear()
+        endpoint.session_tickets.clear()
         client._connection.close()
+        key = ((network.connect("svc").peer, world["alice"].certificate.signature), world["store"])
+        stale = session_cache.get(*key, world["clock"].epoch())
         assert client.call("add", a=4, b=5) == 9  # full handshake re-ran
-        assert client._session is not None  # and minted a fresh ticket
+        fresh = session_cache.get(*key, world["clock"].epoch())
+        assert fresh is not None and fresh.ticket != stale.ticket  # and replaced the entry
 
     def test_forged_ticket_mac_is_a_miss(self, world):
         network = InProcessNetwork()
@@ -496,9 +499,10 @@ class TestSessionResumption:
             reconnect=lambda: network.connect("svc"),
         )
         client.connect()
-        ticket, _master, subject = client._session
+        key = ((network.connect("svc").peer, world["alice"].certificate.signature), world["store"])
+        session = session_cache.get(*key, world["clock"].epoch())
         # attacker knows the ticket but not the master secret
-        client._session = (ticket, b"\x00" * 32, subject)
+        session_cache.put(*key, session._replace(master=b"\x00" * 32))
         client._connection.close()
         assert client.call("add", a=1, b=1) == 2  # fell back to full handshake
         misses = obs_metrics.counter("gsi.resume.missed")

@@ -29,7 +29,7 @@ from repro.db import (
     VarChar,
 )
 from repro.db import integrity
-from repro.db.replication import ReplicationLog
+from repro.db.replication import MemoryJournal, ReplicationLog
 from repro.errors import CorruptionError, DatabaseError, ValidationError
 from repro.net.transport import FaultPhase, FaultSchedule, InProcessNetwork
 from repro.obs import metrics as obs_metrics
@@ -441,16 +441,102 @@ class TestScrubber:
 
 class TestShipSideVerification:
     def test_fetch_refuses_to_stream_damaged_records(self):
-        log = ReplicationLog(epoch=1, base_seq=0)
+        journal = MemoryJournal()
+        log = ReplicationLog(1, 0, journal.read)
         good = integrity.frame_record(canonical_dumps({"ops": []}))
         damaged = bytearray(good)
         damaged[len(damaged) // 2] ^= 0x40
-        log.append(1, 1, good)
-        log.append(1, 2, bytes(damaged))
+        log.append(1, 1, journal.write(good), len(good))
+        log.append(1, 2, journal.write(bytes(damaged)), len(damaged))
         status, _, _, records = log.fetch(1, 0, max_records=1)
         assert status == "ok" and len(records) == 1
         with pytest.raises(CorruptionError):
             log.fetch(1, 1)  # the damaged record must never ship
+
+    def test_fetch_reads_the_wal_not_a_copy_of_it(self, tmp_path):
+        """A bit that rots in ``wal.gbdb`` after the commit is caught by
+        the serving side's frame check — at the parent commit the log
+        shipped its own in-memory copy and never looked at the disk."""
+        db = kv_db(tmp_path / "p", storage=FaultyStorage())
+        kv_fill(db, 2)  # history from before the log was attached stays out of it
+        log = db.enable_replication()
+        kv_fill(db, 3, start=2)
+        wal = tmp_path / "p" / "wal.gbdb"
+        status, _, last, records = log.fetch(1, 2)
+        assert (status, last) == ("ok", 5)
+        assert b"".join(payload for _, payload in records) == b"".join(wal.read_bytes().splitlines(True)[2:])
+        assert log.fetch(1, 1)[0] == "resync"
+        damaged = bytearray(wal.read_bytes())
+        damaged[-10] ^= 0x04  # inside the last record
+        wal.write_bytes(bytes(damaged))
+        assert len(log.fetch(1, 2, max_records=2)[3]) == 2  # the intact ones still ship
+        with pytest.raises(CorruptionError):
+            log.fetch(1, 4)
+        db.close()
+
+    def test_fetch_at_the_instant_of_checkpoint_truncation_answers_resync(self, tmp_path, monkeypatch):
+        db = kv_db(tmp_path / "p")
+        log = db.enable_replication()
+        kv_fill(db, 3)
+        answers = []
+        real_open = db._open_wal
+
+        def open_then_fetch(wal_file, mode):
+            handle = real_open(wal_file, mode)
+            if mode == "wb" and wal_file.name == integrity.WAL_NAME:
+                answers.append(log.fetch(1, 0))  # the file is empty; the old epoch is not
+            return handle
+
+        monkeypatch.setattr(db, "_open_wal", open_then_fetch)
+        db.checkpoint()
+        assert answers == [("resync", 2, 0, [])]
+        db.close()
+
+    def test_fetches_racing_checkpoints_never_see_corruption(self, tmp_path):
+        db = kv_db(tmp_path / "p")
+        log = db.enable_replication()
+        statuses, errors, done = set(), [], threading.Event()
+
+        def fetcher():
+            try:
+                while not done.is_set():
+                    epoch, _ = db.replication_position()
+                    status, _, _, records = log.fetch(epoch, 0, max_records=64)
+                    statuses.add(status)
+                    for _, payload in records:
+                        integrity.parse_record(payload.rstrip(b"\n"))
+            except BaseException as exc:  # noqa: BLE001 - reported by the main thread
+                errors.append(exc)
+
+        thread = threading.Thread(target=fetcher)
+        thread.start()
+        try:
+            for round_ in range(40):
+                kv_fill(db, 5, start=round_ * 5)
+                db.checkpoint()
+        finally:
+            done.set()
+            thread.join(timeout=10.0)
+        assert not thread.is_alive()
+        assert errors == []
+        assert "ok" in statuses
+        db.close()
+
+    def test_memory_journal_is_capped_and_hands_back_its_head(self, monkeypatch):
+        from repro.db import replication
+
+        monkeypatch.setattr(replication, "_MAX_RETAINED", 3)
+        db = Database()
+        db.create_table(
+            TableSchema("kv", [Column.make("K", VarChar(8)), Column.make("V", Integer())], primary_key=["K"])
+        )
+        log = db.enable_replication()
+        kv_fill(db, 5)
+        assert db.replication_position() == (1, 5)
+        assert log.fetch(1, 1)[0] == "resync"  # seq 2 left with the head
+        status, _, _, records = log.fetch(1, 2)
+        assert status == "ok" and [seq for seq, _ in records] == [3, 4, 5]
+        assert len(db._journal._data) == sum(len(payload) for _, payload in records)
 
     def test_standby_verifies_before_applying(self, tmp_path):
         db = kv_db(tmp_path / "s")

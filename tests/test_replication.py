@@ -21,6 +21,7 @@ from repro.core.api import GridBankAPI
 from repro.db.database import Database
 from repro.errors import (
     AuthorizationError,
+    CorruptionError,
     NotPrimaryError,
     ReplicaStaleError,
     TransportError,
@@ -150,6 +151,31 @@ class TestStreaming:
         wal_b = (tmp_path / B / "wal.gbdb").read_bytes()
         assert wal_a == wal_b
         assert len(wal_a) > 0
+
+    def test_bit_flipped_in_primary_wal_never_reaches_the_standby(self, world, tmp_path):
+        """The log serves what ``wal.gbdb`` holds now: damage after the
+        commit is a CorruptionError where it is served, and the standby
+        appends nothing."""
+        alice = world["alice"]
+        alice.request_direct_transfer(world["alice_account"], world["gsp_account"], Credits(5))
+        wait_caught_up(world["bank_a"], world["bank_b"])
+        replicator = world["node_b"].replicator
+        replicator.stop()  # the standby falls one commit behind
+        alice.request_direct_transfer(world["alice_account"], world["gsp_account"], Credits(6))
+        wal_a, wal_b = tmp_path / A / "wal.gbdb", tmp_path / B / "wal.gbdb"
+        damaged = bytearray(wal_a.read_bytes())
+        assert len(damaged) > wal_b.stat().st_size
+        damaged[-10] ^= 0x10
+        wal_a.write_bytes(bytes(damaged))
+        before = wal_b.read_bytes()
+        epoch, seq = world["bank_b"].db.replication_position()
+        with pytest.raises(CorruptionError):
+            world["node_a"].log.fetch(epoch, seq)
+        for _ in range(3):  # the live standby keeps polling and keeps being refused
+            assert replicator.step() is None
+        replicator.stop()
+        assert wal_b.read_bytes() == before
+        assert world["bank_b"].db.replication_position() == (epoch, seq)
 
     def test_checkpoint_forces_resync_and_standby_recovers(self, world):
         world["admin"].admin_deposit(world["alice_account"], Credits(7))
