@@ -2,7 +2,9 @@
 
 RSA keygen/sign/verify, public-key encryption (handshake key exchange),
 channel record protection, certificate chain validation, and the full GSS
-handshake — the fixed costs every GridBank interaction pays.
+handshake — the fixed costs every GridBank interaction pays — plus the two
+per-byte costs of a statement-sized reply: the sealed record and the
+canonical codec.
 """
 
 import random
@@ -16,7 +18,9 @@ from repro.gsi.context import Role, SecurityContext
 from repro.pki.ca import CertificateAuthority
 from repro.pki.certificate import DistinguishedName
 from repro.pki.validation import CertificateStore, validate_chain
-from repro.util.gbtime import VirtualClock
+from repro.util.gbtime import Timestamp, VirtualClock
+from repro.util.money import Credits
+from repro.util.serialize import canonical_dumps, canonical_loads
 
 
 @pytest.fixture(scope="module")
@@ -78,6 +82,48 @@ def test_crypto_channel_record_roundtrip(benchmark):
         return receiver.unprotect(sender.protect(payload))
 
     assert benchmark(roundtrip) == payload
+
+
+def test_crypto_channel_record_statement_roundtrip(benchmark):
+    """A 26 kB record: what sealing a statement reply costs each side."""
+    sender = ChannelCipher(b"s" * 32, rng=random.Random(1))
+    receiver = ChannelCipher(b"s" * 32, rng=random.Random(2))
+    payload = bytes(random.Random(3).getrandbits(8) for _ in range(26 * 1024))
+
+    def roundtrip():
+        return receiver.unprotect(sender.protect(payload))
+
+    assert benchmark(roundtrip) == payload
+
+
+def _statement_reply(rows: int = 80) -> dict:
+    """RequestAccountStatement's response: *rows* TRANSACTION and *rows*
+    TRANSFER rows, the shape of a 5,000-transfer home's statement."""
+    when = Timestamp(1041379200.0)
+    transactions = [
+        {"EntryID": i, "TransactionID": 1000 + i, "AccountID": "0000000000000042",
+         "Type": "transfer", "Date": when.stamp14, "Amount": float(-(i % 5 + 1)), "TraceID": ""}
+        for i in range(rows)
+    ]
+    transfers = [
+        {"TransactionID": 1000 + i, "Date": when.stamp14, "DrawerAccountID": "0000000000000042",
+         "Amount": float(i % 5 + 1), "RecipientAccountID": "0000000000000043",
+         "ResourceUsageRecord": b"", "TraceID": ""}
+        for i in range(rows)
+    ]
+    account = {"AccountID": "0000000000000042", "AvailableBalance": 999760.0, "Status": "open"}
+    return {"kind": "response", "id": 17, "sent_at": when, "charged": Credits(0),
+            "result": {"account": account, "transactions": transactions, "transfers": transfers}}
+
+
+def test_codec_statement_roundtrip(benchmark):
+    """canonical_dumps + canonical_loads of a ~160-row statement reply."""
+    reply = _statement_reply()
+
+    def roundtrip():
+        return canonical_loads(canonical_dumps(reply))
+
+    assert benchmark(roundtrip) == reply
 
 
 def test_crypto_chain_validation(benchmark, pki):

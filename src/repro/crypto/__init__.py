@@ -9,7 +9,7 @@ directly:
 * :mod:`repro.crypto.rsa` — RSA key generation and raw modular operations;
 * :mod:`repro.crypto.signature` — PKCS#1-v1.5-style RSA/SHA-256 signatures;
 * :mod:`repro.crypto.hashes` — SHA-256 helpers and PayWord hash chains;
-* :mod:`repro.crypto.cipher` — authenticated stream cipher (SHA-256-CTR
+* :mod:`repro.crypto.cipher` — authenticated stream cipher (SHAKE-256
   keystream, encrypt-then-HMAC) standing in for the GSS/SSL channel crypto;
 * :mod:`repro.crypto.keys` — key (de)serialization.
 

@@ -366,8 +366,8 @@ class AsyncTCPServer:
         self._connections.add(conn)
         try:
             await self._read_loop(reader, conn)
-        except asyncio.CancelledError:
-            pass  # server shutdown; fall through to drain + close
+        except (asyncio.CancelledError, ProtocolError):
+            pass  # server shutdown or a malformed frame; fall through to drain + close
         except Exception as exc:  # noqa: BLE001 - a reader bug must not leak the conn
             _log.error("aio.reader.unexpected_error", error=type(exc).__name__, reason=str(exc))
         finally:

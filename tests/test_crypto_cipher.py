@@ -1,5 +1,7 @@
 """Unit + property tests for the authenticated channel cipher."""
 
+import hashlib
+import hmac
 import random
 
 import pytest
@@ -63,6 +65,62 @@ def test_wrong_key_rejected():
     record = seal(enc, mac, 0, b"msg", rng=random.Random(1))
     with pytest.raises(ChannelError):
         open_sealed(enc2, mac2, 0, record)
+
+
+def test_seal_known_answer():
+    """SHAKE-256 keystream, HMAC-SHA-256 tag over nonce || seq || ciphertext."""
+    record = seal(
+        bytes(range(32)), bytes(range(32, 64)), 5, b"pay 12.5 G$ to 0000000000000043",
+        rng=random.Random(7),
+    )
+    assert record.hex() == (
+        "6513270e269e0d37f2a74de452e6b438"
+        "fb0758b5225caed444a51188011ba19902660bb601e09a2d5a7a45fc08e9c756"
+        "8545f522764ae4ec12a14bb845dd66c6930227fd1ad390dc2a045f90444c47"
+    )
+
+
+def test_derive_keys_known_answer():
+    enc, mac = derive_keys(SECRET)
+    assert enc.hex() == "aefd4526b951010a534cca31d83cd7bf6dbbbc273ad5833019720606eedd5842"
+    assert mac.hex() == "aef703b6eae6fe0656206564a690e8b536085f85af48f8ca1184bac55a458e87"
+
+
+def _sha256_ctr_seal(master: bytes, seq: int, plaintext: bytes, nonce: bytes) -> bytes:
+    """The SHA-256 counter-mode record this cipher replaced, for refusal tests."""
+    enc = hmac.new(master, b"gridbank-enc", hashlib.sha256).digest()
+    mac = hmac.new(master, b"gridbank-mac", hashlib.sha256).digest()
+    blocks = (
+        hashlib.sha256(enc + nonce + counter.to_bytes(8, "big")).digest()
+        for counter in range((len(plaintext) + 31) // 32)
+    )
+    stream = b"".join(blocks)[: len(plaintext)]
+    ciphertext = bytes(a ^ b for a, b in zip(plaintext, stream))
+    tag = hmac.new(mac, nonce + seq.to_bytes(8, "big") + ciphertext, hashlib.sha256).digest()
+    return nonce + ciphertext + tag
+
+
+def test_record_from_sha256_ctr_peer_refused():
+    """A peer still sealing with the old construction fails at the MAC — it
+    never decrypts to garbage — whatever the plaintext length."""
+    receiver = ChannelCipher(SECRET, rng=random.Random(2))
+    enc, mac = _keys()
+    for seq, size in enumerate((0, 1, 33, 4096)):
+        record = _sha256_ctr_seal(SECRET, seq, b"p" * size, b"\x07" * 16)
+        with pytest.raises(ChannelError, match="MAC"):
+            open_sealed(enc, mac, seq, record)
+        with pytest.raises(ChannelError, match="MAC"):
+            receiver.unprotect(seq.to_bytes(8, "big") + record)
+
+
+@pytest.mark.parametrize("size", [0, 1, 31, 32, 33, 26 * 1024])
+def test_roundtrip_at_block_edges_and_statement_size(size):
+    payload = bytes(random.Random(size).getrandbits(8) for _ in range(size))
+    sender = ChannelCipher(SECRET, rng=random.Random(1))
+    receiver = ChannelCipher(SECRET, rng=random.Random(2))
+    record = sender.protect(payload)
+    assert len(record) == 8 + 16 + size + 32
+    assert receiver.unprotect(record) == payload
 
 
 class TestChannelCipher:

@@ -1,6 +1,7 @@
 """Unit + integration tests for transports and secure RPC."""
 
 import random
+import threading
 
 import pytest
 
@@ -17,10 +18,12 @@ from repro.net.message import frame, make_request, parse_payload, unframe_stream
 from repro.net.rpc import ConnectionRefused, RPCClient, ServiceEndpoint
 from repro.net.tcp import TCPClientConnection, TCPServer
 from repro.net.transport import FaultPlan, InProcessNetwork
+from repro.obs import logging as obs_logging
 from repro.pki.ca import CertificateAuthority
 from repro.pki.certificate import DistinguishedName
 from repro.pki.validation import CertificateStore
 from repro.util.gbtime import VirtualClock
+from repro.util.serialize import canonical_dumps
 
 
 @pytest.fixture(scope="module")
@@ -109,6 +112,8 @@ class TestFraming:
             parse_payload(b'{"no":"kind"}')
         with pytest.raises(ProtocolError):
             parse_payload(b"[1,2]")
+        with pytest.raises(ProtocolError):  # past the recursion limit
+            parse_payload(b'{"kind":"gsi","token":' + b"[" * 5000 + b"]" * 5000 + b"}")
 
 
 class TestInProcessRPC:
@@ -292,3 +297,33 @@ class TestTCP:
             with pytest.raises(ConnectionRefused):
                 client.connect()
             client.close()
+
+    @pytest.mark.parametrize("where", ["pre-handshake", "sealed"])
+    def test_deeply_nested_frame_refused_cleanly(self, world, server_cls, where, monkeypatch):
+        """A frame nested past the interpreter's recursion limit is one more
+        malformed frame: the connection closes (or, sealed, is refused),
+        nothing dies with a traceback, nothing is logged as an unexpected
+        reader error, and the next client is served."""
+        deep = b"[" * 5000 + b"]" * 5000
+        crashes = []
+        monkeypatch.setattr(threading, "excepthook", crashes.append)
+        endpoint = make_endpoint(world)
+        with obs_logging.capture() as logs, server_cls(endpoint.connection_handler) as server:
+            conn = TCPClientConnection(server.address)
+            if where == "sealed":
+                client = make_client(world, conn)
+                client.connect()
+                record = client._context.wrap(deep)
+                reply = parse_payload(conn.request(canonical_dumps({"kind": "sealed", "record": record})))
+                assert reply["kind"] == "refused"
+            else:
+                conn.send_frame(deep)
+                with pytest.raises(TransportError, match="closed"):
+                    conn.recv_frame()
+            conn.close()
+            following = make_client(world, TCPClientConnection(server.address))
+            following.connect()
+            assert following.call("add", a=1, b=2) == 3
+            following.close()
+        assert crashes == []
+        assert [event for event in logs.events() if "unexpected_error" in event] == []
