@@ -17,9 +17,9 @@ lint:
 # ROADMAP item 4's "net-negative" gate as a command: src/ may not grow past
 # the count the last PR left it at. A PR that shrinks src/ lowers the
 # ceiling to its own count; one that must grow it says why where it raises it.
-# +12: the canonical codec's C-speed key check, tag table and in-place
-# decoder, net of the deleted SHA-256 counter loop and keystream block size.
-SRC_LINES_MAX := 23237
+# -231: client pipelining (RPCClient.pipeline, PendingCall, _Pipeline) and
+# the threaded front end's dispatch pool, in-flight semaphore and send lock.
+SRC_LINES_MAX := 23006
 src-budget:
 	@lines=$$(find src -name '*.py' | xargs cat | wc -l); \
 	if [ $$lines -gt $(SRC_LINES_MAX) ]; then \

@@ -95,9 +95,6 @@ class SweepHandler:
     def seal(self, response):
         return response
 
-    def handle(self, payload):
-        return payload
-
     def close(self):
         pass
 
@@ -111,7 +108,7 @@ def make_server(backend: str, connections: int):
             dispatch_queue=max(1_024, 2 * connections),
             handshake_timeout=300.0,
         )
-    return TCPServer(SweepHandler, workers=2)
+    return TCPServer(SweepHandler)
 
 
 async def _drive(address, connections: int, total_requests: int, observe) -> float:

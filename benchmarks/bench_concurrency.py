@@ -4,7 +4,7 @@ Eight GSP/GSC clients hammer the sec 2 use-case hot path (connect,
 settle a pay-before-use transfer) against one bank over real TCP, with
 every concurrency feature of the bank enabled: group-commit WAL,
 striped account locks, session resumption on reconnect, the
-verified-signature cache, and worker-pool request dispatch. The
+verified-signature cache, and thread-per-connection dispatch. The
 yardstick is the *serialized* configuration — one client, one
 connection per job with a full GSI handshake each time, per-commit
 ``fsync`` with no group commit, verify cache off — i.e. the seed's
@@ -44,7 +44,7 @@ REQUIRED_SPEEDUP = 2.0
 USER_KEY_BITS = 1024
 
 
-def build_bank(tmp_path, name, group_commit, workers, linger=0.0):
+def build_bank(tmp_path, name, group_commit, linger=0.0):
     clock = VirtualClock()
     ca = CertificateAuthority(
         DistinguishedName("GridBank", "Root CA"), clock=clock,
@@ -60,7 +60,7 @@ def build_bank(tmp_path, name, group_commit, workers, linger=0.0):
         ident, store, db=db, clock=clock, rng=random.Random(5), open_enrollment=True
     )
     bank.recover()
-    server = TCPServer(bank.connection_handler, workers=workers)
+    server = TCPServer(bank.connection_handler)
     return clock, ca, store, bank, server
 
 
@@ -74,10 +74,10 @@ def settle_job(client, src, dst):
 
 def measure_serialized_baseline(tmp_path) -> float:
     """Jobs/s of the seed configuration: one client, full handshake per
-    job, per-commit fsync, no group commit, no verify cache, no workers."""
+    job, per-commit fsync, no group commit, no verify cache."""
     configure_verify_cache(enabled=False)
     clock, ca, store, bank, server = build_bank(
-        tmp_path, "baseline", group_commit=False, workers=0
+        tmp_path, "baseline", group_commit=False
     )
     try:
         ident = ca.issue_identity(DistinguishedName("VO-A", "solo"), key_bits=USER_KEY_BITS)
@@ -116,7 +116,7 @@ def concurrent_world(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("conc")
     configure_verify_cache(enabled=True)
     clock, ca, store, bank, server = build_bank(
-        tmp, "concurrent", group_commit=True, workers=4, linger=0.001
+        tmp, "concurrent", group_commit=True, linger=0.001
     )
     clients = []
     for i in range(CLIENTS):

@@ -547,12 +547,13 @@ def cmd_serve(args) -> int:
         except ValueError:
             print(f"error: --sample-op expects OP=RATE, got {spec!r}", file=sys.stderr)
             return 1
-    # the threaded front end may run without a dispatch pool (0 workers:
-    # no pipelined dispatch); the async one has nowhere else to run a handler
-    fewest_workers = 1 if args.backend == "async" else 0
+    # the threaded front end dispatches on each connection's own thread;
+    # only the async one has a pool to size
     problem = None
-    if args.workers < fewest_workers:
-        problem = f"--workers must be >= {fewest_workers} on the {args.backend} backend"
+    if args.workers is not None and args.backend != "async":
+        problem = "--workers applies to the async backend only"
+    elif args.workers is not None and args.workers < 1:
+        problem = "--workers must be >= 1 on the async backend"
     elif args.dispatch_queue < 1:
         problem = "--dispatch-queue must be >= 1"
     elif args.max_connections is not None and args.max_connections < 1:
@@ -657,7 +658,7 @@ def cmd_serve(args) -> int:
             bank.connection_handler,
             host=args.host,
             port=args.port,
-            workers=args.workers,
+            workers=args.workers if args.workers is not None else 4,
             max_connections=args.max_connections,
             dispatch_queue=args.dispatch_queue,
             rate_limit=args.rate_limit,
@@ -670,7 +671,6 @@ def cmd_serve(args) -> int:
             bank.connection_handler,
             host=args.host,
             port=args.port,
-            workers=args.workers,
             max_connections=args.max_connections,
             idle_timeout=args.idle_timeout,
         )
@@ -1305,8 +1305,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--backend", choices=["threads", "async"], default="threads",
                    help="front-end concurrency model: thread-per-connection "
                         "or one event loop for all sockets (default: threads)")
-    p.add_argument("--workers", type=int, default=4,
-                   help="dispatch worker-pool size shared by both backends")
+    p.add_argument("--workers", type=int, default=None,
+                   help="async backend: dispatch worker-pool size (default 4); "
+                        "the threads backend dispatches on each connection's thread")
     p.add_argument("--max-connections", type=int, default=None,
                    help="admission control: accepts past this cap are shed "
                         "at the door (default: unbounded)")

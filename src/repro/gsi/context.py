@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import enum
 import random
-from typing import Optional
+from typing import Any, Optional
 
 from repro.crypto.cipher import ChannelCipher
 from repro.crypto.hashes import sha256
@@ -39,6 +39,14 @@ from repro.util.gbtime import Clock, SystemClock
 __all__ = ["Role", "SecurityContext"]
 
 _NONCE_LEN = 32
+
+
+def _field(token: dict, name: str, kind: type) -> Any:
+    """*token*'s *name* field, or ProtocolError if absent or not a *kind*."""
+    value = token.get(name)
+    if not isinstance(value, kind):
+        raise ProtocolError(f"{token.get('type')} token has no {kind.__name__} {name!r}")
+    return value
 
 
 class Role(enum.Enum):
@@ -106,6 +114,8 @@ class SecurityContext:
         """
         if self.established:
             raise ProtocolError("context already established")
+        if token is not None and not isinstance(token, dict):
+            raise ProtocolError("handshake token must be a dict")
         if self.role is Role.INITIATE:
             if self._state == "new":
                 if token is not None:
@@ -151,9 +161,9 @@ class SecurityContext:
     def _process_hello(self, token: dict) -> dict:
         if token.get("type") != "hello":
             raise ProtocolError("expected hello token")
-        self.peer_subject, self._peer_leaf = self._validate_peer_chain(token["chain"])
-        self._nonce_i = token["nonce"]
-        if not isinstance(self._nonce_i, bytes) or len(self._nonce_i) != _NONCE_LEN:
+        self.peer_subject, self._peer_leaf = self._validate_peer_chain(_field(token, "chain", list))
+        self._nonce_i = _field(token, "nonce", bytes)
+        if len(self._nonce_i) != _NONCE_LEN:
             raise AuthenticationError("bad initiator nonce")
         self._nonce_a = self._nonce()
         proof = sign(self._cred.private_key, {"handshake": "challenge", "ni": self._nonce_i, "na": self._nonce_a})
@@ -168,12 +178,12 @@ class SecurityContext:
     def _process_challenge(self, token: dict) -> dict:
         if token.get("type") != "challenge":
             raise ProtocolError("expected challenge token")
-        self.peer_subject, self._peer_leaf = self._validate_peer_chain(token["chain"])
-        self._nonce_a = token["nonce"]
-        if not isinstance(self._nonce_a, bytes) or len(self._nonce_a) != _NONCE_LEN:
+        self.peer_subject, self._peer_leaf = self._validate_peer_chain(_field(token, "chain", list))
+        self._nonce_a = _field(token, "nonce", bytes)
+        if len(self._nonce_a) != _NONCE_LEN:
             raise AuthenticationError("bad acceptor nonce")
         challenge_body = {"handshake": "challenge", "ni": self._nonce_i, "na": self._nonce_a}
-        if not verify(self._peer_leaf.public_key(), challenge_body, token["proof"]):
+        if not verify(self._peer_leaf.public_key(), challenge_body, _field(token, "proof", bytes)):
             raise AuthenticationError("acceptor failed proof of key possession")
         pre_master = self._nonce()
         encrypted = encrypt_bytes(self._peer_leaf.public_key(), pre_master, self._rng)
@@ -189,7 +199,7 @@ class SecurityContext:
     def _process_exchange(self, token: dict) -> None:
         if token.get("type") != "exchange":
             raise ProtocolError("expected exchange token")
-        encrypted = token["encrypted_pms"]
+        encrypted = _field(token, "encrypted_pms", bytes)
         assert self._peer_leaf is not None
         exchange_body = {
             "handshake": "exchange",
@@ -197,7 +207,7 @@ class SecurityContext:
             "na": self._nonce_a,
             "epk": sha256(encrypted),
         }
-        if not verify(self._peer_leaf.public_key(), exchange_body, token["proof"]):
+        if not verify(self._peer_leaf.public_key(), exchange_body, _field(token, "proof", bytes)):
             raise AuthenticationError("initiator failed proof of key possession")
         try:
             pre_master = decrypt_bytes(self._cred.private_key, encrypted)

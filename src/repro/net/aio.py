@@ -3,7 +3,7 @@
 The thread-per-connection :class:`~repro.net.tcp.TCPServer` tops out at a
 few hundred sockets — each connection costs a stack and a scheduler slot
 whether or not it is talking. This backend serves the same framed
-transport, sealed-envelope protocol, and three-phase dispatch interface
+transport, sealed-envelope protocol, and three-phase handler interface
 from a single event loop running in a background thread, so ten thousand
 mostly-idle market participants cost ten thousand small coroutine frames
 instead of ten thousand OS threads.
@@ -14,19 +14,20 @@ Division of labour — nothing *expensive* ever runs on the loop:
   rate limiting, queueing.
 * **worker pool** (a plain :class:`~concurrent.futures.ThreadPoolExecutor`):
   ``prepare`` (channel unwrap), ``complete`` (the bank operation), and
-  ``seal`` (channel wrap) — the same three phases the threaded backend
-  pipelines, with the same ordering contract:
+  ``seal`` (channel wrap) — the three phases the threaded backend runs
+  back to back on a connection's own thread. Here they are split, with
+  an ordering contract of their own:
 
   - ``prepare`` is awaited *serially per connection* from its reader
     coroutine, so cipher records are unwrapped in wire order;
-  - ``complete`` runs concurrently across connections on the pool;
+  - ``complete`` runs concurrently across connections on the pool, up
+    to :data:`MAX_INFLIGHT` unanswered requests per connection;
   - ``seal`` and the write *enqueue* happen under the connection's seal
     lock — wrapping assigns the response sequence number, so seal order
-    must equal transmit order exactly as in the threaded backend's
-    ``_dispatch``. Writes are enqueued onto the loop's callback queue
-    while the lock is held, and that queue is FIFO, so wire order ==
-    enqueue order == seal order whether a stage ran on the loop or on
-    a pool worker.
+    must equal transmit order. Writes are enqueued onto the loop's
+    callback queue while the lock is held, and that queue is FIFO, so
+    wire order == enqueue order == seal order whether a stage ran on the
+    loop or on a pool worker.
 
 Offload is **adaptive**: an executor hop costs more than trivial work
 (submit, worker wake-up, loop wake-up — tens of microseconds each on a
@@ -70,15 +71,18 @@ from typing import Callable, Optional
 
 from repro.errors import ProtocolError
 from repro.net.message import MAX_FRAME, frame, make_error
-from repro.net.tcp import MAX_INFLIGHT
 from repro.obs import metrics as obs_metrics
 from repro.obs.logging import get_logger
 
-__all__ = ["AsyncTCPServer", "TokenBucket"]
+__all__ = ["AsyncTCPServer", "TokenBucket", "MAX_INFLIGHT"]
 
 _log = get_logger("net.aio")
 
 _LEN = struct.Struct(">I")
+
+#: unanswered requests a single connection may have queued; the reader
+#: stops reading at the bound (backpressure)
+MAX_INFLIGHT = 32
 
 #: a stage whose average runtime is under this (seconds) runs inline on
 #: the loop: an executor hop costs tens of microseconds on a busy box
@@ -373,8 +377,7 @@ class AsyncTCPServer:
         finally:
             try:
                 # drain: re-acquire every permit so no dispatch outlives
-                # the socket silently (same contract as the threaded
-                # backend's serve-loop teardown)
+                # the socket silently
                 for _ in range(MAX_INFLIGHT):
                     await conn.inflight.acquire()
             except asyncio.CancelledError:
@@ -443,7 +446,7 @@ class AsyncTCPServer:
 
     async def _read_loop(self, reader: asyncio.StreamReader, conn: _Connection) -> None:
         handler = conn.handler
-        prepare = getattr(handler, "prepare", None)
+        prepare = handler.prepare
         while True:
             try:
                 payload = await self._read_frame(conn)
@@ -451,14 +454,6 @@ class AsyncTCPServer:
                 return
             if payload is None:
                 return
-            if prepare is None:
-                # handle-only handler: serial, like the threaded fallback
-                response = await self._loop.run_in_executor(self._pool, handler.handle, payload)
-                if response is None:
-                    return
-                if not await self._write(conn, response):
-                    return
-                continue
             # phase 1 — serial per connection, in wire order
             if self._prepare_cost.offload:
                 kind, value = await self._loop.run_in_executor(
@@ -504,8 +499,7 @@ class AsyncTCPServer:
                     make_error(request_id, "Overloaded", "server is paging its SLO; retry with backoff"),
                 )
                 continue
-            # per-connection backpressure: cap unanswered requests, like
-            # the threaded backend's BoundedSemaphore
+            # per-connection backpressure: cap unanswered requests
             await conn.inflight.acquire()
             try:
                 self._queue.put_nowait((conn, value))

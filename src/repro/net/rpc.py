@@ -13,18 +13,18 @@ Remote exceptions propagate by name: the server maps a raised library
 exception to its class name, and the client re-raises the matching class
 from :mod:`repro.errors` (falling back to :class:`RPCError`).
 
-Concurrency layer: a server connection's work is split into three phases —
-:meth:`_ServerConnection.prepare` (unwrap, must run serially in the
-transport's read thread because the channel cipher enforces strictly
-increasing record sequence numbers), :meth:`_ServerConnection.complete`
-(the dispatch itself, safe to run on a worker pool), and
-:meth:`_ServerConnection.seal` (wrap the response; the transport must seal
-and transmit under one per-connection lock so wire order equals cipher
-sequence order). ``handle()`` composes all three for synchronous
-transports. On the client, :meth:`RPCClient.pipeline` keeps a window of
-requests in flight on one connection, matching responses to calls by
-envelope id. Session resumption: the server returns a bearer ticket with
-the ``established`` reply, and the client files it with the session's
+Server phases: a server connection's work is split into three phases —
+:meth:`_ServerConnection.prepare` (unwrap; the channel cipher enforces
+strictly increasing record sequence numbers, so requests are unwrapped in
+wire order), :meth:`_ServerConnection.complete` (the dispatch itself), and
+:meth:`_ServerConnection.seal` (wrap the response; seal order must equal
+transmit order). The socket front ends drive the three phases; ``handle()``
+composes them for the in-process transport. A client has one request in
+flight per connection; the paper's way to settle many at once is a batch
+operation (sec 5.3), not a window of calls.
+
+Session resumption: the server returns a bearer ticket with the
+``established`` reply, and the client files it with the session's
 master secret in the process-wide :data:`session_cache`. Any later
 client for the same server, credential and trust store skips the
 three-token handshake via a ``gsi_resume`` exchange authenticated by
@@ -88,7 +88,6 @@ __all__ = [
     "RPCClient",
     "ConnectionRefused",
     "Operation",
-    "PendingCall",
     "RequestContext",
     "SessionCache",
     "session_cache",
@@ -260,12 +259,11 @@ def request_scope(context: Optional[RequestContext]) -> Iterator[Optional[Reques
 class _ServerConnection:
     """Per-connection state machine: handshake, then dispatch loop.
 
-    Pipelining transports drive the three-phase interface directly:
-    ``prepare`` (serial, read thread — unwrap consumes cipher sequence
-    numbers in wire order), ``complete`` (worker pool), ``seal`` (under
-    the transport's per-connection send lock — wrap assigns the response
-    sequence number, so seal order must equal transmit order).
-    ``handle`` composes the phases for synchronous transports.
+    Socket front ends drive the three-phase interface directly:
+    ``prepare`` (unwrap consumes cipher sequence numbers in wire order),
+    ``complete`` (the operation), ``seal`` (wrap assigns the response
+    sequence number, so seal order must equal transmit order). ``handle``
+    composes the phases for the in-process transport.
     """
 
     def __init__(self, endpoint: "ServiceEndpoint") -> None:
@@ -316,11 +314,12 @@ class _ServerConnection:
         message = parse_payload(payload)
         if not self._open:
             return ("inline", self._handle_handshake(message))
-        if message.get("kind") != "sealed":
+        record = message.get("record")
+        if message.get("kind") != "sealed" or not isinstance(record, bytes):
             self._closed = True
             return ("inline", canonical_dumps({"kind": "refused", "reason": "expected sealed record"}))
         try:
-            request = parse_payload(self._context.unwrap(message["record"]))
+            request = parse_payload(self._context.unwrap(record))
         except (ChannelError, ProtocolError) as exc:
             self._closed = True
             return ("inline", canonical_dumps({"kind": "refused", "reason": str(exc)}))
@@ -343,7 +342,7 @@ class _ServerConnection:
             self._closed = True
             return canonical_dumps({"kind": "refused", "reason": "handshake required"})
         try:
-            reply = self._context.step(message["token"])
+            reply = self._context.step(message.get("token"))
         except ReproError as exc:
             self._closed = True
             return canonical_dumps({"kind": "refused", "reason": str(exc)})
@@ -405,7 +404,7 @@ class _ServerConnection:
         )
 
     def complete(self, request: dict) -> bytes:
-        """Phase 2 (worker-pool safe): dispatch one unwrapped request."""
+        """Phase 2: dispatch one unwrapped request."""
         request_bytes = request.pop("_nbytes", 0)
         request_id = request.get("id", 0)
         method = request.get("method", "")
@@ -646,7 +645,7 @@ class RPCClient:
                 return self.server_subject
             if reply["kind"] != "gsi":
                 raise ProtocolError(f"unexpected handshake reply kind {reply['kind']!r}")
-            token = self._context.step(reply["token"])
+            token = self._context.step(reply.get("token"))
             if token is None:
                 raise ProtocolError("handshake ended without establishment")
 
@@ -883,43 +882,6 @@ class RPCClient:
             _log.debug("rpc.call", method=method)
             return response.get("result")
 
-    # -- pipelining -----------------------------------------------------------
-
-    @contextlib.contextmanager
-    def pipeline(self, window: int = 32) -> Iterator["_Pipeline"]:
-        """Keep up to *window* requests in flight on this connection.
-
-        ``submit()`` seals and transmits immediately and returns a
-        :class:`PendingCall`; ``result()`` blocks until that call's
-        response has been read off the wire. Responses may complete out
-        of submission order on a worker-pool server — matching is by
-        envelope id. Unlike :meth:`call` there is **no transparent
-        retry** inside a pipeline: a transport or channel failure breaks
-        every outstanding call (their idempotency keys remain valid, so
-        re-issuing them through ``call()`` after a reconnect is safe and
-        dedupes server-side). On exit the pipeline drains all pending
-        responses so the channel cipher stays in sequence for subsequent
-        plain calls.
-        """
-        if not self.connected:
-            raise ProtocolError("pipeline before connect()")
-        if not hasattr(self._connection, "send_frame"):
-            raise ProtocolError("connection does not support pipelining")
-        if window < 1:
-            raise ValueError("pipeline window must be >= 1")
-        pl = _Pipeline(self, window)
-        try:
-            yield pl
-            pl.drain()
-        finally:
-            # an exception path must still drain: unread responses would
-            # desynchronize the channel cipher for the next call()
-            if pl.pending and pl.broken is None:
-                try:
-                    pl.drain()
-                except ReproError:
-                    pass
-
     def close(self) -> None:
         self.connected = False
         self._connection.close()
@@ -929,131 +891,3 @@ class RPCClient:
 
     def __exit__(self, *exc_info: Any) -> None:
         self.close()
-
-
-class PendingCall:
-    """Handle for one in-flight pipelined request."""
-
-    __slots__ = ("method", "request_id", "idempotency_key", "_pipeline", "_done", "_result", "_error")
-
-    def __init__(self, pipeline: "_Pipeline", method: str, request_id: int, idempotency_key: str) -> None:
-        self.method = method
-        self.request_id = request_id
-        self.idempotency_key = idempotency_key
-        self._pipeline = pipeline
-        self._done = False
-        self._result: Any = None
-        self._error: Optional[BaseException] = None
-
-    @property
-    def done(self) -> bool:
-        return self._done
-
-    def result(self) -> Any:
-        """Block until this call's response arrives; raise remote errors."""
-        self._pipeline.wait_for(self)
-        if self._error is not None:
-            raise self._error
-        return self._result
-
-
-class _Pipeline:
-    """Sliding window of sealed requests on one client connection.
-
-    Single-threaded by design (one submitter/consumer); the concurrency
-    it buys comes from the *server* overlapping the dispatches while
-    requests and responses stream past each other on the wire.
-    """
-
-    def __init__(self, client: RPCClient, window: int) -> None:
-        self._client = client
-        self._window = window
-        self._pending: dict[int, PendingCall] = {}
-        self.broken: Optional[BaseException] = None
-
-    @property
-    def pending(self) -> int:
-        return len(self._pending)
-
-    def submit(self, method: str, **params: Any) -> PendingCall:
-        """Seal and transmit one request; never blocks on the response
-        unless the window is full (then it reads one response first)."""
-        if self.broken is not None:
-            raise TransportError(f"pipeline broken: {self.broken}") from self.broken
-        while len(self._pending) >= self._window:
-            self._receive_one()
-        client = self._client
-        request_id = client._next_id
-        client._next_id += 1
-        idempotency_key = f"{client._nonce}:{request_id}"
-        span = obs_trace.current()
-        sealed = client._context.wrap(
-            make_request(
-                method,
-                params,
-                request_id,
-                trace=obs_trace.to_wire(span) if span is not None else None,
-                idempotency_key=idempotency_key,
-                sent_at=client._clock.epoch(),
-            )
-        )
-        call = PendingCall(self, method, request_id, idempotency_key)
-        self._pending[request_id] = call
-        try:
-            client._connection.send_frame(canonical_dumps({"kind": "sealed", "record": sealed}))
-        except ReproError as exc:
-            self._break(exc)
-            raise
-        obs_metrics.counter("rpc.client.pipeline.submitted", method=method).inc()
-        return call
-
-    def wait_for(self, call: PendingCall) -> None:
-        while not call._done:
-            if self.broken is not None:
-                raise TransportError(f"pipeline broken: {self.broken}") from self.broken
-            self._receive_one()
-
-    def drain(self) -> None:
-        """Read responses until nothing is outstanding."""
-        while self._pending:
-            self._receive_one()
-
-    def _break(self, exc: BaseException) -> None:
-        self.broken = exc
-        self._client.connected = False
-        for pending in self._pending.values():
-            if not pending._done:
-                pending._error = TransportError(f"pipeline broken: {exc}")
-                pending._done = True
-        self._pending.clear()
-
-    def _receive_one(self) -> None:
-        client = self._client
-        try:
-            reply = parse_payload(client._connection.recv_frame())
-            if reply["kind"] == "refused":
-                raise ConnectionRefused(reply.get("reason", "connection dropped"))
-            if reply["kind"] != "sealed":
-                raise ProtocolError(f"unexpected reply kind {reply['kind']!r}")
-            response = parse_payload(client._context.unwrap(reply["record"]))
-        except ReproError as exc:
-            self._break(exc)
-            raise
-        call = self._pending.pop(response.get("id"), None)
-        if call is None:
-            exc = ProtocolError(f"response for unknown request id {response.get('id')!r}")
-            self._break(exc)
-            raise exc
-        if response["kind"] == "error":
-            obs_metrics.counter("rpc.client.remote_errors", method=call.method).inc()
-            try:
-                raise_remote_error(response)
-            except ReproError as remote:
-                call._error = remote
-        elif response["kind"] == "response":
-            call._result = response.get("result")
-        else:
-            exc = ProtocolError(f"unexpected response kind {response['kind']!r}")
-            self._break(exc)
-            raise exc
-        call._done = True

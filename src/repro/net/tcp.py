@@ -6,43 +6,33 @@ frames, feeds them to a fresh handler, and writes the response frames back.
 This demonstrates the GridBank server is an actual network service (the
 "easy web service" of the reproduction brief), not only a simulated one.
 
-Pipelining: handlers exposing the three-phase interface (``prepare`` /
-``complete`` / ``seal``, see :mod:`repro.net.rpc`) get their requests
-dispatched on a small shared worker pool — ``prepare`` runs serially in
-the connection's read thread (the secure channel unwraps records in wire
-order), ``complete`` runs on the pool, and ``seal`` + transmit happen
-under a per-connection send lock so response sequence numbers match wire
-order. Handlers with only ``handle`` are served serially as before. An
-in-flight semaphore bounds per-connection queued work, and connection
-teardown drains it so no dispatch outlives its socket silently.
+Dispatch runs on the connection's own thread: each frame goes through the
+handler's three phases (``prepare`` / ``complete`` / ``seal``, see
+:mod:`repro.net.rpc`) and its answer is written before the next frame is
+read. A client has one request in flight, so there is nothing to hand off;
+a second frame sent before the first is answered waits in the socket and
+is answered after it, in wire order.
 
-Shutdown is deterministic: ``close()`` stops accepting, force-closes every
-live connection socket (unblocking workers stuck in ``recv``), then joins
-the workers; any thread that survives the join is logged loudly instead of
-being leaked silently.
+Shutdown is deterministic: ``close()`` stops accepting, half-closes every
+live connection so its thread answers the frames it has already received
+and exits, then joins the threads; any thread that survives the join is
+logged loudly instead of being leaked silently.
 """
 
 from __future__ import annotations
 
 import socket
 import threading
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable
-
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.errors import ProtocolError, TransportError, TransportTimeout
 from repro.net.message import frame, unframe_stream
 from repro.obs import metrics as obs_metrics
 from repro.obs.logging import get_logger
 
-__all__ = ["TCPServer", "TCPClientConnection", "MAX_INFLIGHT"]
+__all__ = ["TCPServer", "TCPClientConnection"]
 
 _log = get_logger("net.tcp")
-
-#: unanswered requests a single connection may have queued, on either
-#: front end; the reader stops reading at the bound (backpressure)
-MAX_INFLIGHT = 32
 
 
 class TCPServer:
@@ -50,12 +40,11 @@ class TCPServer:
 
     ``with TCPServer(endpoint.connection_handler) as server: ...`` listens
     on an ephemeral loopback port; :attr:`address` is ``(host, port)``.
-    *workers* sizes the shared dispatch pool used for pipelined handlers
-    (0 disables pipelined dispatch entirely); :data:`MAX_INFLIGHT` bounds
-    the number of unanswered requests a single connection may queue.
-    *max_connections* caps live connection threads — accepts past the cap
-    are closed at the door (``net.overload_rejections{reason=connections}``)
-    rather than spawning yet another stack. *idle_timeout* arms a socket
+    Each connection's thread runs its requests one at a time, in wire
+    order. *max_connections* caps live connection threads — accepts past
+    the cap are closed at the door
+    (``net.overload_rejections{reason=connections}``) rather than
+    spawning yet another stack. *idle_timeout* arms a socket
     timeout on every connection so a stalled peer (slow loris or dead
     client) releases its thread instead of parking in ``recv`` forever.
     """
@@ -67,7 +56,6 @@ class TCPServer:
         handler_factory: Callable[[], object],
         host: str = "127.0.0.1",
         port: int = 0,
-        workers: int = 4,
         max_connections: Optional[int] = None,
         idle_timeout: Optional[float] = None,
     ) -> None:
@@ -80,11 +68,6 @@ class TCPServer:
             "net.overload_rejections", backend=self.backend, reason="connections"
         )
         self._reaped = obs_metrics.counter("net.idle_reaped", backend=self.backend)
-        self._pool = (
-            ThreadPoolExecutor(max_workers=workers, thread_name_prefix="gridbank-tcp-dispatch")
-            if workers > 0
-            else None
-        )
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._sock.bind((host, port))
@@ -134,44 +117,24 @@ class TCPServer:
             handler.transport_backend = self.backend
         except AttributeError:
             pass
-        send_lock = threading.Lock()
-        inflight = threading.BoundedSemaphore(MAX_INFLIGHT)
-        prepare = getattr(handler, "prepare", None) if self._pool is not None else None
         self._conn_gauge.add(1)
         try:
             for payload in unframe_stream(conn.recv):
-                if prepare is None:
-                    response = handler.handle(payload)
-                    if response is None:
-                        break
-                    with send_lock:
-                        conn.sendall(frame(response))
-                    continue
-                kind, value = prepare(payload)
-                if kind != "call":
-                    if value is None:
-                        break
-                    with send_lock:
-                        conn.sendall(frame(value))
-                    continue
-                inflight.acquire()
-                try:
-                    self._pool.submit(self._dispatch, handler, value, conn, send_lock, inflight)
-                except RuntimeError:  # pool shut down mid-serve
-                    inflight.release()
+                kind, value = handler.prepare(payload)
+                if kind == "call":
+                    value = handler.seal(handler.complete(value))
+                if value is None:
                     break
+                conn.sendall(frame(value))
         except TimeoutError:
             # idle_timeout fired: a slow loris (or dead peer) gets reaped
             # so the thread it was holding goes back to the accept budget
             self._reaped.inc()
         except (ProtocolError, OSError):
             pass
+        except Exception as exc:  # noqa: BLE001 - a handler bug must not kill the thread
+            _log.error("tcp.serve.unexpected_error", error=type(exc).__name__, reason=str(exc))
         finally:
-            # drain in-flight dispatches before tearing the socket down so
-            # every accepted request gets its response written (or fails
-            # loudly against a peer-closed socket, never silently dropped)
-            for _ in range(MAX_INFLIGHT):
-                inflight.acquire()
             handler.close()
             try:
                 conn.shutdown(socket.SHUT_RDWR)
@@ -182,25 +145,12 @@ class TCPServer:
             with self._lock:
                 self._workers.pop(threading.current_thread(), None)
 
-    def _dispatch(self, handler, request: dict, conn: socket.socket, send_lock: threading.Lock, inflight: threading.BoundedSemaphore) -> None:
-        try:
-            response = handler.complete(request)
-            # seal under the send lock: wrapping assigns the response's
-            # cipher sequence number, which must match transmit order
-            with send_lock:
-                conn.sendall(frame(handler.seal(response)))
-        except (ProtocolError, OSError):
-            pass  # connection is gone; the serve loop owns cleanup
-        except Exception as exc:  # noqa: BLE001 - never kill a pool thread
-            _log.error("tcp.dispatch.unexpected_error", error=type(exc).__name__, reason=str(exc))
-        finally:
-            inflight.release()
-
     def close(self) -> None:
         """Deterministic shutdown, same contract as the async backend:
-        reject new accepts, stop intake, drain in-flight dispatches (their
-        responses still get written), then join every worker — escalating
-        to a force-close, and finally a loud log, for any that wedge."""
+        reject new accepts, stop intake, let each connection finish the
+        request it is running (its response still gets written), then
+        join every worker — escalating to a force-close, and finally a
+        loud log, for any that wedge."""
         self._stop.set()
         # shutdown() before close(): close() alone does not unblock a
         # thread already parked in accept() on Linux, shutdown() does
@@ -217,10 +167,10 @@ class TCPServer:
             _log.error("tcp.shutdown.accept_thread_leaked", address=str(self.address))
         with self._lock:
             live = list(self._workers.items())
-        # half-close the read side only: recv() unblocks with EOF, the
-        # serve loop exits at a frame boundary and its teardown drains
-        # in-flight dispatches with the write side still usable — every
-        # request the server accepted gets its response on the wire
+        # half-close the read side only: frames already received are still
+        # read and answered, then recv() returns EOF and the serve loop
+        # exits at a frame boundary with the write side still usable —
+        # every request the server accepted gets its response on the wire
         for _worker, conn in live:
             try:
                 conn.shutdown(socket.SHUT_RD)
@@ -229,7 +179,7 @@ class TCPServer:
         for worker, conn in live:
             worker.join(timeout=5)
             if worker.is_alive():
-                # drain wedged (peer stopped reading, dispatch stuck):
+                # drain wedged (peer stopped reading, handler stuck):
                 # escalate to a full close, which errors the pending
                 # writes and unwedges the worker
                 try:
@@ -247,8 +197,6 @@ class TCPServer:
                     address=str(self.address),
                     thread=worker.name,
                 )
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
 
     def __enter__(self) -> "TCPServer":
         return self
@@ -259,14 +207,12 @@ class TCPServer:
 
 class TCPClientConnection:
     """Client connection satisfying the same interface as the in-process one
-    (``request(bytes) -> bytes`` plus the ``send_frame``/``recv_frame``
-    pipelining split), usable directly by :class:`RPCClient`.
+    (``request(bytes) -> bytes``, made of the ``send_frame`` / ``recv_frame``
+    halves), usable directly by :class:`RPCClient`.
 
     One persistent unframing iterator spans the connection's lifetime, so
     a frame delivered across several TCP segments is reassembled
-    correctly even when reads interleave with new requests — the old
-    per-request iterator silently discarded reader state, which under
-    pipelining turned a partial read into a truncated-frame crash."""
+    correctly even when reads interleave with new requests."""
 
     def __init__(self, address: tuple[str, int], timeout: float = 10.0) -> None:
         self._sock = socket.create_connection(address, timeout=timeout)

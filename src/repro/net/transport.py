@@ -20,7 +20,6 @@ plan at virtual-clock instants, so whole fault storms replay exactly.
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Protocol
 
@@ -184,13 +183,8 @@ class ConnectionHandler(Protocol):
 
 
 class ClientConnection:
-    """Client end of a synchronous in-process connection.
-
-    Pipelining (``send_frame``/``recv_frame``) is modelled synchronously:
-    each ``send_frame`` runs the handler inline and queues the response,
-    each ``recv_frame`` pops the oldest queued response — deterministic,
-    and responses arrive in submission order as a serial server would
-    produce them."""
+    """Client end of a synchronous in-process connection: each
+    :meth:`request` runs the service's handler inline."""
 
     def __init__(self, handler: ConnectionHandler, network: "InProcessNetwork", address: str) -> None:
         self._handler = handler
@@ -198,7 +192,6 @@ class ClientConnection:
         self._address = address
         self._closed = False
         self._broken = False
-        self._responses: deque[bytes] = deque()
         self.stats = TransportStats()
 
     @property
@@ -213,15 +206,6 @@ class ClientConnection:
         """False once the connection is closed, reset, or served its last
         response — a retrying client must reconnect rather than reuse it."""
         return not (self._closed or self._broken)
-
-    def send_frame(self, payload: bytes) -> None:
-        """Deliver *payload* and queue its response for :meth:`recv_frame`."""
-        self._responses.append(self.request(payload))
-
-    def recv_frame(self) -> bytes:
-        if self._responses:
-            return self._responses.popleft()
-        raise TransportError("no pipelined response pending")
 
     def request(self, payload: bytes) -> bytes:
         """Deliver *payload*, return the service's response payload."""

@@ -136,16 +136,24 @@ class TestServe:
         assert "listening on 127.0.0.1:" in out
         assert "server stopped" in out
 
+    @pytest.mark.parametrize("flags", [[], ["--workers", "2"]], ids=["default-workers", "two-workers"])
+    def test_async_backend_serves(self, home, capsys, flags):
+        code, out, _ = run(
+            ["serve", "--home", home, "--backend", "async", "--duration", "0.1", *flags], capsys
+        )
+        assert code == 0 and "server stopped" in out
 
     @pytest.mark.parametrize(
         "flags, complaint",
         [
             (["--backend", "async", "--workers", "0"], "--workers must be >= 1 on the async"),
             (["--backend", "async", "--dispatch-queue", "0"], "--dispatch-queue must be >= 1"),
-            (["--workers", "-1"], "--workers must be >= 0 on the threads"),
+            (["--backend", "async", "--workers", "-1"], "--workers must be >= 1 on the async"),
             (["--max-connections", "0"], "--max-connections must be >= 1"),
             (["--rate-limit", "-5"], "--rate-limit must be > 0"),
             (["--sample-op", "direct_transfer=often"], "--sample-op expects OP=RATE"),
+            (["--workers", "4"], "--workers applies to the async backend only"),
+            (["--backend", "threads", "--workers", "0"], "--workers applies to the async backend only"),
         ],
     )
     def test_bad_flags_are_refused_before_anything_starts(self, home, capsys, flags, complaint):
@@ -157,7 +165,7 @@ class TestServe:
         assert out == ""  # not even the diagnosis-plane banner
         assert obs_diag.active_plane() is None
         # nothing was opened either: the home serves straight afterwards
-        code, out, _ = run(["serve", "--home", home, "--workers", "0", "--duration", "0.1"], capsys)
+        code, out, _ = run(["serve", "--home", home, "--duration", "0.1"], capsys)
         assert code == 0 and "server stopped" in out
 
 

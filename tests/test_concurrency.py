@@ -1,5 +1,5 @@
-"""Concurrent bank core: striped locks, group-commit WAL, pipelined RPC,
-session resumption, and the signature-verify cache.
+"""Concurrent bank core: striped locks, group-commit WAL, calls over one
+connection, session resumption, and the signature-verify cache.
 
 The conservation property tests are the heart: N threads hammering
 transfers between shared accounts must neither deadlock nor create or
@@ -377,19 +377,19 @@ class TestVerifyCache:
             configure_verify_cache(enabled=True)
 
 
-# -- pipelined RPC ------------------------------------------------------------
+# -- calls on one connection -------------------------------------------------
 
 
-class TestPipelineInProcess:
-    def test_pipeline_results_match_submissions(self, world):
+class TestCallsInProcess:
+    def test_results_match_calls_in_order(self, world):
         network = InProcessNetwork()
         endpoint = make_echo_endpoint(world)
         network.listen("svc", endpoint.connection_handler)
         client = make_client(world, network.connect("svc"))
         client.connect()
-        with client.pipeline(window=8) as pl:
-            calls = [pl.submit("add", a=i, b=i * 10) for i in range(20)]
-            assert [c.result() for c in calls] == [i + i * 10 for i in range(20)]
+        assert [client.call("add", a=i, b=i * 10) for i in range(20)] == [
+            i + i * 10 for i in range(20)
+        ]
 
     def test_remote_errors_surface_per_call(self, world):
         network = InProcessNetwork()
@@ -397,55 +397,30 @@ class TestPipelineInProcess:
         network.listen("svc", endpoint.connection_handler)
         client = make_client(world, network.connect("svc"))
         client.connect()
-        with client.pipeline() as pl:
-            good = pl.submit("add", a=1, b=2)
-            bad = pl.submit("bounce")
-            also_good = pl.submit("add", a=3, b=4)
-            assert good.result() == 3
-            with pytest.raises(PaymentError):
-                bad.result()
-            assert also_good.result() == 7
+        assert client.call("add", a=1, b=2) == 3
+        with pytest.raises(PaymentError):
+            client.call("bounce")
+        assert client.call("add", a=3, b=4) == 7  # the session survives
 
-    def test_plain_calls_work_after_pipeline(self, world):
-        """Draining keeps the channel cipher in sequence."""
-        network = InProcessNetwork()
+
+class TestCallsTCP:
+    def test_calls_after_reconnect(self, world):
+        """Forty calls on one connection, then a dropped connection: the
+        next calls go out on a fresh one and are answered the same way."""
         endpoint = make_echo_endpoint(world)
-        network.listen("svc", endpoint.connection_handler)
-        client = make_client(world, network.connect("svc"))
-        client.connect()
-        with client.pipeline() as pl:
-            pl.submit("add", a=1, b=1)  # never collected explicitly
-        assert client.call("add", a=2, b=2) == 4
-
-    def test_pipeline_before_connect_refused(self, world):
-        network = InProcessNetwork()
-        endpoint = make_echo_endpoint(world)
-        network.listen("svc", endpoint.connection_handler)
-        client = make_client(world, network.connect("svc"))
-        with pytest.raises(ProtocolError):
-            with client.pipeline():
-                pass
-
-
-class TestPipelineTCP:
-    def test_pipelined_calls_over_worker_pool(self, world):
-        endpoint = make_echo_endpoint(world)
-        with TCPServer(endpoint.connection_handler, workers=4) as server:
-            client = make_client(world, TCPClientConnection(server.address))
+        with TCPServer(endpoint.connection_handler) as server:
+            client = make_client(
+                world,
+                TCPClientConnection(server.address),
+                reconnect=lambda: TCPClientConnection(server.address),
+            )
             client.connect()
-            with client.pipeline(window=16) as pl:
-                calls = [pl.submit("add", a=i, b=1) for i in range(40)]
-                assert [c.result() for c in calls] == [i + 1 for i in range(40)]
+            assert [client.call("add", a=i, b=1) for i in range(40)] == [i + 1 for i in range(40)]
+            client._connection.close()
+            assert [client.call("add", a=i, b=2) for i in range(3)] == [2, 3, 4]
             assert client.call("echo", tag="after")["tag"] == "after"
             client.close()
-
-    def test_serial_fallback_without_worker_pool(self, world):
-        endpoint = make_echo_endpoint(world)
-        with TCPServer(endpoint.connection_handler, workers=0) as server:
-            client = make_client(world, TCPClientConnection(server.address))
-            client.connect()
-            assert client.call("add", a=5, b=6) == 11
-            client.close()
+        assert endpoint.accepted_connections == 2
 
 
 # -- session resumption -------------------------------------------------------

@@ -71,10 +71,6 @@ class EchoHandler:
     def seal(self, response):
         return response
 
-    def handle(self, payload):
-        kind, value = self.prepare(payload)
-        return self.seal(self.complete(value)) if kind == "call" else value
-
     def close(self):
         self.closed = True
 
@@ -248,12 +244,32 @@ class TestSlowLoris:
             sock.close()
 
 
+class TestOneRequestInFlight:
+    def test_second_frame_is_answered_after_the_first(self, server_cls):
+        """A second frame sent before the first is answered waits its turn:
+        both are answered, in wire order, one after the other. The async
+        backend keeps this order with one pool worker; with more it may
+        complete one connection's requests side by side (DESIGN §12)."""
+        delay = 0.2
+        kwargs = {"workers": 1} if server_cls is AsyncTCPServer else {}
+        with server_cls(lambda: EchoHandler(delay=delay), **kwargs) as server:
+            with socket.create_connection(server.address) as sock:
+                started = time.perf_counter()
+                send_request(sock, 0, x="first")
+                send_request(sock, 1, x="second")
+                replies = read_responses(sock, 2)
+                elapsed = time.perf_counter() - started
+        assert [(r["id"], r["result"]) for r in replies] == [(0, "first"), (1, "second")]
+        assert elapsed >= 2 * delay  # served one after the other
+
+
 class TestShutdownContract:
     def test_close_drains_inflight_and_rejects_new_accepts(self, server_cls):
         """The shared contract: in-flight dispatches get their responses
         written, new accepts are rejected, and close() joins everything
         deterministically (returning at all is the assertion)."""
-        server = server_cls(lambda: EchoHandler(delay=0.25), workers=2)
+        kwargs = {"workers": 2} if server_cls is AsyncTCPServer else {}
+        server = server_cls(lambda: EchoHandler(delay=0.25), **kwargs)
         sock = socket.create_connection(server.address)
         for i in range(3):
             send_request(sock, i, x=i)

@@ -265,16 +265,23 @@ class TestTCP:
             client.close()
 
     def test_pipelined_calls_over_real_sockets(self, world, server_cls):
+        """Sealed requests written back to back, before any answer, are
+        each answered once; plain calls still work afterwards (sequence
+        numbers stayed in lockstep on both ends)."""
         endpoint = make_endpoint(world)
         with server_cls(endpoint.connection_handler) as server:
             conn = TCPClientConnection(server.address)
             client = make_client(world, conn)
             client.connect()
-            with client.pipeline(window=8) as pl:
-                pending = [pl.submit("add", a=i, b=i) for i in range(24)]
-                assert [p.result() for p in pending] == [2 * i for i in range(24)]
-            # plain calls still work after the pipeline drained (sequence
-            # numbers stayed in lockstep on both ends)
+            context = client._context
+            for i in range(8):
+                record = context.wrap(make_request("add", {"a": i, "b": i}, 100 + i))
+                conn.send_frame(canonical_dumps({"kind": "sealed", "record": record}))
+            replies = [
+                parse_payload(context.unwrap(parse_payload(conn.recv_frame())["record"]))
+                for _ in range(8)
+            ]
+            assert sorted((r["id"], r["result"]) for r in replies) == [(100 + i, 2 * i) for i in range(8)]
             assert client.call("add", a=1, b=2) == 3
             client.close()
 
@@ -320,6 +327,39 @@ class TestTCP:
                 conn.send_frame(deep)
                 with pytest.raises(TransportError, match="closed"):
                     conn.recv_frame()
+            conn.close()
+            following = make_client(world, TCPClientConnection(server.address))
+            following.connect()
+            assert following.call("add", a=1, b=2) == 3
+            following.close()
+        assert crashes == []
+        assert [event for event in logs.events() if "unexpected_error" in event] == []
+
+    @pytest.mark.parametrize(
+        "message",
+        [
+            {"kind": "gsi"},
+            {"kind": "gsi", "token": 5},
+            {"kind": "gsi", "token": {"type": "hello"}},
+            {"kind": "sealed"},
+            {"kind": "sealed", "record": 5},
+        ],
+        ids=["gsi-no-token", "gsi-int-token", "hello-no-chain", "sealed-no-record", "sealed-int-record"],
+    )
+    def test_malformed_fields_are_refused(self, world, server_cls, message, monkeypatch):
+        """A handshake token or sealed record of the wrong shape is one more
+        malformed frame: the peer is refused, nothing dies with a traceback,
+        nothing is logged as an unexpected error, and the next client is
+        served."""
+        crashes = []
+        monkeypatch.setattr(threading, "excepthook", crashes.append)
+        endpoint = make_endpoint(world)
+        with obs_logging.capture() as logs, server_cls(endpoint.connection_handler) as server:
+            conn = TCPClientConnection(server.address)
+            if message["kind"] == "sealed":
+                make_client(world, conn).connect()
+            reply = parse_payload(conn.request(canonical_dumps(message)))
+            assert reply["kind"] == "refused"
             conn.close()
             following = make_client(world, TCPClientConnection(server.address))
             following.connect()
