@@ -17,9 +17,10 @@ lint:
 # ROADMAP item 4's "net-negative" gate as a command: src/ may not grow past
 # the count the last PR left it at. A PR that shrinks src/ lowers the
 # ceiling to its own count; one that must grow it says why where it raises it.
-# -231: client pipelining (RPCClient.pipeline, PendingCall, _Pipeline) and
-# the threaded front end's dispatch pool, in-flight semaphore and send lock.
-SRC_LINES_MAX := 23006
+# -148: the usage_rollups table and what kept its replicated copy
+# consistent (eviction, merge, standby persist gate, rescan, RUR blob);
+# rollups are lines in the span store's segment ring.
+SRC_LINES_MAX := 22858
 src-budget:
 	@lines=$$(find src -name '*.py' | xargs cat | wc -l); \
 	if [ $$lines -gt $(SRC_LINES_MAX) ]; then \

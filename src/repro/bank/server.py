@@ -130,7 +130,7 @@ class Op:
     #: than the request's idempotency key (``Shard.Apply``: the intent).
     reply_key: Optional[Callable[[dict], str]]
     #: GridCurrency one successful call moved, ``(params, result) ->
-    #: amount``, for the caller's usage row; None on rows that move none.
+    #: amount``, for the caller's usage sample; None on rows that move none.
     moved: Optional[Callable[[dict, Any], Any]]
     #: Principal workload: sampled by the SLO engine and the usage meter,
     #: listed among the hot ops, its spans stored. False for the traffic
@@ -183,14 +183,19 @@ class GridBankServer:
         # attached by repro.bank.shard.ShardNode when this bank serves one
         # shard of a sharded deployment; None means "owns the whole ring"
         self.shard = None
-        # spans are telemetry, not ledger: a segment ring beside the
-        # database directory (<home>/spans/<db dir name>/, so two databases
-        # under one parent stay apart), in memory for an in-memory bank.
-        # NOT auto-registered as a trace sink — callers that want stored
-        # spans install it (the serve CLI does), so several banks in one
-        # process don't capture each other's traces.
+        # spans and usage rollups are telemetry, not ledger: each a segment
+        # ring beside the database directory (<home>/spans/<db dir name>/
+        # and <home>/usage/<db dir name>/, so two databases under one
+        # parent stay apart), in memory for an in-memory bank. The span
+        # store is NOT auto-registered as a trace sink — callers that want
+        # stored spans install it (the serve CLI does), so several banks
+        # in one process don't capture each other's traces.
         path = self.db.path
-        self.spans = SpanStore(path.parent / "spans" / path.name if path is not None else None)
+
+        def beside(kind: str):
+            return path.parent / kind / path.name if path is not None else None
+
+        self.spans = SpanStore(beside("spans"))
         self.registry = InstrumentRegistry(self.db, self.clock)
         subject = identity.subject
         key = identity.private_key
@@ -231,16 +236,9 @@ class GridBankServer:
         )
         # telemetry plane: SLO burn-rate tracking over every dispatch, and
         # per-principal usage metering (op counts + wire bytes + currency
-        # moved), rolled up through the same WAL'd database. A standby's
-        # meter accumulates but never persists — replicated rows arrive
-        # from the primary instead.
+        # moved) of what this node serves, whatever its role
         self.slo = SLOEngine(clock=self.clock, objectives=default_bank_objectives())
-        self.usage = UsageMeter(
-            self.db,
-            self.clock,
-            bank_subject=subject,
-            should_persist=lambda: self.role == "primary",
-        )
+        self.usage = UsageMeter(self.clock, beside("usage"))
         self.endpoint.usage_sink = self._record_wire_usage
         #: the named access checks a row chooses from; a ClusterNode adds
         #: ``peer`` (it knows the peers)
@@ -282,7 +280,6 @@ class GridBankServer:
         self.accounts.rescan_ids()
         self.registry.rescan_ids()
         self.replies.rescan()
-        self.usage.rescan()
         if self.shard is not None:
             self.shard.rescan()
         obs_metrics.gauge("bank.reply_cache.size").set(len(self.replies))
@@ -303,9 +300,12 @@ class GridBankServer:
         """
         return self.slo.overload()
 
-    def _record_wire_usage(self, subject: str, bytes_in: int, bytes_out: int) -> None:
-        """The endpoint's per-dispatch wire-volume hook (sealed sizes)."""
-        self.usage.record_bytes(subject, bytes_in, bytes_out)
+    def _record_wire_usage(self, subject: str, method: str, bytes_in: int, bytes_out: int) -> None:
+        """The endpoint's per-dispatch wire-volume hook (sealed sizes):
+        tracked rows only, like the op sample (plumbing is not billed)."""
+        op = self.ops.get(method)
+        if op is not None and op.tracked:
+            self.usage.record_bytes(subject, bytes_in, bytes_out)
 
     def _observed_latency(self, elapsed: float, sent_at: Optional[float]) -> float:
         """The latency the *caller* experienced, for SLO accounting.

@@ -740,6 +740,8 @@ def cmd_serve(args) -> int:
         for exporter in exporters:
             exporter.stop()
         obs_trace.remove_sink(sampler)
+    # both telemetry rings out, whatever this node's role: the buffered
+    # spans, and the live usage period as a partial rollup
     bank.spans.flush()
     bank.usage.maybe_rollup(force=True)
     bank.db.close()
@@ -1032,9 +1034,8 @@ def render_top(snapshots: list[dict], top: int = 5) -> str:
                 f"{entry['errors']:>6} err  p95 {entry['p95_seconds'] * 1e3:8.2f}ms"
             )
 
-    # persisted usage rows replicate to every node, so summing across the
-    # cluster would multiply them; per-principal max keeps replicated
-    # history counted once while still reflecting each node's live period
+    # each node meters only what it served (rollups do not replicate), so
+    # a principal's cluster usage is the sum over the nodes
     principals: dict[str, dict] = {}
     for snap in reachable:
         for entry in (snap.get("usage", {}) or {}).get("top", []):
@@ -1043,15 +1044,13 @@ def render_top(snapshots: list[dict], top: int = 5) -> str:
                 {"principal": entry["principal"], "ops": 0, "errors": 0,
                  "currency_moved": 0.0},
             )
-            agg["ops"] = max(agg["ops"], int(entry.get("ops", 0)))
-            agg["errors"] = max(agg["errors"], int(entry.get("errors", 0)))
-            agg["currency_moved"] = max(
-                agg["currency_moved"], float(entry.get("currency_moved", 0.0))
-            )
+            agg["ops"] += int(entry.get("ops", 0))
+            agg["errors"] += int(entry.get("errors", 0))
+            agg["currency_moved"] += float(entry.get("currency_moved", 0.0))
     ranked = sorted(principals.values(), key=lambda e: (-e["ops"], e["principal"]))[:top]
     if ranked:
         lines.append("")
-        lines.append("top principals (max across nodes):")
+        lines.append("top principals (sum across nodes):")
         for entry in ranked:
             lines.append(
                 f"  {entry['principal']:<40} {entry['ops']:>8} ops  "

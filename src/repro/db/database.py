@@ -56,6 +56,8 @@ from repro.errors import (
     TransactionRequiredError,
     ValidationError,
 )
+from repro.obs import metrics as obs_metrics
+from repro.obs.logging import get_logger
 from repro.util.serialize import canonical_dumps, canonical_loads
 
 __all__ = ["Database"]
@@ -65,20 +67,7 @@ _WAL_NAME = integrity.WAL_NAME
 _EPOCH_NAME = integrity.EPOCH_NAME
 
 
-def _metrics():
-    """Lazy obs import: ``repro.obs`` persists through this module
-    (``obs.usage`` imports ``Database`` at load), so a top-level import
-    here would be circular."""
-    from repro.obs import metrics
-
-    return metrics
-
-
-def _log():
-    from repro.obs.logging import get_logger
-
-    return get_logger("db.integrity")
-
+_log = get_logger("db.integrity")
 #: upper bound on the group-commit linger knob (seconds)
 _MAX_LINGER = 0.002
 #: most records one leader writes in a single batch while lingering
@@ -555,7 +544,7 @@ class Database:
                     "(--repair --peer ADDR to restore from a healthy peer)",
                     seq=marker.get("seq", -1), offset=marker.get("offset", -1),
                 )
-                _metrics().counter("db.integrity.corruptions_detected").inc()
+                obs_metrics.counter("db.integrity.corruptions_detected").inc()
                 _notify_diag_corruption(self._corruption)
                 raise self._corruption
             # a crash mid-atomic-write can strand a *.tmp next to the
@@ -583,8 +572,8 @@ class Database:
                     payload, records = integrity.decode_snapshot(snapshot_file.read_bytes())
                 except CorruptionError as exc:
                     self._corruption = exc
-                    _metrics().counter("db.integrity.corruptions_detected").inc()
-                    _log().error("snapshot.corrupt", path=str(snapshot_file), reason=str(exc))
+                    obs_metrics.counter("db.integrity.corruptions_detected").inc()
+                    _log.error("snapshot.corrupt", path=str(snapshot_file), reason=str(exc))
                     _notify_diag_corruption(exc)
                     raise
                 dump = canonical_loads(payload) if payload else {}
@@ -598,7 +587,7 @@ class Database:
                     self._corruption = CorruptionError(
                         f"snapshot: manifest promises {records} record(s), decoded {loaded}"
                     )
-                    _metrics().counter("db.integrity.corruptions_detected").inc()
+                    obs_metrics.counter("db.integrity.corruptions_detected").inc()
                     _notify_diag_corruption(self._corruption)
                     raise self._corruption
             replayed = 0
@@ -613,8 +602,8 @@ class Database:
                         self._path, scan.corruption, scan.valid_bytes
                     )
                     self._corruption = scan.corruption
-                    _metrics().counter("db.integrity.corruptions_detected").inc()
-                    _log().error(
+                    obs_metrics.counter("db.integrity.corruptions_detected").inc()
+                    _log.error(
                         "wal.corrupt", path=str(wal_file),
                         seq=scan.corruption.seq, offset=scan.corruption.offset,
                         quarantined_bytes=len(
@@ -631,15 +620,15 @@ class Database:
                         handle.truncate(scan.valid_bytes)
                         handle.flush()
                         os.fsync(handle.fileno())
-                    _metrics().counter("db.wal_torn_tail").inc()
-                    _log().warning(
+                    obs_metrics.counter("db.wal_torn_tail").inc()
+                    _log.warning(
                         "wal.torn_tail", path=str(wal_file),
                         dropped_bytes=scan.torn_bytes, kept_records=len(scan.records),
                     )
                 for entry in scan.records:
                     self._apply_ops(entry["ops"])
                     replayed += 1
-                _metrics().counter("db.integrity.records_verified").inc(len(scan.records))
+                obs_metrics.counter("db.integrity.records_verified").inc(len(scan.records))
             self._wal_seq = base_seq + replayed
             self._wal_handle = self._open_wal(wal_file, "ab")
             if self._group_commit:
@@ -695,8 +684,8 @@ class Database:
                     self._fsync_handle(handle)
             except OSError as exc:
                 self._wal_poisoned = str(exc)
-                _metrics().counter("db.wal_write_errors").inc()
-                _log().error("wal.write_failed", reason=str(exc))
+                obs_metrics.counter("db.wal_write_errors").inc()
+                _log.error("wal.write_failed", reason=str(exc))
                 raise DatabaseError(f"journal write failed: {exc}") from exc
             crashpoint("db.commit.post_write")
             self._record_committed(payloads, start)
@@ -915,11 +904,11 @@ class Database:
         try:
             serialized = integrity.parse_record(payload.rstrip(b"\n"), seq=seq)
         except CorruptionError as exc:
-            _metrics().counter("db.integrity.corruptions_detected").inc()
+            obs_metrics.counter("db.integrity.corruptions_detected").inc()
             _notify_diag_corruption(exc)
             raise
         entry = canonical_loads(serialized)
-        _metrics().counter("db.integrity.records_verified").inc()
+        obs_metrics.counter("db.integrity.records_verified").inc()
         crashpoint("db.replication.pre_apply")
         with self._lock:
             if seq != self._wal_seq + 1:
@@ -963,15 +952,14 @@ class Database:
         the damage until :meth:`clear_corruption` (post-repair).
         """
         report = self.verify_storage()
-        metrics = _metrics()
-        metrics.counter("db.integrity.scrub_passes").inc()
-        metrics.counter("db.integrity.records_verified").inc(
+        obs_metrics.counter("db.integrity.scrub_passes").inc()
+        obs_metrics.counter("db.integrity.records_verified").inc(
             report.wal_records + max(report.snapshot_records, 0)
         )
         if not report.ok:
             self._corruption = report.corruption
-            metrics.counter("db.integrity.corruptions_detected").inc()
-            _log().error(
+            obs_metrics.counter("db.integrity.corruptions_detected").inc()
+            _log.error(
                 "scrub.corruption", source=report.corruption_source,
                 seq=report.corruption.seq, offset=report.corruption.offset,
             )

@@ -478,7 +478,7 @@ class _ServerConnection:
         usage_sink = self._endpoint.usage_sink
         if usage_sink is not None:
             try:
-                usage_sink(subject, request_bytes, len(response))
+                usage_sink(subject, method, request_bytes, len(response))
             except Exception:  # noqa: BLE001 - accounting must never fail a call
                 obs_metrics.counter("obs.usage_sink_errors").inc()
         return response
@@ -518,10 +518,10 @@ class ServiceEndpoint:
         # connection", a retryable TransportError) — exactly what a
         # process death looks like to a client mid-call
         self.crashed = False
-        # optional ``(subject, bytes_in, bytes_out)`` hook, called after
-        # every dispatch; the bank points it at its UsageMeter so wire
-        # volume lands in the per-principal usage rollups
-        self.usage_sink: Optional[Callable[[str, int, int], None]] = None
+        # optional ``(subject, method, bytes_in, bytes_out)`` hook, called
+        # after every dispatch; the bank points it at its UsageMeter so the
+        # wire volume of principal workload lands in the usage rollups
+        self.usage_sink: Optional[Callable[[str, str, int, int], None]] = None
 
     def register(self, method: str, operation: Operation) -> None:
         """Expose ``operation(subject, params) -> result`` as *method*."""

@@ -14,17 +14,17 @@ property for its own behaviour. Eight pieces:
   carried in the envelope ``trace`` field, restored around server-side
   dispatch, and stamped onto ledger TRANSACTION/TRANSFER rows; spans are
   *recorded* (timing, events, status) and flushed to sinks on close.
-* :mod:`repro.obs.store` — the sinks that make spans durable: a bounded
-  segment ring beside the database (queryable by ``gridbank trace``) and
-  a JSONL file for out-of-process collection.
+* :mod:`repro.obs.store` — the bounded segment ring beside the database
+  that keeps telemetry off the ledger's journal, and the span store built
+  on it (queryable by ``gridbank trace``).
 * :mod:`repro.obs.export` — Prometheus-text rendering of the metrics
   snapshot, with file/HTTP polling sidecars (plus ``/healthz``).
 * :mod:`repro.obs.slo` — declarative per-op objectives evaluated as
   multi-window burn rates, with an ok/warning/page alert state machine.
 * :mod:`repro.obs.sampling` — adaptive head sampling with tail retention
   for error and slow spans, in front of the durable span store.
-* :mod:`repro.obs.usage` — per-principal usage metering rolled up into
-  WAL'd rows carrying standard RUR blobs.
+* :mod:`repro.obs.usage` — per-principal usage metering, rolled up into
+  lines of a segment ring of its own, one per node.
 """
 
 from repro.obs import export, logging, metrics, sampling, slo, store, trace, usage

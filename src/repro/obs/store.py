@@ -1,14 +1,16 @@
-"""Span persistence — telemetry kept beside the ledger, not in it.
+"""Telemetry kept beside the ledger, not in it: the segment ring.
 
 The paper's accounts layer journals ACCOUNT / TRANSACTION / TRANSFER
 records (sec 3.2, 5.1): the audit trail a bank must never lose. A trace
-span is none of those — it describes how a request was *served* — so it
-is kept the way telemetry is kept: cheaply, bounded, off the money path.
-The sink for :func:`repro.obs.trace.add_sink` is :class:`SpanStore` — a
-bounded ring of append-only JSON-lines segments in a directory of its
-own (``<home>/spans/``; the same ring in memory for a bank without
-storage). An append takes the store's own lock and nothing else: no
-database call, no WAL record, no fsync, no replication, no thread.
+span is none of those — it describes how a request was *served* — and
+neither is a usage rollup, so both are kept the way telemetry is kept:
+cheaply, bounded, off the money path. :class:`SegmentRing` is a bounded
+ring of append-only JSON-lines segments in a directory of its own (the
+same ring in memory for a bank without storage). An append takes the
+ring's own lock and nothing else: no database call, no WAL record, no
+fsync, no replication, no thread. The sink for
+:func:`repro.obs.trace.add_sink` is :class:`SpanStore`, the ring under
+``<home>/spans/``; :mod:`repro.obs.usage` keeps the other one.
 ``gridbank trace show`` still joins a trace to the TRANSACTION/TRANSFER
 rows carrying its ``TraceID``, on the node that served the request.
 
@@ -29,12 +31,12 @@ from typing import Iterable, Iterator, Optional, Union
 
 from repro.obs import metrics as obs_metrics
 
-__all__ = ["SpanStore", "render_waterfall"]
+__all__ = ["SegmentRing", "SpanStore", "render_waterfall"]
 
 #: a segment is closed at this many records and the next one opened
 SEGMENT_RECORDS = 1_000
 #: ring bound: opening one segment more unlinks the oldest whole, so a
-#: full store retains between 49,001 and 50,000 spans
+#: full ring retains between 49,001 and 50,000 records
 MAX_SEGMENTS = 50
 #: write-behind: the buffer goes to the open segment at this many records,
 #: or once its oldest record is this old at the next append, or on flush()
@@ -101,16 +103,16 @@ class _Segment:
     lines: Optional[list] = None  # None: the lines are in the segment's file
 
 
-class SpanStore:
-    """Span sink appending to a bounded segment ring; also the query side.
+class SegmentRing:
+    """A bounded ring of append-only JSON-lines segments, and its reader.
 
-    Instances are callable so they plug directly into
-    :func:`repro.obs.trace.add_sink`. *directory* is where the segments
-    live (``None`` keeps the ring in memory). Constructing a store touches
-    no file: the directory is listed on the first flush or query and
-    created by the first flush with something to write. Each process that
-    writes starts a segment of its own, so a line torn by a crash is the
-    last of its segment and nothing is ever appended after it.
+    *directory* is where the segments live (``None`` keeps the ring in
+    memory). Constructing a ring touches no file: the directory is listed
+    on the first flush or query and created by the first flush with
+    something to write. Each process that writes starts a segment of its
+    own, so a line torn by a crash is the last of its segment and nothing
+    is ever appended after it. The span store and the usage meter each
+    keep one.
     """
 
     def __init__(self, directory: Optional[Union[str, Path]] = None) -> None:
@@ -121,11 +123,11 @@ class SpanStore:
         self._ring: Optional[list[_Segment]] = None  # oldest first
         self._open: Optional[_Segment] = None  # the segment this process appends to
 
-    # -- sink side ---------------------------------------------------------
+    # -- write side --------------------------------------------------------
 
-    def __call__(self, record: dict) -> None:
-        """Buffer one finished span record (the sink protocol)."""
-        line = _encode(record)
+    def append(self, line: str) -> None:
+        """Buffer one encoded line (no newline); it is written out with
+        the buffer, at the latest by the next :meth:`flush`."""
         now = time.monotonic()
         with self._lock:
             if not self._buffer:
@@ -162,12 +164,13 @@ class SpanStore:
         ring.append(_Segment(number, 0, [] if self.directory is None else None))
         while len(ring) > MAX_SEGMENTS:
             oldest = ring.pop(0)
-            # history destroyed by capacity, not by choice — keep the
-            # loss observable (sampling exists to keep this near zero)
-            obs_metrics.counter("obs.spans_dropped").inc(self._count(oldest))
+            self._dropped(oldest)
             if oldest.lines is None:
                 self._path(oldest).unlink(missing_ok=True)
         return ring[-1]
+
+    def _dropped(self, segment: _Segment) -> None:
+        """*segment* is about to leave the ring (the span store counts it)."""
 
     # -- the ring (callers hold the lock) ------------------------------------
 
@@ -188,7 +191,7 @@ class SpanStore:
             return list(segment.lines)
         try:
             text = self._path(segment).read_text(encoding="ascii", errors="replace")
-        except FileNotFoundError:  # rotated away by another store on this directory
+        except FileNotFoundError:  # rotated away by another ring on this directory
             return []
         return text.split("\n")[:-1]
 
@@ -197,25 +200,51 @@ class SpanStore:
             segment.count = len(self._read(segment))
         return segment.count
 
-    # -- query side --------------------------------------------------------
+    # -- read side ---------------------------------------------------------
 
-    def _records(self) -> Iterator[dict]:
+    def records(self) -> Iterator[dict]:
         """Every retained record, oldest first, buffered ones included."""
         with self._lock:
             self.flush()
             lines = [line for segment in self._segments() for line in self._read(segment)]
-        for fields in _parse_lines(lines):
+        return _parse_lines(lines)
+
+    def __len__(self) -> int:
+        """Records retained, the write-behind buffer included."""
+        with self._lock:
+            return sum(self._count(s) for s in self._segments()) + len(self._buffer)
+
+
+class SpanStore(SegmentRing):
+    """Span sink appending to a :class:`SegmentRing`; also the query side.
+
+    Instances are callable so they plug directly into
+    :func:`repro.obs.trace.add_sink`.
+    """
+
+    def __call__(self, record: dict) -> None:
+        """Buffer one finished span record (the sink protocol)."""
+        self.append(_encode(record))
+
+    def _dropped(self, segment: _Segment) -> None:
+        # history destroyed by capacity, not by choice — keep the loss
+        # observable (sampling exists to keep this near zero)
+        obs_metrics.counter("obs.spans_dropped").inc(self._count(segment))
+
+    def _spans(self) -> Iterator[dict]:
+        """Every retained span record, defaults filled in."""
+        for fields in self.records():
             yield {**_DEFAULTS, "attrs": {}, "events": [], **fields}
 
     def spans_for_trace(self, trace_id: str) -> list[dict]:
         """Every span of *trace_id*, as records, ordered by start time."""
-        records = (r for r in self._records() if r["trace_id"] == trace_id)
+        records = (r for r in self._spans() if r["trace_id"] == trace_id)
         return sorted(records, key=lambda r: (r["start_epoch"], r["span_id"]))
 
     def trace_ids(self) -> list[str]:
         """Distinct trace IDs, most recently started first."""
         latest: dict[str, float] = {}
-        for record in self._records():
+        for record in self._spans():
             if record["start_epoch"] >= latest.get(record["trace_id"], record["start_epoch"]):
                 latest[record["trace_id"]] = record["start_epoch"]
         return sorted(latest, key=lambda tid: -latest[tid])
@@ -223,7 +252,7 @@ class SpanStore:
     def slowest(self, limit: int = 10, name: str = "") -> list[dict]:
         """The *limit* longest spans (optionally only those whose name
         starts with *name*), as records, slowest first."""
-        records = (r for r in self._records() if r["name"].startswith(name))
+        records = (r for r in self._spans() if r["name"].startswith(name))
         return sorted(records, key=lambda r: -r["duration_seconds"])[:limit]
 
     def grep(self, needle: str, limit: int = 50) -> list[dict]:
@@ -231,15 +260,10 @@ class SpanStore:
         (case-insensitive substring), newest first."""
         want = needle.lower()
         hits = [
-            r for r in self._records()
+            r for r in self._spans()
             if want in _dumps([r["name"], r["error_type"], r["attrs"], r["events"]]).lower()
         ]
         return sorted(hits, key=lambda r: -r["start_epoch"])[:limit]
-
-    def __len__(self) -> int:
-        """Records retained, the write-behind buffer included."""
-        with self._lock:
-            return sum(self._count(s) for s in self._segments()) + len(self._buffer)
 
 
 # -- waterfall rendering -----------------------------------------------------

@@ -226,14 +226,14 @@ class TestLayeringClaim:
 
     def test_no_new_tables_or_account_operations_needed(self, world):
         # the protocol reuses the shared instruments registry and the
-        # existing accounts tables — the database schema is unchanged
-        # ("replies" belongs to the exactly-once RPC layer,
-        # "usage_rollups" to the observability layer, "shard_meta" and
-        # "xfer_intents" to the sharding layer, not GridCoin)
+        # existing accounts tables — the database schema is unchanged, and
+        # holds only the ledger ("replies" belongs to the exactly-once RPC
+        # layer, "shard_meta" and "xfer_intents" to the sharding layer, not
+        # GridCoin; spans and usage rollups are telemetry, kept in rings
+        # beside the database)
         assert sorted(world["bank"].db.table_names()) == [
             "accounts", "administrators", "instruments", "replies",
-            "shard_meta", "transactions", "transfers",
-            "usage_rollups", "xfer_intents",
+            "shard_meta", "transactions", "transfers", "xfer_intents",
         ]
 
     def test_coexists_with_other_instruments(self, world):

@@ -227,7 +227,7 @@ class TestGridbankTop:
         assert "slo burn rates (worst across nodes):" in text
         assert "hottest ops:" in text
         assert "direct_transfer" in text
-        assert "top principals (max across nodes):" in text
+        assert "top principals (sum across nodes):" in text
         assert "alice" in text
 
     def test_render_survives_an_all_down_cluster(self, world):
@@ -239,12 +239,21 @@ class TestGridbankTop:
         assert text.count("unreachable") == 2
 
     def test_replicated_usage_rows_are_not_double_counted(self, world):
-        """Persisted rollups replicate to every node; `top` folds
-        per-principal maxima, so three nodes reporting the same row
-        still show the true op count."""
+        """Rollups do not replicate: each node meters what it served, so
+        `top` sums a principal over the nodes and counts each op once —
+        the writes on the primary plus a read served by a standby."""
         drive_traffic(world)
         bank_a = world["banks"][A]
         bank_a.usage.maybe_rollup(force=True)
+        reader = RPCClient(
+            world["network"].connect(B), world["alice_ident"], world["store"],
+            clock=world["clock"],
+        )
+        reader.connect()
+        try:
+            reader.call("RequestAccountDetails", account_id=world["alice_account"])
+        finally:
+            reader.close()
         wait_caught_up(bank_a, world["banks"][B])
         wait_caught_up(bank_a, world["banks"][C])
         snapshots = []
@@ -264,13 +273,14 @@ class TestGridbankTop:
             line for line in text.splitlines()
             if "alice" in line and "ops" in line
         )
-        # 6 transfers + 2 failures + account creation ops, counted ONCE
-        ops_shown = int(re.search(r"(\d+) ops", alice_line).group(1))
-        per_node = max(
-            next(e for e in snap["usage"]["top"] if "alice" in e["principal"])["ops"]
+        per_node = [
+            sum(e["ops"] for e in snap["usage"]["top"] if "alice" in e["principal"])
             for snap in snapshots
-        )
-        assert ops_shown == per_node
+        ]
+        # the primary served alice's writes, bank-b her one read, bank-c none
+        assert per_node[1:] == [1, 0]
+        ops_shown = int(re.search(r"(\d+) ops", alice_line).group(1))
+        assert ops_shown == sum(per_node)
 
 
 class TestHealthz:

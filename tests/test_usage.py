@@ -1,30 +1,41 @@
-"""Per-principal usage metering: accumulation, rollup, and the RUR loop.
+"""Per-principal usage metering: accumulation, rollup, and the ring.
 
-The meter's promise is GASA's own: every principal's consumption of the
-bank (ops, wire bytes, latency, GridCurrency) becomes a durable
-``usage_rollups`` row carrying a standard RUR blob — so the bank's
-self-accounting interoperates with every other RUR consumer. These
-tests pin the period gating under a VirtualClock, the row/blob shape,
-the promoted-standby merge path, both memory bounds, and the standby
-persistence gate.
+The meter folds every principal's consumption of the bank (ops, wire
+bytes, latency, GridCurrency) into live accumulators and, once per
+period, into one line per principal of a segment ring beside the
+database — telemetry, not ledger. These tests pin the period gating
+under a VirtualClock, the line shape, what a rolled period survives, the
+ring's bound, and that each node — a standby included — meters what it
+served and nothing of the cluster's own plumbing.
 """
+
+import json
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from repro.db.database import Database
+from repro.net.rpc import RPCClient
 from repro.obs import metrics as obs_metrics
-from repro.obs.usage import (
-    USAGE_TABLE,
-    UsageMeter,
-    hot_operations,
-)
-from repro.rur.formats import from_blob
+from repro.obs import store as obs_store
+from repro.obs import usage as obs_usage
+from repro.obs.usage import UsageMeter, hot_operations
 from repro.util.gbtime import VirtualClock
-from repro.util.serialize import canonical_loads
 from tests.conftest import deliver_keyed
+from tests.test_replication import B, wait_caught_up, world  # noqa: F401 - primary + standby
 
 ALICE = "O=VO-A, CN=alice"
 BOB = "O=VO-B, CN=bob"
+PERIOD = 10.0
+
+
+@pytest.fixture(autouse=True)
+def short_period(monkeypatch):
+    """Ten-second periods, set before any meter (or world) is built."""
+    monkeypatch.setattr(obs_usage, "PERIOD_SECONDS", PERIOD)
 
 
 @pytest.fixture()
@@ -32,37 +43,33 @@ def clock():
     return VirtualClock(start=10_000.0)
 
 
-@pytest.fixture()
-def db():
-    database = Database()  # in-memory: the meter only needs the table API
-    yield database
-    database.close()
-
-
-def make_meter(db, clock, **kwargs):
-    defaults = dict(bank_subject="O=GridBank, CN=server", host="bank-a", period=100.0)
-    defaults.update(kwargs)
-    return UsageMeter(db, clock, **defaults)
+def lines_in(directory: Path) -> list[dict]:
+    """Every rollup line on disk under *directory*, oldest segment first."""
+    return [
+        json.loads(line)
+        for segment in sorted(directory.iterdir())
+        for line in segment.read_text().splitlines()
+    ]
 
 
 class TestAccumulation:
-    def test_meter_creates_its_table(self, db, clock):
-        make_meter(db, clock)
-        assert USAGE_TABLE in db.table_names()
+    def test_meter_writes_nothing_until_a_rollup(self, clock, tmp_path):
+        directory = tmp_path / "usage" / "db"
+        meter = UsageMeter(clock, directory)
+        meter.record_op(ALICE, "direct_transfer", ok=True, latency_seconds=0.1)
+        assert not directory.exists()
+        assert meter.maybe_rollup(force=True) == 1
+        assert [line["principal"] for line in lines_in(directory)] == [ALICE]
 
-    def test_rejects_nonpositive_period(self, db, clock):
-        with pytest.raises(ValueError):
-            make_meter(db, clock, period=0.0)
-
-    def test_live_accumulators_fold_ops_and_bytes(self, db, clock):
-        meter = make_meter(db, clock)
+    def test_live_accumulators_fold_ops_and_bytes(self, clock):
+        meter = UsageMeter(clock)
         meter.record_op(ALICE, "direct_transfer", ok=True, latency_seconds=0.1,
                         currency_moved=50.0)
         meter.record_op(ALICE, "direct_transfer", ok=False, latency_seconds=0.3)
         meter.record_bytes(ALICE, 100, 200)
         snap = meter.snapshot()
         assert snap["live_principals"] == 1
-        assert snap["persisted_rows"] == 0
+        assert snap["rollup_lines"] == 0
         (top,) = snap["top"]
         assert top["principal"] == ALICE
         assert top["ops"] == 2
@@ -72,9 +79,10 @@ class TestAccumulation:
         assert top["latency_seconds"] == pytest.approx(0.4)
         assert top["currency_moved"] == pytest.approx(50.0)
 
-    def test_live_principals_cap_overflows_to_other(self, db, clock):
+    def test_live_principals_cap_overflows_to_other(self, clock, monkeypatch):
         obs_metrics.reset()
-        meter = make_meter(db, clock, max_live_principals=2)
+        monkeypatch.setattr(obs_usage, "MAX_LIVE_PRINCIPALS", 2)
+        meter = UsageMeter(clock)
         meter.record_op(ALICE, "a", ok=True, latency_seconds=0.0)
         meter.record_op(BOB, "a", ok=True, latency_seconds=0.0)
         meter.record_op("O=VO-C, CN=carol", "a", ok=True, latency_seconds=0.0)
@@ -85,132 +93,140 @@ class TestAccumulation:
 
 
 class TestRollup:
-    def test_rollup_waits_for_the_period_to_complete(self, db, clock):
-        meter = make_meter(db, clock)
+    def test_rollup_waits_for_the_period_to_complete(self, clock):
+        meter = UsageMeter(clock)
         meter.record_op(ALICE, "direct_transfer", ok=True, latency_seconds=0.1)
         assert meter.maybe_rollup() == 0
-        assert db.count(USAGE_TABLE) == 0
-        clock.advance(101.0)
+        assert meter.snapshot()["rollup_lines"] == 0
+        clock.advance(PERIOD + 1)
         assert meter.maybe_rollup() == 1
-        assert db.count(USAGE_TABLE) == 1
+        assert meter.snapshot()["rollup_lines"] == 1
 
-    def test_record_path_triggers_due_rollup(self, db, clock):
-        meter = make_meter(db, clock)
+    def test_record_path_triggers_due_rollup(self, clock):
+        meter = UsageMeter(clock)
         meter.record_op(ALICE, "direct_transfer", ok=True, latency_seconds=0.1)
-        clock.advance(101.0)
+        clock.advance(PERIOD + 1)
         # the next record both rolls the old period and starts the new one
         meter.record_op(ALICE, "direct_transfer", ok=True, latency_seconds=0.1)
-        assert db.count(USAGE_TABLE) == 1
+        assert meter.snapshot()["rollup_lines"] == 1
         assert meter.snapshot()["live_principals"] == 1
 
-    def test_persisted_row_carries_sums_opcounts_and_rur(self, db, clock):
-        meter = make_meter(db, clock)
+    def test_rollup_line_carries_sums_and_opcounts(self, clock, tmp_path):
+        meter = UsageMeter(clock, tmp_path)
         period_start = meter.snapshot()["period_start"]
         meter.record_op(ALICE, "direct_transfer", ok=True, latency_seconds=0.25,
                         currency_moved=75.0)
         meter.record_op(ALICE, "account_statement", ok=False, latency_seconds=0.05)
         meter.record_bytes(ALICE, 1_000_000, 2_000_000)
-        clock.advance(150.0)
+        clock.advance(PERIOD * 1.5)
         assert meter.maybe_rollup() == 1
-        (row,) = db.table(USAGE_TABLE).all_rows()
-        assert row["Principal"] == ALICE
-        assert row["PeriodStart"] == period_start
-        assert row["Ops"] == 2
-        assert row["Errors"] == 1
-        assert row["BytesIn"] == 1_000_000
-        assert row["BytesOut"] == 2_000_000
-        assert row["LatencySum"] == pytest.approx(0.30)
-        assert row["CurrencyMoved"] == pytest.approx(75.0)
-        assert canonical_loads(row["OpCounts"]) == {
-            "direct_transfer": 1, "account_statement": 1,
+        (line,) = lines_in(tmp_path)
+        assert line == {
+            "principal": ALICE,
+            "period_start": period_start,
+            "period_end": clock.epoch(),
+            "ops": 2,
+            "errors": 1,
+            "bytes_in": 1_000_000,
+            "bytes_out": 2_000_000,
+            "latency_seconds": pytest.approx(0.30),
+            "currency_moved": pytest.approx(75.0),
+            "op_counts": {"direct_transfer": 1, "account_statement": 1},
         }
-        # the blob is a standard RUR any consumer in the codebase can read
-        record = from_blob(row["RUR"])
-        assert record.user_certificate_name == ALICE
-        assert record.application_name == "gridbank.usage_rollup"
-        assert record.resource_certificate_name == "O=GridBank, CN=server"
-        assert record.resource_host == "bank-a"
-        assert record.job_start_epoch == period_start
-        assert record.usage.cpu_time_s == pytest.approx(0.30)
-        assert record.usage.network_mb == pytest.approx(3.0)
 
-    def test_force_rollup_flushes_a_partial_period(self, db, clock):
-        meter = make_meter(db, clock)
+    def test_a_rollup_line_is_never_clipped(self, clock, tmp_path):
+        """The span encoder sheds everything but identity past 4,096 bytes;
+        a rollup line is not a span, and keeps its sums at any length."""
+        meter = UsageMeter(clock, tmp_path)
+        for i in range(200):
+            meter.record_op(ALICE, f"extension_operation_{i:04d}", ok=True,
+                            latency_seconds=0.01, currency_moved=1.0)
+        meter.maybe_rollup(force=True)
+        [segment] = tmp_path.iterdir()
+        assert len(segment.read_bytes()) > obs_store.MAX_LINE_BYTES
+        (line,) = lines_in(tmp_path)
+        assert line["ops"] == 200 and line["currency_moved"] == pytest.approx(200.0)
+        assert len(line["op_counts"]) == 200
+        assert UsageMeter(clock, tmp_path).top_principals(1)[0]["ops"] == 200
+
+    def test_force_rollup_flushes_a_partial_period(self, clock):
+        meter = UsageMeter(clock)
         meter.record_op(ALICE, "direct_transfer", ok=True, latency_seconds=0.1)
         assert meter.maybe_rollup(force=True) == 1
-        assert db.count(USAGE_TABLE) == 1
+        assert meter.snapshot()["rollup_lines"] == 1
+        assert meter.maybe_rollup(force=True) == 0  # nothing live: no line
 
-    def test_same_period_collision_merges_not_errors(self, db, clock):
-        """A promoted standby rolling a period the dead primary already
-        shipped lands on the same (Principal, PeriodStart) key — the row
-        must absorb the second rollup, not raise."""
-        meter = make_meter(db, clock)
+    def test_same_period_collision_merges_not_errors(self, clock, tmp_path):
+        """A restart inside one period (``serve`` rolls the partial period
+        on the way out, the next process rolls the rest) leaves two lines
+        for one (principal, period); the read side folds them."""
+        meter = UsageMeter(clock, tmp_path)
         meter.record_op(ALICE, "direct_transfer", ok=True, latency_seconds=0.1,
                         currency_moved=10.0)
         assert meter.maybe_rollup(force=True) == 1
-        # a second meter anchored at the same period start (same epoch)
-        other = make_meter(db, VirtualClock(start=10_000.0))
+        other = UsageMeter(VirtualClock(start=10_000.0), tmp_path)
         other.record_op(ALICE, "direct_transfer", ok=False, latency_seconds=0.2,
                         currency_moved=5.0)
         other.record_op(ALICE, "redeem_cheque", ok=True, latency_seconds=0.1)
         assert other.maybe_rollup(force=True) == 1
-        (row,) = db.table(USAGE_TABLE).all_rows()
-        assert row["Ops"] == 3
-        assert row["Errors"] == 1
-        assert row["CurrencyMoved"] == pytest.approx(15.0)
-        assert canonical_loads(row["OpCounts"]) == {
-            "direct_transfer": 2, "redeem_cheque": 1,
-        }
-        assert from_blob(row["RUR"]).usage.cpu_time_s == pytest.approx(0.4)
+        assert len({line["period_start"] for line in lines_in(tmp_path)}) == 1
+        (alice,) = UsageMeter(clock, tmp_path).top_principals(5)
+        assert alice["ops"] == 3
+        assert alice["errors"] == 1
+        assert alice["currency_moved"] == pytest.approx(15.0)
+        assert alice["latency_seconds"] == pytest.approx(0.4)
 
-    def test_standby_discards_instead_of_writing(self, db, clock):
-        obs_metrics.reset()
-        meter = make_meter(db, clock, should_persist=lambda: False)
-        meter.record_op(ALICE, "direct_transfer", ok=True, latency_seconds=0.1)
-        meter.record_op(BOB, "direct_transfer", ok=True, latency_seconds=0.1)
-        assert meter.maybe_rollup(force=True) == 0
-        assert db.count(USAGE_TABLE) == 0
-        counters = obs_metrics.snapshot()["counters"]
-        assert counters["usage.rollups_skipped"] == 2
-        # the live accumulators were consumed either way
-        assert meter.snapshot()["live_principals"] == 0
-
-    def test_eviction_drops_oldest_periods_past_max_rows(self, db, clock):
-        obs_metrics.reset()
-        meter = make_meter(db, clock, max_rows=2)
+    def test_eviction_drops_oldest_periods_past_max_rows(self, clock, tmp_path, monkeypatch):
+        """At the ring bound the oldest segment goes whole — and is not a
+        dropped *span*: ``obs.spans_dropped`` does not move."""
+        monkeypatch.setattr(obs_store, "SEGMENT_RECORDS", 1)
+        monkeypatch.setattr(obs_store, "MAX_SEGMENTS", 2)
+        dropped = obs_metrics.counter("obs.spans_dropped")
+        before = dropped.value
+        meter = UsageMeter(clock, tmp_path)
         for _ in range(3):
             meter.record_op(ALICE, "direct_transfer", ok=True, latency_seconds=0.1)
-            clock.advance(100.0)
+            clock.advance(PERIOD)
             meter.maybe_rollup()
-        assert db.count(USAGE_TABLE) == 2
-        starts = sorted(row["PeriodStart"] for row in db.table(USAGE_TABLE).all_rows())
-        assert starts == [10_100.0, 10_200.0]  # the 10_000.0 period evicted
-        counters = obs_metrics.snapshot()["counters"]
-        assert counters["usage.rollups_evicted"] == 1
+        starts = [line["period_start"] for line in lines_in(tmp_path)]
+        assert starts == [10_010.0, 10_020.0]  # the 10_000.0 period went
+        assert meter.top_principals(1)[0]["ops"] == 2
+        assert dropped.value == before
 
-    def test_rollup_exports_top_principal_gauges(self, db, clock):
-        obs_metrics.reset()
-        meter = make_meter(db, clock)
-        meter.record_op(ALICE, "direct_transfer", ok=True, latency_seconds=0.1,
-                        currency_moved=42.0)
-        meter.maybe_rollup(force=True)
-        gauges = obs_metrics.snapshot()["gauges"]
-        # the DN label value is escaped in the registry key
-        key = f"usage.principal.ops{{principal={ALICE.replace(',', chr(92) + ',').replace('=', chr(92) + '=')}}}"
-        assert gauges[key] == 1
 
-    def test_rescan_restarts_the_live_period(self, db, clock):
-        meter = make_meter(db, clock)
+class TestDurability:
+    def test_completed_period_survives_a_clean_restart(self, clock, tmp_path):
+        meter = UsageMeter(clock, tmp_path)
         meter.record_op(ALICE, "direct_transfer", ok=True, latency_seconds=0.1)
-        clock.advance(250.0)
-        meter.rescan()
-        assert meter.snapshot()["live_principals"] == 0
-        assert meter.snapshot()["period_start"] == 10_200.0
+        clock.advance(PERIOD + 1)
+        assert meter.maybe_rollup() == 1
+        restarted = UsageMeter(clock, tmp_path)
+        assert [(e["principal"], e["ops"]) for e in restarted.top_principals(5)] == [(ALICE, 1)]
+
+    def test_completed_period_survives_kill_9_right_after_the_rollup(self, tmp_path):
+        """The lines are written before ``maybe_rollup`` returns: a process
+        SIGKILLed on the next instruction leaves them whole on disk."""
+        script = (
+            "import os, signal\n"
+            "from repro.obs.usage import UsageMeter\n"
+            "from repro.util.gbtime import VirtualClock\n"
+            f"meter = UsageMeter(VirtualClock(start=10_000.0), {str(tmp_path)!r})\n"
+            f"meter.record_op({ALICE!r}, 'direct_transfer', ok=True, latency_seconds=0.1)\n"
+            f"meter.record_op({BOB!r}, 'redeem_cheque', ok=True, latency_seconds=0.1)\n"
+            "assert meter.maybe_rollup(force=True) == 2\n"
+            "os.kill(os.getpid(), signal.SIGKILL)\n"
+        )
+        src = str(Path(obs_usage.__file__).parents[2])
+        env = {**os.environ, "PYTHONPATH": src}
+        result = subprocess.run([sys.executable, "-c", script], env=env, timeout=60)
+        assert result.returncode == -9
+        survivors = UsageMeter(VirtualClock(start=10_000.0), tmp_path).top_principals(5)
+        assert sorted(e["principal"] for e in survivors) == [ALICE, BOB]
 
 
 class TestQuerySide:
-    def test_top_principals_ranks_persisted_plus_live(self, db, clock):
-        meter = make_meter(db, clock)
+    def test_top_principals_ranks_persisted_plus_live(self, clock):
+        meter = UsageMeter(clock)
         for _ in range(5):
             meter.record_op(ALICE, "direct_transfer", ok=True, latency_seconds=0.1)
         meter.maybe_rollup(force=True)
@@ -220,14 +236,47 @@ class TestQuerySide:
             meter.record_op(BOB, "redeem_cheque", ok=True, latency_seconds=0.1)
         ranked = meter.top_principals(2)
         assert [e["principal"] for e in ranked] == [ALICE, BOB]
-        assert ranked[0]["ops"] == 8  # 5 persisted + 3 live
+        assert ranked[0]["ops"] == 8  # 5 rolled + 3 live
         assert ranked[1]["ops"] == 7
 
-    def test_top_k_truncates(self, db, clock):
-        meter = make_meter(db, clock)
+    def test_top_k_truncates(self, clock):
+        meter = UsageMeter(clock)
         meter.record_op(ALICE, "a", ok=True, latency_seconds=0.0)
         meter.record_op(BOB, "a", ok=True, latency_seconds=0.0)
         assert len(meter.top_principals(1)) == 1
+
+
+class TestEachNodeMetersWhatItServed:
+    def test_standby_reports_reads_across_a_period_boundary(self, world, tmp_path):  # noqa: F811
+        """A standby rolls the periods it served into its own ring; before
+        rollups left the database it discarded them."""
+        standby = world["bank_b"]
+        wait_caught_up(world["bank_a"], standby)
+        reader = RPCClient(
+            world["network"].connect(B), world["alice_ident"], world["store"],
+            clock=world["clock"], rng=random.Random(77),
+        )
+        reader.connect()
+        try:
+            reader.call("RequestAccountDetails", account_id=world["alice_account"])
+            world["clock"].advance(PERIOD + 1)  # inside the 30 s staleness bound
+            reader.call("RequestAccountDetails", account_id=world["alice_account"])
+        finally:
+            reader.close()
+        alice = world["alice_ident"].subject
+        assert [(e["principal"], e["ops"]) for e in standby.usage.top_principals(5)] == [(alice, 2)]
+        assert [line["principal"] for line in lines_in(tmp_path / "usage" / B)] == [alice]
+
+    def test_plumbing_bytes_are_not_metered(self, world):  # noqa: F811
+        """The standby's fetch stream is the bank's own subject calling
+        ``Replication.Fetch``: an untracked row, so neither its ops nor its
+        wire volume reach the primary's usage."""
+        primary = world["bank_a"]
+        wait_caught_up(primary, world["bank_b"])
+        top = {e["principal"]: e for e in primary.usage.top_principals(50)}
+        assert primary.subject not in top
+        # ... while principal workload is billed its bytes
+        assert top[world["alice_ident"].subject]["bytes_in"] > 0
 
 
 class TestHotOperations:

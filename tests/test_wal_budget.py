@@ -6,9 +6,11 @@ nothing else's. With the sinks ``gridbank serve`` installs by default in
 place — so every request is traced and its spans are stored — a transfer
 appends ONE record of bounded size and a read appends NOTHING; the spans
 land in the segment ring beside the database. A standby that stores its
-own spans still holds the primary's WAL byte for byte.
+own spans still holds the primary's WAL byte for byte. Usage rollups are
+telemetry too: rolling a period appends nothing to either node's WAL.
 """
 
+import json
 import random
 
 import pytest
@@ -38,6 +40,15 @@ def _serve_sinks(world):  # noqa: F811
 
 def _wal(tmp_path, name) -> bytes:
     return (tmp_path / name / "wal.gbdb").read_bytes()
+
+
+def _rolled(tmp_path, name) -> list[dict]:
+    """The rollup lines in node *name*'s usage ring."""
+    return [
+        json.loads(line)
+        for segment in sorted((tmp_path / "usage" / name).iterdir())
+        for line in segment.read_text().splitlines()
+    ]
 
 
 def test_transfer_appends_one_record_and_a_read_appends_none(world, tmp_path):  # noqa: F811
@@ -117,3 +128,31 @@ def test_plumbing_spans_stay_out_of_the_ring(world):  # noqa: F811
         assert len(primary.spans) >= stored + 3  # + dispatch + bank.op
     finally:
         obs_trace.remove_sink(sink)
+
+
+def test_a_rollup_appends_nothing_to_either_wal(world, tmp_path):  # noqa: F811
+    """Each node rolls what it served into its own usage ring: the primary
+    alice's transfer, the standby her read. Neither WAL grows, and the
+    standby's stays the primary's byte for byte."""
+    primary, standby = world["bank_a"], world["bank_b"]
+    world["alice"].request_direct_transfer(
+        world["alice_account"], world["gsp_account"], Credits(5)
+    )
+    wait_caught_up(primary, standby)
+    reader = RPCClient(
+        world["network"].connect(B), world["alice_ident"], world["store"],
+        clock=world["clock"], rng=random.Random(77),
+    )
+    reader.connect()
+    reader.call("RequestAccountDetails", account_id=world["alice_account"])
+    reader.close()
+    before = {name: _wal(tmp_path, name) for name in (A, B)}
+    assert primary.usage.maybe_rollup(force=True) >= 1
+    assert standby.usage.maybe_rollup(force=True) == 1
+    assert {name: _wal(tmp_path, name) for name in (A, B)} == before
+    assert _wal(tmp_path, A) == _wal(tmp_path, B)
+    primary_lines, standby_lines = _rolled(tmp_path, A), _rolled(tmp_path, B)
+    assert world["alice_ident"].subject in {line["principal"] for line in primary_lines}
+    [standby_line] = standby_lines
+    assert standby_line["principal"] == world["alice_ident"].subject
+    assert standby_line["op_counts"] == {"account_details": 1}
