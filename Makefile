@@ -17,10 +17,11 @@ lint:
 # ROADMAP item 4's "net-negative" gate as a command: src/ may not grow past
 # the count the last PR left it at. A PR that shrinks src/ lowers the
 # ceiling to its own count; one that must grow it says why where it raises it.
-# -148: the usage_rollups table and what kept its replicated copy
-# consistent (eviction, merge, standby persist gate, rescan, RUR blob);
-# rollups are lines in the span store's segment ring.
-SRC_LINES_MAX := 22858
+# -33: one reader of a database directory (recovery, fsck, scrubber),
+# one snapshot publisher, one epoch-file parser and writer, and one
+# catch-up routine where the standby, promotion, repair and fsck each
+# had their own.
+SRC_LINES_MAX := 22825
 src-budget:
 	@lines=$$(find src -name '*.py' | xargs cat | wc -l); \
 	if [ $$lines -gt $(SRC_LINES_MAX) ]; then \

@@ -49,11 +49,11 @@ from __future__ import annotations
 import functools
 import threading
 from collections import deque
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Tuple
 
 from repro.bank.server import PRIMARY, GridBankServer
 from repro.db.integrity import Scrubber
-from repro.db.replication import FETCH_OK, FETCH_RESYNC
+from repro.db.replication import FETCH_OK
 from repro.errors import (
     AuthorizationError,
     CorruptionError,
@@ -71,9 +71,74 @@ from repro.obs.logging import get_logger
 from repro.obs.usage import hot_operations
 from repro.util.runner import Runner
 
-__all__ = ["ClusterNode", "StandbyReplicator", "PrimaryRouter", "ReplicatedBranch", "cluster_client"]
+__all__ = [
+    "ClusterNode", "StandbyReplicator", "PrimaryRouter", "ReplicatedBranch", "cluster_client",
+    "catch_up", "RestoreNeeded",
+]
 
 _log = get_logger("bank.cluster")
+
+
+class RestoreNeeded(ReproError):
+    """The peer cannot level this node by a suffix, and the caller of
+    :func:`catch_up` asked for no restore."""
+
+
+def catch_up(
+    bank: GridBankServer,
+    client: RPCClient,
+    wait: float = 0.0,
+    resync: bool = False,
+    restore: bool = True,
+    batch: int = 256,
+) -> Tuple[int, int]:
+    """One round of catching up from the peer behind *client* — the one
+    routine the standby's pull, promotion's tail drain, ``repair`` and
+    ``gridbank fsck --repair`` share.
+
+    Fetches up to *batch* records from the bank database's replication
+    position (the peer parks up to *wait* seconds when it has nothing
+    newer) and replays each through ``apply_replicated``. Returns how
+    many records the peer still holds beyond ours, and the peer's
+    fencing epoch. When the peer answers ``resync``, when the local
+    position is ahead of the peer's (local writes: silent divergence),
+    when what it sends does not start at the next seq, or when the
+    caller asks for *resync*, the round restores the peer's
+    ``Replication.Snapshot`` through ``load_state`` + ``rescan_state``
+    instead, which leaves the bank level with the peer as of its dump:
+    it returns 0 behind. With *restore* false such a round raises
+    :class:`RestoreNeeded` and leaves local state as it was.
+    """
+    db = bank.db
+    if not resync:
+        epoch, seq = db.replication_position()
+        reply = client.call(
+            "Replication.Fetch", epoch=epoch, from_seq=seq, max_records=batch, timeout=wait,
+        )
+        records, last_seq = reply["records"], int(reply["last_seq"])
+        ok = reply["status"] == FETCH_OK
+        if ok and seq <= last_seq and (not records or int(records[0][0]) == seq + 1):
+            if records:
+                with obs_trace.span("replication.replay", kind="cluster", count=len(records)):
+                    for record_seq, payload in records:
+                        db.apply_replicated(int(record_seq), payload)
+                obs_metrics.counter("replication.records_applied").inc(len(records))
+            return max(0, last_seq - db.replication_position()[1]), int(reply["cluster_epoch"])
+        if not restore:
+            raise RestoreNeeded(
+                f"peer cannot serve a suffix from epoch {epoch} seq {seq} "
+                f"({reply['status']}, peer at seq {last_seq})"
+            )
+        if ok and seq > last_seq:
+            obs_metrics.counter("replication.divergence_resyncs").inc()
+            _log.warning("replication.diverged", local_seq=seq, primary_seq=last_seq)
+    reply = client.call("Replication.Snapshot")
+    with obs_trace.span("replication.bootstrap", kind="cluster"):
+        db.load_state(reply["state"])
+        bank.rescan_state()
+    obs_metrics.counter("replication.bootstraps").inc()
+    _log.info("replication.bootstrapped", epoch=reply["state"]["epoch"], seq=reply["state"]["seq"])
+    return 0, int(reply["cluster_epoch"])
 
 
 class ClusterNode:
@@ -180,10 +245,21 @@ class ClusterNode:
                 "replication.promote", kind="cluster", node=self.address, reason=reason
             ):
                 # stop the poll thread first so the drain below is the
-                # only writer replaying the stream
+                # only writer replaying the stream. Pull whatever suffix
+                # the (possibly dead) upstream can still serve: a dead
+                # primary means the tail is what already shipped, the
+                # documented RPO window of asynchronous shipping. Never a
+                # restore: the node about to become the source of truth
+                # keeps the history it has rather than wait on a snapshot
                 self._stop_replicator()
                 if replicator is not None:
-                    replicator.drain_tail()
+                    try:
+                        self._catch_up_from(replicator.primary_address, restore=False)
+                    except (ReproError, OSError) as exc:
+                        _log.info(
+                            "cluster.tail_drain_stopped", node=self.address,
+                            error=type(exc).__name__, reason=str(exc),
+                        )
                 # the replicated WAL repopulated tables underneath the
                 # layers; counters/caches must resync before any write
                 bank.rescan_state()
@@ -269,16 +345,31 @@ class ClusterNode:
         # a failed repair propagates: the runner counts and logs it
         self.repair(reason="scrubber")
 
+    # -- catching up from a peer ---------------------------------------------
+
+    def _catch_up_from(self, address: str, resync: bool = False, restore: bool = True) -> None:
+        """Dial *address* and run :func:`catch_up` rounds, with no fetch
+        wait, until level with it."""
+        client = self._peer_client(address)
+        try:
+            behind = 1
+            while behind > 0:  # a restore answers 0, so only fetch rounds repeat
+                behind, cluster_epoch = catch_up(
+                    self.bank, client, resync=resync, restore=restore, batch=self.fetch_batch
+                )
+                self.cluster_epoch = max(self.cluster_epoch, cluster_epoch)
+        finally:
+            client.close()
+
     def repair(self, peer_address: Optional[str] = None, reason: str = "operator") -> dict:
         """Self-heal from a healthy peer after local storage corruption.
 
-        Fetches a fresh, manifest-verified snapshot via the existing
-        ``Replication.Snapshot`` RPC, loads it (which atomically rewrites
-        the local snapshot and truncates the damaged WAL), rescans
-        in-memory bank state, and re-verifies every local byte before
-        declaring victory — the node never rejoins the stream on bytes it
-        has not checked. A standby resumes following its (possibly new)
-        upstream afterwards.
+        Catches up from the peer with a forced resync — a fresh
+        ``Replication.Snapshot`` that ``load_state`` writes down
+        atomically, truncating the damaged WAL — and re-verifies every
+        local byte before declaring victory: the node never rejoins the
+        stream on bytes it has not checked. A standby resumes following
+        its (possibly new) upstream afterwards.
         """
         with self._role_lock:
             peer = peer_address
@@ -293,14 +384,8 @@ class ClusterNode:
                 node=self.address, peer=peer, reason=reason,
             ):
                 self._stop_replicator()
-                client = self._peer_client(peer)
-                try:
-                    reply = client.call("Replication.Snapshot")
-                finally:
-                    client.close()
+                self._catch_up_from(peer, resync=True)
                 db.clear_corruption()
-                db.load_state(reply["state"])
-                self.bank.rescan_state()
                 report = db.verify_storage() if db.path is not None else None
                 if report is not None and not report.ok:
                     # the freshly-written bytes failed verification: the
@@ -528,7 +613,7 @@ class StandbyReplicator:
     def __init__(self, node: ClusterNode, primary_address: str, resync: bool = False) -> None:
         self.node = node
         self.primary_address = primary_address
-        self._need_bootstrap = resync
+        self._resync = resync
         self._client: Optional[RPCClient] = None
         clock = node.bank.clock
         #: last successful exchange with the primary (lease basis)
@@ -565,9 +650,14 @@ class StandbyReplicator:
             # one reference for the whole round: stop() may drop
             # self._client under us, and a closed client fails typed
             client = self._ensure_client()
-            if self._need_bootstrap:
-                self._bootstrap_snapshot(client)
-            if self._poll_once(client) and self.lag_records > 0:
+            node = self.node
+            self.lag_records, cluster_epoch = catch_up(
+                node.bank, client, node.long_poll, resync=self._resync, batch=node.fetch_batch
+            )
+            node.cluster_epoch = max(node.cluster_epoch, cluster_epoch)
+            self._resync = False
+            self._mark_contact(caught_up=self.lag_records == 0)
+            if self.lag_records > 0:
                 return 0.0
         except NotPrimaryError as exc:
             return self._reroute(exc)
@@ -614,105 +704,6 @@ class StandbyReplicator:
             return 0.0
         self._maybe_auto_promote()
         return None
-
-    def _bootstrap_snapshot(self, client: RPCClient) -> None:
-        reply = client.call("Replication.Snapshot")
-        node = self.node
-        with obs_trace.span("replication.bootstrap", kind="cluster", node=node.address):
-            node.bank.db.load_state(reply["state"])
-            node.bank.rescan_state()
-        node.cluster_epoch = max(node.cluster_epoch, int(reply["cluster_epoch"]))
-        self._need_bootstrap = False
-        self._mark_contact(caught_up=False)
-        obs_metrics.counter("replication.bootstraps").inc()
-        epoch, seq = node.bank.db.replication_position()
-        _log.info("replication.bootstrapped", node=node.address, epoch=epoch, seq=seq)
-
-    def _poll_once(self, client: RPCClient) -> bool:
-        """One fetch+replay round; returns True when records advanced."""
-        node = self.node
-        db = node.bank.db
-        epoch, seq = db.replication_position()
-        reply = client.call(
-            "Replication.Fetch",
-            epoch=epoch,
-            from_seq=seq,
-            max_records=node.fetch_batch,
-            timeout=node.long_poll,
-        )
-        node.cluster_epoch = max(node.cluster_epoch, int(reply.get("cluster_epoch", 0)))
-        if reply["status"] == FETCH_RESYNC:
-            self._need_bootstrap = True
-            self._mark_contact(caught_up=False)
-            return True
-        if seq > int(reply["last_seq"]):
-            # the replica is AHEAD of the primary within the same epoch:
-            # something wrote to this database locally (not through the
-            # stream), so its contents have silently diverged. A plain
-            # fetch would return empty forever; force a snapshot resync.
-            obs_metrics.counter("replication.divergence_resyncs").inc()
-            _log.warning(
-                "replication.diverged",
-                node=node.address,
-                local_seq=seq,
-                primary_seq=int(reply["last_seq"]),
-            )
-            self._need_bootstrap = True
-            self._mark_contact(caught_up=False)
-            return True
-        records = reply["records"]
-        if records:
-            with obs_trace.span(
-                "replication.replay", kind="cluster", node=node.address, count=len(records)
-            ):
-                for record_seq, payload in records:
-                    db.apply_replicated(int(record_seq), payload)
-            obs_metrics.counter("replication.records_applied").inc(len(records))
-        _, seq_after = db.replication_position()
-        self.lag_records = max(0, int(reply["last_seq"]) - seq_after)
-        self._mark_contact(caught_up=self.lag_records == 0)
-        return bool(records)
-
-    def drain_tail(self) -> int:
-        """Best-effort synchronous catch-up before promotion: pull
-        whatever the (possibly dead) upstream can still serve until the
-        stream runs dry. Errors are swallowed — a dead primary simply
-        means the tail is whatever already shipped, which is the
-        documented RPO window of asynchronous shipping."""
-        applied = 0
-        try:
-            client = self.node._peer_client(self.primary_address)
-        except (ReproError, OSError):
-            return applied
-        try:
-            db = self.node.bank.db
-            while True:
-                epoch, seq = db.replication_position()
-                reply = client.call(
-                    "Replication.Fetch",
-                    epoch=epoch,
-                    from_seq=seq,
-                    max_records=self.node.fetch_batch,
-                    timeout=0.0,
-                )
-                if reply["status"] != FETCH_OK or not reply["records"]:
-                    break
-                for record_seq, payload in reply["records"]:
-                    db.apply_replicated(int(record_seq), payload)
-                    applied += 1
-        except (ReproError, OSError):
-            pass
-        finally:
-            try:
-                client.close()
-            except ReproError:
-                pass
-        if applied:
-            obs_metrics.counter("replication.records_applied").inc(applied)
-            _log.info(
-                "replication.tail_drained", node=self.node.address, records=applied
-            )
-        return applied
 
     def _mark_contact(self, caught_up: bool) -> None:
         now = self.node.bank.clock.epoch()

@@ -79,14 +79,21 @@ def _save_identity(home: Path, identity: Identity, root: Certificate) -> None:
     (home / _ROOT_FILE).write_bytes(canonical_dumps(root.to_dict()))
 
 
-def _load_bank(home: Path, bank_number: int = 1, branch_number: int = 1) -> GridBankServer:
+def _bank_credential(home: Path):
+    """The bank home's own identity + trust store — nodes of one logical
+    bank share the bank identity, and holding it is what authorizes the
+    replication/repair RPCs against a peer."""
     identity_blob = canonical_loads((home / _IDENTITY_FILE).read_bytes())
     identity = Identity(
         certificate=Certificate.from_dict(identity_blob["certificate"]),
         private_key=private_key_from_dict(identity_blob["private_key"]),
     )
     root = Certificate.from_dict(canonical_loads((home / _ROOT_FILE).read_bytes()))
-    store = CertificateStore([root])
+    return identity, CertificateStore([root])
+
+
+def _load_bank(home: Path, bank_number: int = 1, branch_number: int = 1) -> GridBankServer:
+    identity, store = _bank_credential(home)
     db = Database(path=home / _DB_DIR)
     server = GridBankServer(
         identity, store, db=db, clock=SystemClock(),
@@ -249,91 +256,64 @@ def cmd_checkpoint(args) -> int:
     return 0
 
 
-def _bank_credential(home: Path):
-    """The bank home's own identity + trust store — nodes of one logical
-    bank share the bank identity, and holding it is what authorizes the
-    replication/repair RPCs against a peer."""
-    identity_blob = canonical_loads((home / _IDENTITY_FILE).read_bytes())
-    identity = Identity(
-        certificate=Certificate.from_dict(identity_blob["certificate"]),
-        private_key=private_key_from_dict(identity_blob["private_key"]),
-    )
-    root = Certificate.from_dict(canonical_loads((home / _ROOT_FILE).read_bytes()))
-    return identity, CertificateStore([root])
+def _repair_from(home: Path, peer: str, client) -> "integrity.IntegrityReport":
+    """Boot a damaged home past its damage, catch up from the peer
+    behind *client*, and return the re-verified directory.
 
-
-def _fsck_fetch_suffix(client, db_dir: Path, epoch: int, from_seq: int) -> Optional[int]:
-    """Re-fetch the quarantined WAL suffix from the peer, verifying every
-    record's CRC frame and sequence contiguity before appending the
-    peer's bytes verbatim (byte-identity by construction). Returns the
-    number of records appended, or ``None`` when the peer cannot serve
-    this epoch/position (caller falls back to a full snapshot restore)."""
-    from repro.db import integrity
-    from repro.db.replication import FETCH_OK
-
-    appended = 0
-    wal_file = db_dir / integrity.WAL_NAME
-    with open(wal_file, "ab") as handle:
-        while True:
-            reply = client.call(
-                "Replication.Fetch",
-                epoch=epoch, from_seq=from_seq, max_records=512, timeout=0.0,
-            )
-            if reply["status"] != FETCH_OK:
-                return None
-            records = reply["records"]
-            if not records:
-                break
-            for seq, payload in records:
-                seq = int(seq)
-                if seq != from_seq + 1:
-                    return None  # gap: this position is not servable
-                integrity.parse_record(payload.rstrip(b"\n"), seq=seq)
-                handle.write(payload)
-                from_seq = seq
-                appended += 1
-            if from_seq >= int(reply["last_seq"]):
-                break
-        handle.flush()
-        os.fsync(handle.fileno())
-    return appended
-
-
-def _fsck_snapshot_restore(client, db_dir: Path) -> int:
-    """Full restore: replace snapshot/WAL/epoch with a manifest-verified
-    state dump from the peer. Returns the number of restored records."""
+    Recovery quarantines a damaged WAL suffix itself and leaves a marker
+    naming it; with the quarantine done, the marker is cleared and the
+    verified prefix boots. A damaged snapshot or epoch file leaves no
+    marker: the snapshot is set aside together with the WAL written
+    against it, and the home boots empty, to be restored whole. From
+    the clear until the catch-up has finished, a marker saying so is
+    left on every way out — a reboot then refuses the shortened (or
+    empty) history instead of serving it."""
+    from repro.bank.cluster import catch_up
     from repro.db import integrity
 
-    reply = client.call("Replication.Snapshot")
-    state = reply["state"]
-    tables = state["tables"]
-    records = sum(len(rows) for rows in tables.values())
-    integrity.atomic_write(
-        db_dir / integrity.SNAPSHOT_NAME,
-        integrity.encode_snapshot(canonical_dumps(tables), records),
-    )
-    with open(db_dir / integrity.WAL_NAME, "wb") as handle:
-        handle.flush()
-        os.fsync(handle.fileno())
-    integrity.atomic_write(
-        db_dir / integrity.EPOCH_NAME,
-        b"%d %d" % (int(state["epoch"]), int(state["seq"])),
-    )
-    return records
+    db_dir = home / _DB_DIR
+    pending = f"repair from {peer} did not complete"
+    bank = None
+    integrity.clear_marker(db_dir)
+    try:
+        try:
+            bank = _load_bank(home)
+        except CorruptionError:
+            if integrity.read_marker(db_dir) is None:
+                integrity.set_aside_snapshot(db_dir)
+            integrity.clear_marker(db_dir)
+            bank = _load_bank(home)
+        integrity.write_marker(db_dir, pending)
+        before = bank.db.replication_position()
+        while catch_up(bank, client)[0] > 0:
+            pass  # a restore answers 0, so only fetch rounds repeat
+        after = bank.db.replication_position()
+        print(f"caught up from {peer}: epoch {before[0]} seq {before[1]} -> "
+              f"epoch {after[0]} seq {after[1]}")
+        bank.db.clear_corruption()
+        return bank.db.verify_storage()
+    except BaseException:
+        integrity.write_marker(db_dir, pending)
+        raise
+    finally:
+        if bank is not None:
+            bank.db.close()
 
 
 def cmd_fsck(args) -> int:
     """Verify a bank home's storage integrity; optionally repair from a peer.
 
-    Without flags: read-only verification (exit 0 clean, 1 corrupt) —
-    snapshot manifest, every WAL record's CRC frame, unresolved
-    corruption markers. With ``--repair --peer HOST:PORT``: quarantine
-    whatever fails verification, re-fetch the damaged WAL suffix from
-    the peer (falling back to a full snapshot restore when the suffix is
-    no longer servable), clear the refusal marker, re-verify every byte,
-    and prove the books still balance by booting the repaired bank and
-    summing its funds. The peer must be the cluster's current primary —
-    if the *primary* is the corrupt node, promote the standby first.
+    Without flags: read-only verification with the reader recovery uses
+    (exit 0 clean, 1 corrupt) — unresolved corruption markers, the epoch
+    file, the snapshot manifest, every WAL record's CRC frame. With
+    ``--repair --peer HOST:PORT``: dial the peer first — a wrong, dead
+    or foreign peer fails before anything on disk moves — then boot the
+    home past the damage and catch up through the same routine a
+    standby uses (see :func:`_repair_from`): the missing WAL suffix, or
+    the peer's whole snapshot when the suffix is no longer servable.
+    Re-verify every byte, and prove the books still balance. The peer
+    must be the cluster's current primary — if the *primary* is the
+    corrupt node, promote the standby first.
     """
     from repro.db import integrity
     from repro.net.rpc import RPCClient
@@ -356,41 +336,9 @@ def cmd_fsck(args) -> int:
         return 1
 
     identity, store = _bank_credential(home)
-    client = RPCClient(_tcp_connect(args.peer), identity, store)
-    client.connect()
-    try:
-        snapshot_ok = True
-        snapshot_file = db_dir / integrity.SNAPSHOT_NAME
-        if snapshot_file.exists():
-            try:
-                integrity.decode_snapshot(snapshot_file.read_bytes())
-            except ReproError:
-                snapshot_ok = False
-        if snapshot_ok:
-            wal_file = db_dir / integrity.WAL_NAME
-            wal_bytes = wal_file.read_bytes() if wal_file.exists() else b""
-            scan = integrity.scan_wal(wal_bytes, base_seq=report.base_seq)
-            if scan.corruption is not None:
-                # recover() quarantines when *it* detects damage; fsck on a
-                # never-rebooted home must do the same before re-fetching
-                integrity.quarantine_wal_suffix(db_dir, scan.corruption, scan.valid_bytes)
-                print(f"quarantined damaged suffix at offset {scan.corruption.offset} "
-                      f"(seq {scan.corruption.seq}) -> {integrity.QUARANTINE_NAME}")
-            local_seq = report.base_seq + len(scan.records)
-            fetched = _fsck_fetch_suffix(client, db_dir, report.epoch, local_seq)
-            if fetched is None:
-                snapshot_ok = False
-            else:
-                print(f"re-fetched {fetched} WAL record(s) from {args.peer} "
-                      f"(CRC + sequence verified)")
-        if not snapshot_ok:
-            restored = _fsck_snapshot_restore(client, db_dir)
-            print(f"full snapshot restore from {args.peer}: {restored} record(s)")
-    finally:
-        client.close()
-
-    integrity.clear_marker(db_dir)
-    final = integrity.verify_dir(db_dir)
+    with RPCClient(_tcp_connect(args.peer), identity, store) as client:
+        client.connect()
+        final = _repair_from(home, args.peer, client)
     print(f"re-verify: {final.describe()}")
     if not final.ok:
         print("error: repair did not converge — local medium may be failing",

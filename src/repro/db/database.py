@@ -62,11 +62,6 @@ from repro.util.serialize import canonical_dumps, canonical_loads
 
 __all__ = ["Database"]
 
-_SNAPSHOT_NAME = integrity.SNAPSHOT_NAME
-_WAL_NAME = integrity.WAL_NAME
-_EPOCH_NAME = integrity.EPOCH_NAME
-
-
 _log = get_logger("db.integrity")
 #: upper bound on the group-commit linger knob (seconds)
 _MAX_LINGER = 0.002
@@ -502,7 +497,7 @@ class Database:
         """What the WAL file holds at ``[offset, offset + length)`` now —
         the replication log's view of history, through the same storage
         shim the writer uses."""
-        with self._open_wal(self._path / _WAL_NAME, "rb") as handle:
+        with self._open_wal(self._path / integrity.WAL_NAME, "rb") as handle:
             return os.pread(handle.fileno(), length, offset)
 
     def _fsync_handle(self, handle) -> None:
@@ -517,7 +512,9 @@ class Database:
         Must be called after all tables are created and before any
         writes. Returns the number of journal transactions replayed.
 
-        Verification policy (see DESIGN §10): the snapshot's embedded
+        Verification policy (see DESIGN §10): the directory is read by
+        :func:`~repro.db.integrity.verify_dir`, the reader ``fsck`` and
+        the scrubber use, so the epoch file, the snapshot's embedded
         manifest (whole-file CRC32 + record count) and every WAL line's
         length+CRC32 frame are checked before anything is applied. A
         torn *final* line — no terminating newline, the expected residue
@@ -536,105 +533,70 @@ class Database:
             if self._recovered:
                 raise DatabaseError("recover() may only run once")
             self._path.mkdir(parents=True, exist_ok=True)
-            marker = integrity.read_marker(self._path)
-            if marker is not None:
-                self._corruption = CorruptionError(
-                    "unresolved corruption marker: "
-                    f"{marker.get('reason', 'unknown')} — run `gridbank fsck` "
-                    "(--repair --peer ADDR to restore from a healthy peer)",
-                    seq=marker.get("seq", -1), offset=marker.get("offset", -1),
-                )
-                obs_metrics.counter("db.integrity.corruptions_detected").inc()
-                _notify_diag_corruption(self._corruption)
-                raise self._corruption
             # a crash mid-atomic-write can strand a *.tmp next to the
             # real file; the real file is still the complete old copy
             for stale in self._path.glob("*.tmp"):
                 stale.unlink()
-            # the epoch file carries "epoch base_seq": which snapshot
-            # generation the local snapshot belongs to and the sequence
-            # number it corresponds to (non-zero on a standby, whose
-            # snapshot is a mid-stream state dump rather than a local
-            # checkpoint)
-            base_seq = 0
-            epoch_file = self._path / _EPOCH_NAME
-            if epoch_file.exists():
-                try:
-                    parts = epoch_file.read_bytes().split()
-                    self._snapshot_epoch = int(parts[0])
-                    if len(parts) > 1:
-                        base_seq = int(parts[1])
-                except (ValueError, IndexError):
-                    raise DatabaseError(f"corrupt epoch file {epoch_file}") from None
-            snapshot_file = self._path / _SNAPSHOT_NAME
-            if snapshot_file.exists():
-                try:
-                    payload, records = integrity.decode_snapshot(snapshot_file.read_bytes())
-                except CorruptionError as exc:
-                    self._corruption = exc
-                    obs_metrics.counter("db.integrity.corruptions_detected").inc()
-                    _log.error("snapshot.corrupt", path=str(snapshot_file), reason=str(exc))
-                    _notify_diag_corruption(exc)
-                    raise
-                dump = canonical_loads(payload) if payload else {}
-                loaded = 0
-                for table_name, rows in dump.items():
-                    table = self.table(table_name)
-                    for row in rows:
-                        table.insert(row)
-                        loaded += 1
-                if records >= 0 and records != loaded:
-                    self._corruption = CorruptionError(
-                        f"snapshot: manifest promises {records} record(s), decoded {loaded}"
-                    )
-                    obs_metrics.counter("db.integrity.corruptions_detected").inc()
-                    _notify_diag_corruption(self._corruption)
-                    raise self._corruption
-            replayed = 0
-            wal_file = self._path / _WAL_NAME
-            if wal_file.exists():
-                scan = integrity.scan_wal(wal_file.read_bytes(), base_seq=base_seq)
-                if scan.corruption is not None:
-                    # quarantine the damaged suffix, keep the verified
-                    # prefix, refuse to serve until an operator (or
-                    # fsck --repair) restores the quarantined records
-                    integrity.quarantine_wal_suffix(
-                        self._path, scan.corruption, scan.valid_bytes
-                    )
-                    self._corruption = scan.corruption
-                    obs_metrics.counter("db.integrity.corruptions_detected").inc()
-                    _log.error(
-                        "wal.corrupt", path=str(wal_file),
-                        seq=scan.corruption.seq, offset=scan.corruption.offset,
-                        quarantined_bytes=len(
-                            (self._path / integrity.QUARANTINE_NAME).read_bytes()
-                        ) if (self._path / integrity.QUARANTINE_NAME).exists() else 0,
-                    )
-                    _notify_diag_corruption(scan.corruption)
-                    raise scan.corruption
-                if scan.torn_bytes:
-                    # expected crash residue — but never silent: count it
-                    # and truncate so the next append starts a clean line
-                    # instead of fusing with the torn bytes
-                    with open(wal_file, "r+b") as handle:
-                        handle.truncate(scan.valid_bytes)
-                        handle.flush()
-                        os.fsync(handle.fileno())
-                    obs_metrics.counter("db.wal_torn_tail").inc()
-                    _log.warning(
-                        "wal.torn_tail", path=str(wal_file),
-                        dropped_bytes=scan.torn_bytes, kept_records=len(scan.records),
-                    )
-                for entry in scan.records:
-                    self._apply_ops(entry["ops"])
-                    replayed += 1
-                obs_metrics.counter("db.integrity.records_verified").inc(len(scan.records))
-            self._wal_seq = base_seq + replayed
+            report = integrity.verify_dir(self._path)
+            if not report.ok:
+                self._refuse(report)
+            self._snapshot_epoch = report.epoch
+            for table_name, rows in report.tables.items():
+                table = self.table(table_name)
+                for row in rows:
+                    table.insert(row)
+            scan = report.wal
+            wal_file = self._path / integrity.WAL_NAME
+            if scan.torn_bytes:
+                # expected crash residue — but never silent: count it
+                # and truncate so the next append starts a clean line
+                # instead of fusing with the torn bytes
+                with open(wal_file, "r+b") as handle:
+                    handle.truncate(scan.valid_bytes)
+                    handle.flush()
+                    os.fsync(handle.fileno())
+                obs_metrics.counter("db.wal_torn_tail").inc()
+                _log.warning(
+                    "wal.torn_tail", path=str(wal_file),
+                    dropped_bytes=scan.torn_bytes, kept_records=len(scan.records),
+                )
+            for entry in scan.records:
+                self._apply_ops(entry["ops"])
+            replayed = len(scan.records)
+            obs_metrics.counter("db.integrity.records_verified").inc(replayed)
+            self._wal_seq = report.base_seq + replayed
             self._wal_handle = self._open_wal(wal_file, "ab")
             if self._group_commit:
                 self._writer = _GroupCommitWriter(self._write_batch, linger=self._commit_linger)
             self._recovered = True
             return replayed
+
+    def _refuse(self, report: "integrity.IntegrityReport") -> None:
+        """Latch and raise what :meth:`recover` found. A damaged WAL
+        suffix is quarantined first: the verified prefix stays, and the
+        marker left behind refuses every later boot until an operator
+        (or ``fsck --repair``) restores the quarantined records."""
+        error = report.corruption
+        if report.corruption_source == "marker":
+            error = CorruptionError(
+                f"{error} — run `gridbank fsck` "
+                "(--repair --peer ADDR to restore from a healthy peer)",
+                seq=error.seq, offset=error.offset,
+            )
+        quarantined = 0
+        if report.corruption_source == "wal":
+            quarantined = integrity.quarantine_wal_suffix(
+                self._path, error, report.wal.valid_bytes
+            )
+        self._corruption = error
+        obs_metrics.counter("db.integrity.corruptions_detected").inc()
+        _log.error(
+            "storage.corrupt", source=report.corruption_source, path=str(self._path),
+            seq=error.seq, offset=error.offset, quarantined_bytes=quarantined,
+            reason=str(error),
+        )
+        _notify_diag_corruption(error)
+        raise error
 
     def _apply_ops(self, ops: list[dict]) -> None:
         """Replay redo ops. Idempotent: redo values are absolute, so a
@@ -753,46 +715,24 @@ class Database:
             if self._writer is not None:
                 self._writer.drain()
             dump = {name: table.all_rows() for name, table in self._tables.items()}
-            snapshot_file = self._path / _SNAPSHOT_NAME
-            # atomic publication: tmp + flush + fsync + rename + dir
-            # fsync. A crash at any crashpoint below leaves either the
-            # old complete snapshot or the new complete snapshot — and
-            # because WAL replay is idempotent over absolute redo ops, a
-            # crash after the rename but before the WAL truncation just
-            # re-applies the old journal onto the new snapshot.
+            # a crash at any checkpoint crashpoint leaves either the old
+            # complete snapshot or the new one — and because WAL replay
+            # is idempotent over absolute redo ops, a crash after the
+            # rename but before the WAL truncation just re-applies the
+            # old journal onto the new snapshot
             crashpoint("db.checkpoint.pre_write")
-            records = sum(len(rows) for rows in dump.values())
-            blob = integrity.encode_snapshot(canonical_dumps(dump), records)
-            tmp = snapshot_file.with_suffix(snapshot_file.suffix + ".tmp")
-            handle = self._open_wal(tmp, "wb")
-            try:
-                handle.write(blob)
-                handle.flush()
-                self._fsync_handle(handle)
-            finally:
-                handle.close()
-            crashpoint("db.checkpoint.pre_rename")
-            os.replace(tmp, snapshot_file)
-            integrity.fsync_dir(self._path)
-            crashpoint("db.checkpoint.post_rename")
+            self._publish_snapshot(dump, crash="db.checkpoint")
             with self._io_lock:
                 # new snapshot generation: sequence numbers restart and
                 # standbys polling the old epoch are told to resync. The
                 # log learns first: a fetch reads the WAL under the
                 # log's condition, so one racing this truncation sees
                 # the old bytes or the new epoch, never half a file
-                if self._replication is not None:
-                    self._replication.reset(self._snapshot_epoch + 1, 0)
-                if self._wal_handle is not None:
-                    self._wal_handle.close()
-                self._wal_handle = self._open_wal(self._path / _WAL_NAME, "wb")
-                self._wal_handle.flush()
-                self._wal_poisoned = None  # fresh handle, fresh file
                 self._snapshot_epoch += 1
                 self._wal_seq = 0
-                integrity.atomic_write(
-                    self._path / _EPOCH_NAME, b"%d 0" % self._snapshot_epoch
-                )
+                if self._replication is not None:
+                    self._replication.reset(self._snapshot_epoch, 0)
+                self._restart_wal()
             crashpoint("db.checkpoint.post_truncate")
 
     # -- replication --------------------------------------------------------------
@@ -871,22 +811,32 @@ class Database:
                 if self._journal is not None:
                     self._journal.truncate()
                 if self._path is not None and self._recovered:
-                    snapshot_file = self._path / _SNAPSHOT_NAME
-                    records = sum(len(rows) for rows in dump["tables"].values())
-                    integrity.atomic_write(
-                        snapshot_file,
-                        integrity.encode_snapshot(canonical_dumps(dump["tables"]), records),
-                        storage=self._storage,
-                    )
-                    if self._wal_handle is not None:
-                        self._wal_handle.close()
-                    self._wal_handle = self._open_wal(self._path / _WAL_NAME, "wb")
-                    self._wal_handle.flush()
-                    self._wal_poisoned = None  # fresh handle, fresh file
-                    integrity.atomic_write(
-                        self._path / _EPOCH_NAME,
-                        b"%d %d" % (self._snapshot_epoch, self._wal_seq),
-                    )
+                    self._publish_snapshot(dump["tables"])
+                    self._restart_wal()
+
+    def _publish_snapshot(self, tables: dict, crash: str = "") -> None:
+        """The one snapshot publisher: *tables* under their manifest,
+        written to a tmp file, fsynced and renamed into place through
+        the storage shim, with the *crash* crashpoints around the
+        rename."""
+        records = sum(len(rows) for rows in tables.values())
+        integrity.atomic_write(
+            self._path / integrity.SNAPSHOT_NAME,
+            integrity.encode_snapshot(canonical_dumps(tables), records),
+            storage=self._storage, crash=crash,
+        )
+
+    def _restart_wal(self) -> None:
+        """Empty the WAL and write the current position to the epoch
+        file: the rest of publishing a snapshot. Caller holds
+        ``_io_lock`` and has moved the position and the replication
+        log to the new generation."""
+        if self._wal_handle is not None:
+            self._wal_handle.close()
+        self._wal_handle = self._open_wal(self._path / integrity.WAL_NAME, "wb")
+        self._wal_handle.flush()
+        self._wal_poisoned = None  # fresh handle, fresh file
+        integrity.write_epoch(self._path, self._snapshot_epoch, self._wal_seq)
 
     def apply_replicated(self, seq: int, payload: bytes) -> None:
         """Replay one shipped journal line — the standby-side half of the
@@ -927,13 +877,14 @@ class Database:
     # -- storage integrity ---------------------------------------------------------
 
     def verify_storage(self) -> "integrity.IntegrityReport":
-        """Re-verify every cold byte (snapshot manifest + all WAL frames).
+        """Re-verify every cold byte with the reader :meth:`recover` uses
+        (epoch file, snapshot manifest and record count, every WAL frame).
 
         Read-only and safe on a live database: the group-commit writer is
         drained and the WAL handle flushed first so the file reflects
-        every acknowledged commit, then the on-disk bytes are scanned
-        under the I/O lock (commits block for the duration — scrubbing is
-        a cold-path operation by design).
+        every acknowledged commit. Commits block only while the bytes
+        are read under the I/O lock; decoding and checking them happens
+        after it is released.
         """
         if self._path is None:
             raise DatabaseError("no storage path configured")
@@ -942,7 +893,8 @@ class Database:
         with self._io_lock:
             if self._wal_handle is not None:
                 self._wal_handle.flush()
-            return integrity.verify_dir(self._path)
+            contents = integrity.read_dir(self._path)
+        return integrity.verify_dir(self._path, contents)
 
     def scrub_once(self) -> "integrity.IntegrityReport":
         """One scrub pass: verify, count, and raise on corruption.

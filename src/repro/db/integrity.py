@@ -24,6 +24,10 @@ database substrate an end-to-end integrity format:
 * **Atomic publication** — :func:`atomic_write` (tmp + flush + fsync +
   ``os.replace`` + parent-directory fsync) so a crash mid-write can
   never leave a half-written file as the only copy.
+* **One reader** — :func:`verify_dir` reads a database directory for
+  recovery, ``fsck`` and the scrubber alike, so a directory one of them
+  refuses is refused by all of them. Nothing outside :mod:`repro.db`
+  names these files (``tools/check_no_print.py`` holds that line).
 * **Scrubbing** — :class:`Scrubber` re-verifies cold bytes on an
   interval so latent corruption (bit rot under a page that is never
   read) is found before a failover depends on it.
@@ -42,6 +46,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, List, Optional, Tuple
 
+from repro.db.faultfs import crashpoint
 from repro.errors import CorruptionError, ValidationError
 from repro.util.runner import Runner
 from repro.util.serialize import canonical_loads
@@ -61,16 +66,19 @@ __all__ = [
     "decode_snapshot",
     "atomic_write",
     "fsync_dir",
+    "parse_epoch",
+    "write_epoch",
+    "read_dir",
     "verify_dir",
     "IntegrityReport",
+    "set_aside_snapshot",
     "quarantine_wal_suffix",
     "read_marker",
     "clear_marker",
     "Scrubber",
 ]
 
-# Canonical on-disk names, shared with Database so fsck and the fault
-# tooling address the same files without importing the whole engine.
+# Canonical on-disk names, shared with Database and the tests.
 SNAPSHOT_NAME = "snapshot.gbdb"
 WAL_NAME = "wal.gbdb"
 EPOCH_NAME = "epoch.gbdb"
@@ -257,14 +265,16 @@ def fsync_dir(path: Path) -> None:
         os.close(fd)
 
 
-def atomic_write(path: Path, data: bytes, storage=None) -> None:
+def atomic_write(path: Path, data: bytes, storage=None, crash: str = "") -> None:
     """Publish ``data`` at ``path`` atomically.
 
     tmp file + flush + fsync + ``os.replace`` + parent-dir fsync: a
     crash at any point leaves either the old complete file or the new
     complete file, never a torn hybrid. ``storage`` (a
     :class:`~repro.db.faultfs.FaultyStorage`-compatible shim) lets the
-    fault plan intercept the write path in tests.
+    fault plan intercept the write path in tests; a *crash* prefix
+    names the ``<crash>.pre_rename`` / ``<crash>.post_rename``
+    crashpoints around the rename.
     """
     tmp = path.with_suffix(path.suffix + ".tmp")
     if storage is not None:
@@ -280,26 +290,60 @@ def atomic_write(path: Path, data: bytes, storage=None) -> None:
             os.fsync(handle.fileno())
     finally:
         handle.close()
+    if crash:
+        crashpoint(crash + ".pre_rename")
     os.replace(tmp, path)
     fsync_dir(path.parent)
+    if crash:
+        crashpoint(crash + ".post_rename")
+
+
+def parse_epoch(data: Optional[bytes], epoch_file: Path) -> Tuple[int, int]:
+    """The epoch file's ``<epoch> <base_seq>``: which snapshot generation
+    the local snapshot belongs to, and the sequence number it stands at
+    (non-zero on a standby, whose snapshot is a mid-stream state dump).
+    No file (``None``) is generation 1 at 0; anything but two integers
+    is corruption."""
+    if data is None:
+        return 1, 0
+    try:
+        epoch_b, base_b = data.split()
+        return int(epoch_b), int(base_b)
+    except ValueError:
+        raise CorruptionError(f"corrupt epoch file {epoch_file}: {data[:32]!r}") from None
+
+
+def write_epoch(directory: Path, epoch: int, base_seq: int) -> None:
+    atomic_write(Path(directory) / EPOCH_NAME, b"%d %d" % (epoch, base_seq))
 
 
 @dataclass
 class IntegrityReport:
-    """What :func:`verify_dir` found in one database directory."""
+    """What :func:`verify_dir` read from one database directory: the
+    verified, decoded contents, or the first thing that failed."""
 
-    ok: bool = True
-    snapshot_present: bool = False
+    corruption: Optional[CorruptionError] = None
+    corruption_source: str = ""  # "", "marker", "epoch", "snapshot", "wal"
+    epoch: int = 1
+    base_seq: int = 0
+    #: the snapshot's rows by table, decoded once for whoever loads them
+    tables: dict = field(default_factory=dict)
     snapshot_records: int = -1
     snapshot_bytes: int = 0
-    wal_records: int = 0
+    wal: WalScan = field(default_factory=WalScan)
     wal_bytes: int = 0
-    torn_tail_bytes: int = 0
-    corruption: Optional[CorruptionError] = None
-    corruption_source: str = ""  # "", "snapshot", "wal", "marker"
-    marker: Optional[dict] = None
-    epoch: int = 0
-    base_seq: int = 0
+
+    @property
+    def ok(self) -> bool:
+        return self.corruption is None
+
+    @property
+    def wal_records(self) -> int:
+        return len(self.wal.records)
+
+    @property
+    def torn_tail_bytes(self) -> int:
+        return self.wal.torn_bytes
 
     def describe(self) -> str:
         if self.ok:
@@ -311,68 +355,96 @@ class IntegrityReport:
             )
         return f"CORRUPT ({self.corruption_source}): {self.corruption}"
 
+    def failed(self, source: str, error: CorruptionError) -> "IntegrityReport":
+        self.corruption_source, self.corruption = source, error
+        return self
 
-def _read_epoch(directory: Path) -> Tuple[int, int]:
-    epoch_file = directory / EPOCH_NAME
-    if not epoch_file.exists():
-        return 0, 0
+
+def _read_or_none(path: Path) -> Optional[bytes]:
     try:
-        epoch_b, base_b = epoch_file.read_bytes().split()
-        return int(epoch_b), int(base_b)
-    except (ValueError, OSError):
-        return 0, 0
+        return path.read_bytes()
+    except FileNotFoundError:
+        return None
 
 
-def verify_dir(directory: Path) -> IntegrityReport:
-    """Offline verification of one database directory (fsck's engine).
+def read_dir(directory: Path) -> tuple:
+    """The raw contents :func:`verify_dir` checks: ``(marker, epoch,
+    snapshot, wal)``, each ``None`` when absent. Nothing is decoded, so
+    a caller that must keep writers out while it reads (a live
+    database) holds its lock for this part only."""
+    directory = Path(directory)
+    return (read_marker(directory),) + tuple(
+        _read_or_none(directory / name) for name in (EPOCH_NAME, SNAPSHOT_NAME, WAL_NAME)
+    )
 
-    Read-only: verifies snapshot manifest and every WAL frame, reports
-    the first failure with exact seq/offset, but mutates nothing.
+
+def verify_dir(directory: Path, contents: Optional[tuple] = None) -> IntegrityReport:
+    """Read and verify one database directory — the one reader behind
+    recovery, ``gridbank fsck``, ``verify_storage`` and the scrubber.
+
+    Read-only. Checks, in order, the refusal marker, the epoch file,
+    the snapshot manifest (length, CRC, and its record count against
+    the rows the payload decodes to) and every WAL frame, and stops at
+    the first failure with its exact seq/offset. A clean report carries
+    the decoded snapshot rows and WAL entries, so recovery decodes each
+    byte once. *contents* is a :func:`read_dir` the caller already
+    took; by default the directory is read here.
     """
     directory = Path(directory)
+    marker, epoch_data, snapshot_data, wal_data = (
+        contents if contents is not None else read_dir(directory)
+    )
     report = IntegrityReport()
-    report.epoch, report.base_seq = _read_epoch(directory)
-
-    marker = read_marker(directory)
     if marker is not None:
-        report.ok = False
-        report.marker = marker
-        report.corruption_source = "marker"
-        report.corruption = CorruptionError(
+        return report.failed("marker", CorruptionError(
             f"unresolved corruption marker: {marker.get('reason', 'unknown')}",
             seq=marker.get("seq", -1), offset=marker.get("offset", -1),
-        )
-        return report
+        ))
+    try:
+        report.epoch, report.base_seq = parse_epoch(epoch_data, directory / EPOCH_NAME)
+    except CorruptionError as exc:
+        return report.failed("epoch", exc)
 
-    snapshot_file = directory / SNAPSHOT_NAME
-    if snapshot_file.exists():
-        report.snapshot_present = True
-        data = snapshot_file.read_bytes()
-        report.snapshot_bytes = len(data)
+    if snapshot_data is not None:
+        report.snapshot_bytes = len(snapshot_data)
         try:
-            _, report.snapshot_records = decode_snapshot(data)
+            payload, records = decode_snapshot(snapshot_data)
+            report.tables = canonical_loads(payload) if payload else {}
+            loaded = sum(len(rows) for rows in report.tables.values())
+            if records >= 0 and records != loaded:
+                raise CorruptionError(
+                    f"snapshot: manifest promises {records} record(s), decoded {loaded}"
+                )
         except CorruptionError as exc:
-            report.ok = False
-            report.corruption = exc
-            report.corruption_source = "snapshot"
-            return report
+            return report.failed("snapshot", exc)
+        report.snapshot_records = records
 
-    wal_file = directory / WAL_NAME
-    if wal_file.exists():
-        data = wal_file.read_bytes()
-        report.wal_bytes = len(data)
-        scan = scan_wal(data, base_seq=report.base_seq)
-        report.wal_records = len(scan.records)
-        report.torn_tail_bytes = scan.torn_bytes
-        if scan.corruption is not None:
-            report.ok = False
-            report.corruption = scan.corruption
-            report.corruption_source = "wal"
+    if wal_data is not None:
+        report.wal_bytes = len(wal_data)
+        report.wal = scan_wal(wal_data, base_seq=report.base_seq)
+        if report.wal.corruption is not None:
+            return report.failed("wal", report.wal.corruption)
     return report
 
 
+def set_aside_snapshot(directory: Path) -> None:
+    """Move the snapshot aside together with the WAL and epoch file
+    written against it — the WAL's records are relative to that
+    snapshot, so neither is worth anything alone. Like the quarantine
+    file they keep their bytes for forensics, as ``*.discarded.gbdb``,
+    and are never deleted automatically; the directory then recovers
+    as an empty generation 1."""
+    directory = Path(directory)
+    for name in (SNAPSHOT_NAME, WAL_NAME, EPOCH_NAME):
+        try:
+            os.replace(directory / name, directory / name.replace(".gbdb", ".discarded.gbdb"))
+        except FileNotFoundError:
+            pass
+    fsync_dir(directory)
+
+
 def quarantine_wal_suffix(directory: Path, error: CorruptionError,
-                          valid_bytes: int) -> None:
+                          valid_bytes: int) -> int:
     """Preserve the damaged WAL suffix and leave a refusal marker.
 
     The suffix from the first bad byte onward moves to
@@ -381,7 +453,8 @@ def quarantine_wal_suffix(directory: Path, error: CorruptionError,
     records what happened. Recovery refuses to run while the marker
     exists: an operator (or ``fsck --repair``) must decide whether the
     quarantined records can be restored from a peer before the node
-    serves traffic on a silently shortened history.
+    serves traffic on a silently shortened history. Returns how many
+    bytes were quarantined.
     """
     directory = Path(directory)
     wal_file = directory / WAL_NAME
@@ -393,13 +466,16 @@ def quarantine_wal_suffix(directory: Path, error: CorruptionError,
         handle.write(data[:valid_bytes])
         handle.flush()
         os.fsync(handle.fileno())
-    marker = {
-        "reason": str(error),
-        "seq": error.seq,
-        "offset": error.offset,
-        "quarantined_bytes": len(suffix),
-    }
-    atomic_write(directory / MARKER_NAME,
+    write_marker(directory, str(error), error.seq, error.offset,
+                 quarantined_bytes=len(suffix))
+    return len(suffix)
+
+
+def write_marker(directory: Path, reason: str, seq: int = -1, offset: int = -1,
+                 **extra) -> None:
+    """Leave the refusal marker: recovery refuses while it stands."""
+    marker = {"reason": reason, "seq": seq, "offset": offset, **extra}
+    atomic_write(Path(directory) / MARKER_NAME,
                  json.dumps(marker, sort_keys=True).encode("utf-8"))
 
 

@@ -349,6 +349,22 @@ class TestDiskFaults:
         assert not status["ok"] and status["corruption"]
         db.close()
 
+    def test_scrub_catches_a_manifest_count_that_lies(self, tmp_path):
+        """The CRC covers the payload only, so a flipped record count
+        verifies against everything but the rows. The scrubber reads the
+        directory with the reader recovery uses and counts them too."""
+        db = kv_db(tmp_path)
+        kv_fill(db, 4)
+        db.checkpoint()
+        snapshot = tmp_path / integrity.SNAPSHOT_NAME
+        blob = bytearray(snapshot.read_bytes())
+        blob[blob.index(b"\n") - 1] ^= 1  # "4" -> "5"
+        snapshot.write_bytes(bytes(blob))
+        with pytest.raises(CorruptionError, match="manifest promises 5 record"):
+            db.scrub_once()
+        assert not db.integrity_status()["ok"]
+        db.close()
+
     def test_schedule_drives_fault_phases(self, tmp_path):
         clock = VirtualClock()
         plan = DiskFaultPlan(

@@ -281,6 +281,31 @@ class TestFailover:
         assert obs_metrics.counter("replication.failovers").value >= 1
         api.close()
 
+    @pytest.mark.parametrize("gap", ["resync", "ahead"])
+    def test_promotion_drains_a_suffix_but_never_restores(self, world, gap):
+        """A primary that can no longer serve the standby's position (it
+        checkpointed past it) or is behind it (local writes on the
+        standby) does not make promotion wait on a snapshot or throw the
+        standby's history away: the node becomes primary with what it has."""
+        bank_a, bank_b, node_b = world["bank_a"], world["bank_b"], world["node_b"]
+        wait_caught_up(bank_a, bank_b)
+        node_b._stop_replicator()
+        node_b.replicator = StandbyReplicator(node_b, A)  # never started: promote drains
+        if gap == "resync":
+            bank_a.db.checkpoint()
+            world["admin"].admin_deposit(world["alice_account"], Credits(5))
+        else:
+            bank_b.admin.add_administrator("/O=GridBank/CN=local")
+        held = bank_b.db.replication_position()
+        served = obs_metrics.counter("replication.snapshots_served").value
+        assert node_b.promote(reason="test")["role"] == "primary"
+        assert obs_metrics.counter("replication.snapshots_served").value == served
+        assert bank_b.db.replication_position() == held
+        if gap == "resync":  # the deposit after the checkpoint is the RPO window
+            assert bank_b.accounts.available_balance(world["alice_account"]) == Credits(1000)
+        else:
+            assert bank_b.admin.is_administrator("/O=GridBank/CN=local")
+
     def test_promote_is_idempotent(self, world):
         first = world["node_b"].promote()
         second = world["node_b"].promote()

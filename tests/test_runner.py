@@ -190,7 +190,8 @@ class TestLifecycle:
 
 class TestLintRule:
     """``make lint`` keeps ``threading.Thread`` out of bank/, db/ and obs/,
-    and access/role checks out of op handlers."""
+    access/role checks out of op handlers, and the storage format inside
+    db/."""
 
     def _tool(self):
         spec = importlib.util.spec_from_file_location(
@@ -244,6 +245,23 @@ class TestLintRule:
         tool = self._tool()
         assert sorted(line for line, _ in tool.find_offences(source, handlers=True)) == [3, 6, 7, 15]
         assert tool.find_offences(source) == []  # the rule is scoped to src/
+
+    def test_storage_format_outside_db_is_an_offence(self, tmp_path):
+        source = tmp_path / "cli.py"
+        source.write_text(
+            "from repro.db import integrity\n"
+            "from repro.db.integrity import WAL_NAME\n"
+            "def restore(db_dir, blob):\n"
+            "    integrity.atomic_write(db_dir / integrity.SNAPSHOT_NAME, blob)\n"
+            "    integrity.scan_wal((db_dir / 'wal.gbdb').read_bytes())\n"
+            "    integrity.verify_dir(db_dir)\n"
+            "    integrity.set_aside_snapshot(db_dir)\n"
+            "    print(integrity.MARKER_NAME)\n",
+            encoding="utf-8",
+        )
+        tool = self._tool()
+        assert sorted(line for line, _ in tool.find_offences(source, storage=True)) == [2, 4, 4, 5, 8]
+        assert [what for _, what in tool.find_offences(source)] == ["print()"]  # scoped to src/ outside db/
 
     def test_the_tree_is_clean(self):
         assert self._tool().main() == 0

@@ -7,7 +7,8 @@ fails (exit 1) if any calls the builtin ``print``. Debug output through
 level, no trace ID, no capture in tests), so the observability layer
 would silently lose it.
 
-Allowlisted (their stdout IS their contract, not diagnostics):
+Allowlisted for this rule only (their stdout IS their contract, not
+diagnostics):
 ``repro/cli.py`` (the ``gridbank`` command), the trajectory recorder,
 the regression gate, the gridbench pair comparison, and this checker
 itself.
@@ -25,6 +26,15 @@ So under ``src/`` a function named ``op_*``, or ``ShardNode.coordinate``
 (the 2PC path dispatch hands a transfer instead of its handler), that
 calls ``_require_standing``, ``_require_admin``, ``_require_peer`` or
 ``_require_primary`` fails.
+
+Fourth rule, same walk: the storage format has one owner. A module under
+``src/`` outside ``src/repro/db/`` that names a database file
+(``WAL_NAME``, ``SNAPSHOT_NAME``, ``EPOCH_NAME``, ``QUARANTINE_NAME``)
+or calls a format primitive (``atomic_write``, ``encode_snapshot``,
+``decode_snapshot``, ``scan_wal``, ``parse_record``,
+``quarantine_wal_suffix``) fails: it reads or writes a database
+directory through ``Database`` and ``repro.db.integrity``'s directory
+verbs instead.
 
 Run via ``make lint`` (also: ``python tools/check_no_print.py``).
 """
@@ -59,6 +69,11 @@ def _is_thread(node: ast.expr) -> bool:
     )
 
 
+def _name(node: ast.AST):
+    """The called or named identifier: ``x`` of ``x`` or ``a.x``."""
+    return getattr(node, "attr", getattr(node, "id", None))
+
+
 # the subject-class and role checks the op table's columns replace
 ROW_CHECKS = {"_require_standing", "_require_admin", "_require_peer", "_require_primary"}
 
@@ -68,21 +83,38 @@ def _row_checks(function: ast.AST) -> list[tuple[int, str]]:
     found = []
     for node in ast.walk(function):
         if isinstance(node, ast.Call):
-            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            name = _name(node.func)
             if name in ROW_CHECKS:
                 found.append((node.lineno, f"{name}() in {function.name}: declare it on the op's row"))
     return found
 
 
+# what only src/repro/db may name or call: the files of a database
+# directory and the primitives that read or write their format
+STORAGE_NAMES = {"WAL_NAME", "SNAPSHOT_NAME", "EPOCH_NAME", "QUARANTINE_NAME"}
+STORAGE_CALLS = {
+    "atomic_write", "encode_snapshot", "decode_snapshot", "scan_wal",
+    "parse_record", "quarantine_wal_suffix",
+}
+STORAGE_OWNER = Path("repro/db")
+
+
 def find_offences(
-    path: Path, threads: bool = False, handlers: bool = False
+    path: Path, threads: bool = False, handlers: bool = False, storage: bool = False
 ) -> list[tuple[int, str]]:
     """``(line, what)`` for each bare ``print(...)`` call in *path*; with
     *threads*, each ``Thread(...)`` construction or subclass; with
-    *handlers*, each access or role check inside an op handler."""
+    *handlers*, each access or role check inside an op handler; with
+    *storage*, each database file name or format primitive it uses."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     found = []
     for node in ast.walk(tree):
+        if storage and isinstance(node, (ast.Name, ast.Attribute, ast.alias)):
+            name = node.name if isinstance(node, ast.alias) else _name(node)
+            if name in STORAGE_NAMES:
+                found.append((node.lineno, f"{name} outside repro.db"))
+        if storage and isinstance(node, ast.Call) and _name(node.func) in STORAGE_CALLS:
+            found.append((node.lineno, f"{_name(node.func)}() outside repro.db"))
         if isinstance(node, ast.Call):
             if isinstance(node.func, ast.Name) and node.func.id == "print":
                 found.append((node.lineno, "print()"))
@@ -108,12 +140,14 @@ def main() -> int:
             continue
         for path in sorted(root.rglob("*.py")):
             relative = path.relative_to(root)
-            if relative in allowlist:
-                continue
             scanned += 1
             threads = any(package in relative.parents for package in NO_THREAD_PACKAGES)
+            in_src = root.name == "src"
+            storage = in_src and STORAGE_OWNER not in relative.parents
             try:
-                for line, what in find_offences(path, threads, handlers=root.name == "src"):
+                for line, what in find_offences(path, threads, in_src, storage):
+                    if what == "print()" and relative in allowlist:
+                        continue
                     offenders.append((path.relative_to(REPO_ROOT), line, what))
             except SyntaxError as exc:
                 print(f"check_no_print: cannot parse {path}: {exc}", file=sys.stderr)
@@ -121,8 +155,9 @@ def main() -> int:
     if offenders:
         print(
             "library code must log through repro.obs.logging, not print(), run "
-            "background work as a step under repro.util.runner.Runner, and leave "
-            "who may call an op to its row in the op table:",
+            "background work as a step under repro.util.runner.Runner, leave "
+            "who may call an op to its row in the op table, and leave the "
+            "storage format to repro.db:",
             file=sys.stderr,
         )
         for relative, line, what in offenders:
