@@ -48,7 +48,6 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.obs.export import FileExporter, HTTPExporter, render_prometheus
 from repro.obs.logging import configure_from_env
-from repro.obs.sampling import SamplingPolicy, SamplingSpanSink
 from repro.obs.slo import Objective, SLOEngine
 from repro.obs.store import render_waterfall
 from repro.pki.ca import CertificateAuthority, Identity
@@ -462,8 +461,8 @@ def _workload_span_sink(bank):
         # would turn the ring over at the poll rate. Its bank.op span and
         # its RPC dispatch span are dropped; what it runs underneath
         # (shard.2pc, integrity.repair) still persists, and the flight
-        # recorder sees everything. Rows are only ever added, and the
-        # shard plane adds its rows after this sink is built.
+        # recorder's triggers see everything. Rows are only ever added,
+        # and the shard plane adds its rows after this sink is built.
         nonlocal rows
         if rows != len(bank.ops):
             rows = len(bank.ops)
@@ -484,19 +483,9 @@ def cmd_serve(args) -> int:
     from repro.net.tcp import TCPServer
 
     # flags are checked before anything is opened or started: a refusal
-    # here leaves no thread, socket or lock file behind
-    op_rates = {}
-    for spec in args.sample_op or ():
-        op, _, rate = spec.partition("=")
-        try:
-            if not op:
-                raise ValueError(spec)
-            op_rates[op] = float(rate)
-        except ValueError:
-            print(f"error: --sample-op expects OP=RATE, got {spec!r}", file=sys.stderr)
-            return 1
-    # the threaded front end dispatches on each connection's own thread;
-    # only the async one has a pool to size
+    # here leaves no thread, socket or lock file behind. The threaded
+    # front end dispatches on each connection's own thread; only the
+    # async one has a pool to size
     problem = None
     if args.workers is not None and args.backend != "async":
         problem = "--workers applies to the async backend only"
@@ -517,17 +506,20 @@ def cmd_serve(args) -> int:
 
     # the diagnosis plane is on by default: a sampling profiler at
     # --profile-hz (<5% overhead, asserted by bench_diag) plus a flight
-    # recorder whose rings are dumped into --diag-dir when an anomaly
-    # trigger fires (SLO page, corruption, deadline storm, unhandled
-    # dispatch exception). Exemplar capture rides along so latency
-    # buckets link to trace ids.
+    # recorder whose rings, and the span store's newest segments, are
+    # dumped into --diag-dir when an anomaly trigger fires (SLO page,
+    # corruption, deadline storm, unhandled dispatch exception). Its
+    # span sink goes in before the store's, so a span that fires a dump
+    # is not stored yet: the dump carries it in meta.json. Exemplar
+    # capture rides along so latency buckets link to trace ids.
     diag_plane = None
     if not args.no_diag:
         from repro.obs.diag import DiagPlane
 
         diag_dir = Path(args.diag_dir) if args.diag_dir else home / "diag"
         diag_plane = DiagPlane(
-            profile_hz=args.profile_hz, dump_dir=diag_dir, clock=bank.clock
+            profile_hz=args.profile_hz, dump_dir=diag_dir, clock=bank.clock,
+            spans=bank.spans,
         ).start()
         obs_metrics.configure_exemplars(True)
         print(f"diagnosis plane: profiler {args.profile_hz:g}hz, "
@@ -549,18 +541,8 @@ def cmd_serve(args) -> int:
             ),
         )
 
-    # adaptive sampling sits in front of the span store only — the
-    # flight recorder keeps the pre-sampling stream
-    sampler = SamplingSpanSink(
-        _workload_span_sink(bank),
-        SamplingPolicy(
-            default_rate=args.sample_rate,
-            op_rates=op_rates,
-            slow_percentile=args.slow_percentile,
-            slow_threshold=args.slow_threshold,
-        ),
-    )
-    obs_trace.add_sink(sampler)
+    # every finished workload span goes to the span store
+    span_sink = obs_trace.add_sink(_workload_span_sink(bank))
 
     # /healthz for load balancers: readiness = not paging, and (for a
     # standby under a staleness bound) not lagging past the bound
@@ -687,7 +669,7 @@ def cmd_serve(args) -> int:
             diag_plane.stop()
         for exporter in exporters:
             exporter.stop()
-        obs_trace.remove_sink(sampler)
+        obs_trace.remove_sink(span_sink)
     # both telemetry rings out, whatever this node's role: the buffered
     # spans, and the live usage period as a partial rollup
     bank.spans.flush()
@@ -697,14 +679,10 @@ def cmd_serve(args) -> int:
     (home / _METRICS_FILE).write_text(
         json.dumps(obs_metrics.snapshot(), indent=2, sort_keys=True) + "\n"
     )
-    # ... and the telemetry config in effect, so `gridbank trace` can
-    # report how the recorded spans were sampled
+    # ... and the objectives the run was judged against
     (home / _TELEMETRY_FILE).write_text(
         json.dumps(
-            {
-                "sampling": sampler.config(),
-                "slo": [objective.to_dict() for objective in bank.slo.objectives()],
-            },
+            {"slo": [objective.to_dict() for objective in bank.slo.objectives()]},
             indent=2,
             sort_keys=True,
         )
@@ -771,24 +749,6 @@ def cmd_trace(args) -> int:
     traces worth showing; ``list`` enumerates known trace IDs.
     """
     from repro.db.query import eq
-
-    # a served bank records the sampling config in effect; surface it so
-    # "why is this span missing" has an answer
-    telemetry_file = Path(args.home) / _TELEMETRY_FILE
-    if telemetry_file.exists():
-        try:
-            sampling = json.loads(telemetry_file.read_text()).get("sampling", {})
-        except (json.JSONDecodeError, OSError):
-            sampling = {}
-        if sampling:
-            print(
-                "sampling in effect: "
-                f"default_rate={sampling.get('default_rate')} "
-                f"op_rates={sampling.get('op_rates')} "
-                f"keep_errors={sampling.get('keep_errors')} "
-                f"slow_percentile={sampling.get('slow_percentile')} "
-                f"slow_threshold={sampling.get('slow_threshold')}"
-            )
 
     bank = _load_bank(Path(args.home))
     spans = bank.spans
@@ -1222,16 +1182,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="seconds of primary silence before the lease is considered lost")
     p.add_argument("--staleness-bound", type=float, default=None,
                    help="refuse standby reads older than this many seconds")
-    p.add_argument("--sample-rate", type=float, default=1.0,
-                   help="head-sampling keep rate for durable spans (0..1, default 1.0)")
-    p.add_argument("--sample-op", action="append", default=None, metavar="OP=RATE",
-                   help="per-op head-sampling rate override (repeatable)")
-    p.add_argument("--slow-percentile", type=float, default=0.95,
-                   help="tail-retention: always keep spans slower than this "
-                        "percentile of their op's recent latency")
-    p.add_argument("--slow-threshold", type=float, default=None,
-                   help="tail-retention: static slow threshold in seconds "
-                        "(overrides --slow-percentile)")
     p.add_argument("--slo-target", type=float, default=None,
                    help="availability target for the catch-all SLO (default 0.999)")
     p.add_argument("--slo-latency", type=float, default=None,

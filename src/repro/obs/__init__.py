@@ -2,7 +2,7 @@
 
 GridBank's value is an auditable record of who used what and who paid
 whom (GASA sec 3.2, 5.1); this package gives the reproduction the same
-property for its own behaviour. Eight pieces:
+property for its own behaviour. Seven pieces:
 
 * :mod:`repro.obs.metrics` — thread-safe in-process counters, gauges and
   fixed-bucket histograms (exponential bounds by default), read out via
@@ -16,17 +16,16 @@ property for its own behaviour. Eight pieces:
   *recorded* (timing, events, status) and flushed to sinks on close.
 * :mod:`repro.obs.store` — the bounded segment ring beside the database
   that keeps telemetry off the ledger's journal, and the span store built
-  on it (queryable by ``gridbank trace``).
+  on it: every finished span, queryable by ``gridbank trace`` and read by
+  the flight recorder's post-mortems.
 * :mod:`repro.obs.export` — Prometheus-text rendering of the metrics
   snapshot, with file/HTTP polling sidecars (plus ``/healthz``).
 * :mod:`repro.obs.slo` — declarative per-op objectives evaluated as
   multi-window burn rates, with an ok/warning/page alert state machine.
-* :mod:`repro.obs.sampling` — adaptive head sampling with tail retention
-  for error and slow spans, in front of the durable span store.
 * :mod:`repro.obs.usage` — per-principal usage metering, rolled up into
   lines of a segment ring of its own, one per node.
 """
 
-from repro.obs import export, logging, metrics, sampling, slo, store, trace, usage
+from repro.obs import export, logging, metrics, slo, store, trace, usage
 
-__all__ = ["export", "logging", "metrics", "sampling", "slo", "store", "trace", "usage"]
+__all__ = ["export", "logging", "metrics", "slo", "store", "trace", "usage"]

@@ -17,14 +17,13 @@ Three cooperating pieces:
   threads; measured overhead on the transfer storm is well under the 5%
   budget (``benchmarks/bench_diag.py`` asserts it).
 
-* :class:`FlightRecorder` — bounded rings of the recent past: finished
-  spans (a pre-sampling sink, so it sees what the durable store may have
-  sampled away), log records, per-second metric counter deltas, and
-  profile-fold deltas. When a trigger fires — SLO page transition,
-  corruption latch, deadline-exceeded storm, unhandled dispatch
-  exception — the rings are snapshotted into a timestamped post-mortem
-  directory. Dumps are rate-limited so a flapping trigger cannot fill a
-  disk.
+* :class:`FlightRecorder` — bounded rings of the recent past: log
+  records, per-second metric counter deltas, and profile-fold deltas;
+  finished spans it reads from the node's span store, newest segments
+  only. When a trigger fires — SLO page transition, corruption latch,
+  deadline-exceeded storm, unhandled dispatch exception — the rings and
+  those spans are snapshotted into a timestamped post-mortem directory.
+  Dumps are rate-limited so a flapping trigger cannot fill a disk.
 
 * :class:`DiagPlane` — wires both into the process: installs the
   stripe-lock wait hook (:func:`repro.bank.locks.set_wait_hook`) and the
@@ -54,6 +53,7 @@ from typing import Optional, Union
 from repro.obs import logging as obs_logging
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
+from repro.obs.store import SpanStore
 from repro.util.gbtime import Clock, SystemClock
 from repro.util.runner import Runner
 
@@ -368,25 +368,27 @@ class FlightRecorder:
     """Bounded rings of the recent past, dumped when a trigger fires.
 
     Rings (all ``deque(maxlen=...)``, so appends are O(1) and memory is
-    flat): finished span records, log records (via a
-    :class:`~repro.obs.logging.RingHandler` on the gridbank root),
-    per-tick metric counter deltas, and per-tick profile-fold deltas.
+    flat): log records (via a :class:`~repro.obs.logging.RingHandler` on
+    the gridbank root), per-tick metric counter deltas, and per-tick
+    profile-fold deltas. Finished spans are not copied: *spans* is the
+    node's span store, read with :meth:`SpanStore.recent` when a dump or
+    a snapshot is taken.
 
     Triggers: :meth:`trigger` is called directly by the SLO engine
     (page transition), the database (corruption latch) — both through
     :func:`notify_trigger` — and internally from the span sink
     (deadline-exceeded storm, unhandled dispatch exception). A dump
-    writes every ring plus a metrics snapshot and wait stats into
-    ``<dump_dir>/postmortem-<stamp>-<seq>-<reason>/``; dumps are
-    rate-limited to one per ``min_dump_interval`` seconds.
+    writes every ring, the store's recent spans, a metrics snapshot and
+    wait stats into ``<dump_dir>/postmortem-<stamp>-<seq>-<reason>/``;
+    dumps are rate-limited to one per ``min_dump_interval`` seconds.
     """
 
     def __init__(
         self,
         profiler: Optional[SamplingProfiler] = None,
         clock: Optional[Clock] = None,
+        spans: Optional[SpanStore] = None,
         dump_dir: Optional[Union[str, Path]] = None,
-        span_capacity: int = 512,
         tick_interval: float = 1.0,
         min_dump_interval: float = 30.0,
         deadline_storm_threshold: int = 8,
@@ -394,17 +396,18 @@ class FlightRecorder:
     ) -> None:
         self.profiler = profiler
         self.clock = clock if clock is not None else SystemClock()
+        self.spans = spans if spans is not None else SpanStore()
         self.dump_dir = Path(dump_dir) if dump_dir is not None else None
         self.tick_interval = tick_interval
         self.min_dump_interval = min_dump_interval
         self.deadline_storm_threshold = deadline_storm_threshold
         self.deadline_storm_window = deadline_storm_window
-        self._spans: deque = deque(maxlen=span_capacity)
         self._deltas: deque = deque(maxlen=_DELTA_CAPACITY)
         self._folds: deque = deque(maxlen=_FOLD_CAPACITY)
         self._log_handler = obs_logging.RingHandler(capacity=_LOG_CAPACITY)
         self._prev_level = 0
         self._deadlines: deque = deque()
+        self._deadlines_lock = threading.Lock()  # every connection thread feeds it
         self._trigger_lock = threading.Lock()
         self._last_dump_perf: Optional[float] = None
         self._dump_count = 0
@@ -441,33 +444,39 @@ class FlightRecorder:
     # -- ring feeds -----------------------------------------------------------
 
     def _span_sink(self, record: dict) -> None:
-        self._spans.append(record)
+        """Watch finished spans for the span-fired triggers; keeping them
+        is the span store's job."""
         error_type = record.get("error_type") or ""
         if error_type:
             self._check_error_triggers(record, error_type)
 
     def _check_error_triggers(self, record: dict, error_type: str) -> None:
         if error_type.startswith("DeadlineExceeded"):
-            now = time.monotonic()
-            window = self._deadlines
-            window.append(now)
-            while window and now - window[0] > self.deadline_storm_window:
-                window.popleft()
-            if len(window) >= self.deadline_storm_threshold:
+            with self._deadlines_lock:
+                now = time.monotonic()
+                window = self._deadlines
+                window.append(now)
+                while now - window[0] > self.deadline_storm_window:
+                    window.popleft()
                 count = len(window)
+                if count < self.deadline_storm_threshold:
+                    return
                 window.clear()
-                self.trigger(
-                    "deadline_storm",
-                    count=count,
-                    window_seconds=self.deadline_storm_window,
-                )
+            self.trigger(
+                "deadline_storm",
+                span=record,
+                count=count,
+                window_seconds=self.deadline_storm_window,
+            )
         elif (
             record.get("name") == "rpc.server.dispatch"
             and error_type not in self._error_names
         ):
             attrs = record.get("attrs")
             method = attrs.get("method", "") if isinstance(attrs, dict) else ""
-            self.trigger("unhandled_exception", error=error_type, method=str(method))
+            self.trigger(
+                "unhandled_exception", span=record, error=error_type, method=str(method)
+            )
 
     def tick(self) -> None:
         """Capture one metric-delta (and profile-fold-delta) sample (the
@@ -503,10 +512,16 @@ class FlightRecorder:
 
     # -- triggering and dumping -----------------------------------------------
 
-    def trigger(self, reason: str, **details: object) -> Optional[Path]:
+    def trigger(
+        self, reason: str, *, span: Optional[dict] = None, **details: object
+    ) -> Optional[Path]:
         """Record a trigger; snapshot the rings to disk unless one was
         dumped less than ``min_dump_interval`` seconds ago. Returns the
-        post-mortem directory, or ``None`` when suppressed/disabled."""
+        post-mortem directory, or ``None`` when suppressed/disabled.
+
+        *span* is the record that fired the trigger, if a span did; the
+        dump's ``meta.json`` carries it, because the store may not hold
+        it (not yet stored, or a plumbing span it never keeps)."""
         obs_metrics.counter("obs.diag.triggers", reason=reason).inc()
         info = {"reason": reason, "details": _jsonable(dict(details)),
                 "epoch": self.clock.epoch()}
@@ -526,24 +541,26 @@ class FlightRecorder:
         if self.dump_dir is None:
             return None
         try:
-            return self._dump(reason, info, sequence)
+            return self._dump(reason, info, sequence, span)
         except Exception:  # noqa: BLE001 - a failed dump must not take the
             # triggering request path down with it
             obs_metrics.counter("obs.diag.dump_errors").inc()
             return None
 
-    def _dump(self, reason: str, info: dict, sequence: int) -> Path:
+    def _dump(self, reason: str, info: dict, sequence: int, span: Optional[dict]) -> Path:
         stamp = self.clock.now().stamp14
         out = self.dump_dir / f"postmortem-{stamp}-{sequence:03d}-{reason}"
         out.mkdir(parents=True, exist_ok=True)
         meta = dict(info)
         meta["sequence"] = sequence
         meta["recent_triggers"] = list(self._last_triggers)
+        if span is not None:
+            meta["span"] = span
         (out / "meta.json").write_text(
             json.dumps(meta, indent=2, default=str), encoding="utf-8"
         )
         with (out / "spans.jsonl").open("w", encoding="utf-8") as fh:
-            for record in list(self._spans):
+            for record in self.spans.recent():
                 fh.write(json.dumps(record, default=str) + "\n")
         with (out / "logs.jsonl").open("w", encoding="utf-8") as fh:
             for record in self._log_handler.tail():
@@ -577,7 +594,7 @@ class FlightRecorder:
     def snapshot(self, limit: int = 128) -> dict:
         """JSON-ready view of the rings for the ``Diag.FlightRecord``
         RPC: recent + slowest spans, logs, metric deltas, fold deltas."""
-        spans = list(self._spans)
+        spans = self.spans.recent()
         slow = sorted(
             spans, key=lambda r: r.get("duration_seconds", 0.0), reverse=True
         )[:20]
@@ -601,8 +618,8 @@ class DiagPlane:
     """Profiler + flight recorder + contention hooks as one lifecycle.
 
     ``gridbank serve`` builds one per process (``--profile-hz 0``
-    disables the sampler, ``--no-diag`` the whole plane); tests build
-    throwaway planes with tiny rings and virtual clocks.
+    disables the sampler, ``--no-diag`` the whole plane) and hands it the
+    bank's span store; tests build throwaway planes with virtual clocks.
     """
 
     def __init__(
@@ -610,13 +627,14 @@ class DiagPlane:
         profile_hz: float = SamplingProfiler.DEFAULT_HZ,
         dump_dir: Optional[Union[str, Path]] = None,
         clock: Optional[Clock] = None,
+        spans: Optional[SpanStore] = None,
         **recorder_options: object,
     ) -> None:
         self.profiler = (
             SamplingProfiler(hz=profile_hz) if profile_hz and profile_hz > 0 else None
         )
         self.recorder = FlightRecorder(
-            profiler=self.profiler, clock=clock, dump_dir=dump_dir,
+            profiler=self.profiler, clock=clock, spans=spans, dump_dir=dump_dir,
             **recorder_options,  # type: ignore[arg-type]
         )
         self._hooks_installed = False

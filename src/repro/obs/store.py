@@ -12,7 +12,9 @@ fsync, no replication, no thread. The sink for
 :func:`repro.obs.trace.add_sink` is :class:`SpanStore`, the ring under
 ``<home>/spans/``; :mod:`repro.obs.usage` keeps the other one.
 ``gridbank trace show`` still joins a trace to the TRANSACTION/TRANSFER
-rows carrying its ``TraceID``, on the node that served the request.
+rows carrying its ``TraceID``, on the node that served the request, and
+the flight recorder's post-mortems read the newest segments
+(:meth:`SpanStore.recent`): the store is the one place spans are kept.
 
 Spans survive a clean shutdown and a restart (``flush()`` writes the
 buffer out); ``kill -9`` loses at most the write-behind buffer. A failed
@@ -38,6 +40,8 @@ SEGMENT_RECORDS = 1_000
 #: ring bound: opening one segment more unlinks the oldest whole, so a
 #: full ring retains between 49,001 and 50,000 records
 MAX_SEGMENTS = 50
+#: what a post-mortem reads (SpanStore.recent): at most 2,000 records
+RECENT_SEGMENTS = 2
 #: write-behind: the buffer goes to the open segment at this many records,
 #: or once its oldest record is this old at the next append, or on flush()
 BUFFER_RECORDS = 16
@@ -202,11 +206,14 @@ class SegmentRing:
 
     # -- read side ---------------------------------------------------------
 
-    def records(self) -> Iterator[dict]:
-        """Every retained record, oldest first, buffered ones included."""
+    def records(self, newest: int = 0) -> Iterator[dict]:
+        """Every retained record, oldest first, buffered ones included;
+        with *newest*, only those of the newest that many segments."""
         with self._lock:
             self.flush()
-            lines = [line for segment in self._segments() for line in self._read(segment)]
+            ring = self._segments()
+            ring = ring[-newest:] if newest else ring
+            lines = [line for segment in ring for line in self._read(segment)]
         return _parse_lines(lines)
 
     def __len__(self) -> int:
@@ -227,14 +234,19 @@ class SpanStore(SegmentRing):
         self.append(_encode(record))
 
     def _dropped(self, segment: _Segment) -> None:
-        # history destroyed by capacity, not by choice — keep the loss
-        # observable (sampling exists to keep this near zero)
+        # history leaves by age, whole segments at a time: the ring's
+        # bound is its retention (about a minute at direct_tcp's rate)
         obs_metrics.counter("obs.spans_dropped").inc(self._count(segment))
 
-    def _spans(self) -> Iterator[dict]:
-        """Every retained span record, defaults filled in."""
-        for fields in self.records():
+    def _spans(self, newest: int = 0) -> Iterator[dict]:
+        """Every retained span record (see :meth:`records`), defaults filled in."""
+        for fields in self.records(newest):
             yield {**_DEFAULTS, "attrs": {}, "events": [], **fields}
+
+    def recent(self) -> list[dict]:
+        """The spans of the newest RECENT_SEGMENTS segments, newest last:
+        the bounded read a serving node's flight recorder makes."""
+        return list(self._spans(RECENT_SEGMENTS))
 
     def spans_for_trace(self, trace_id: str) -> list[dict]:
         """Every span of *trace_id*, as records, ordered by start time."""

@@ -143,6 +143,17 @@ class TestServe:
         assert "listening on 127.0.0.1:" in out
         assert "server stopped" in out
 
+    def test_telemetry_file_holds_only_the_objectives(self, home, capsys):
+        """Every span is stored, so there is no sampling config to record
+        and `trace` has no sampling line to print."""
+        code, out, _ = run(["serve", "--home", home, "--duration", "0.1"], capsys)
+        assert code == 0 and "server stopped" in out
+        telemetry = json.loads((Path(home) / "telemetry.json").read_text())
+        assert set(telemetry) == {"slo"}
+        code, out, err = run(["trace", "list", "--home", home], capsys)
+        assert code == 0
+        assert "sampling" not in out + err
+
     @pytest.mark.parametrize("flags", [[], ["--workers", "2"]], ids=["default-workers", "two-workers"])
     def test_async_backend_serves(self, home, capsys, flags):
         code, out, _ = run(
@@ -158,7 +169,7 @@ class TestServe:
             (["--backend", "async", "--workers", "-1"], "--workers must be >= 1 on the async"),
             (["--max-connections", "0"], "--max-connections must be >= 1"),
             (["--rate-limit", "-5"], "--rate-limit must be > 0"),
-            (["--sample-op", "direct_transfer=often"], "--sample-op expects OP=RATE"),
+            (["--rate-limit", "0"], "--rate-limit must be > 0"),
             (["--workers", "4"], "--workers applies to the async backend only"),
             (["--backend", "threads", "--workers", "0"], "--workers applies to the async backend only"),
         ],

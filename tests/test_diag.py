@@ -12,6 +12,7 @@ histograms, and the registry-vs-profiler race the plane must survive.
 
 import json
 import random
+import sys
 import tarfile
 import threading
 import time
@@ -44,6 +45,7 @@ from repro.obs.diag import (
 from repro.obs.export import render_prometheus
 from repro.obs.logging import get_logger
 from repro.obs.slo import Objective, SLOEngine
+from repro.obs.store import SEGMENT_RECORDS, SpanStore
 from repro.pki.ca import CertificateAuthority
 from repro.pki.certificate import DistinguishedName
 from repro.pki.validation import CertificateStore
@@ -379,10 +381,24 @@ def _record(name="bank.op.direct_transfer", error_type="", duration=0.01, **attr
     }
 
 
+@pytest.fixture()
+def span_store():
+    """An in-memory span store installed as a sink: where the recorder
+    reads spans, as ``gridbank serve`` hands it the bank's store."""
+    store = SpanStore()
+    obs_trace.add_sink(store)
+    yield store
+    obs_trace.remove_sink(store)
+
+
+def _meta(out):
+    return json.loads((out / "meta.json").read_text())
+
+
 class TestFlightRecorderRings:
-    def test_rings_capture_spans_and_logs_until_stopped(self):
+    def test_rings_capture_spans_and_logs_until_stopped(self, span_store):
         clock = VirtualClock()
-        recorder = FlightRecorder(clock=clock, span_capacity=4, tick_interval=0)
+        recorder = FlightRecorder(clock=clock, spans=span_store, tick_interval=0)
         recorder.start()
         try:
             log = get_logger("test.diag")
@@ -391,16 +407,50 @@ class TestFlightRecorderRings:
                 with obs_trace.span(f"bank.op.ring{i}"):
                     pass
             snap = recorder.snapshot()
+            newest = recorder.snapshot(limit=4)
         finally:
             recorder.stop()
         names = [record["name"] for record in snap["spans"]]
-        assert names == [f"bank.op.ring{i}" for i in range(2, 6)]  # bounded
+        assert names == [f"bank.op.ring{i}" for i in range(6)]  # the store's, newest last
+        assert [r["name"] for r in newest["spans"]] == names[2:]  # bounded by `limit`
         assert any(entry["event"] == "something.odd" for entry in snap["logs"])
         assert snap["slow_spans"]
-        # after stop the sink is detached: new spans don't land in the ring
-        with obs_trace.span("bank.op.after"):
-            pass
-        assert len(recorder._spans) == 4
+        # after stop the sink is detached: a storm no longer reaches the triggers
+        for _ in range(recorder.deadline_storm_threshold):
+            with obs_trace.span("bank.op.after") as span:
+                span.set_error("DeadlineExceeded", "late")
+        assert not recorder._last_triggers
+
+    @pytest.mark.parametrize("on_disk", [False, True], ids=["memory", "disk"])
+    def test_spans_come_from_the_newest_two_segments_only(self, tmp_path, on_disk):
+        """However full the store, a snapshot and a dump read its newest
+        two segments: at most 2,000 spans, newest last, even when the
+        slowest spans are older than that."""
+        store = SpanStore(tmp_path / "spans" if on_disk else None)
+        total = 4 * SEGMENT_RECORDS + SEGMENT_RECORDS // 2
+        for i in range(total):
+            # older spans are slower: a whole-ring scan would pick them
+            store(_record(duration=float(total - i), seq=i))
+        plane = DiagPlane(profile_hz=0, dump_dir=tmp_path / "diag", clock=VirtualClock(),
+                          spans=store, tick_interval=0, min_dump_interval=0.0)
+        newest_two = list(range(3 * SEGMENT_RECORDS, total))
+        assert len(newest_two) <= 2_000
+
+        snap = plane.flight_snapshot(limit=10 * SEGMENT_RECORDS)
+        assert [r["attrs"]["seq"] for r in snap["spans"]] == newest_two
+        assert {r["attrs"]["seq"] for r in snap["slow_spans"]} <= set(newest_two)
+        assert snap["slow_spans"][0]["attrs"]["seq"] == newest_two[0]
+
+        out = plane.recorder.trigger("corruption")
+        dumped = [json.loads(l) for l in (out / "spans.jsonl").read_text().splitlines()]
+        assert [r["attrs"]["seq"] for r in dumped] == newest_two
+
+        # a full open segment as well: exactly two segments' worth
+        for i in range(total, 5 * SEGMENT_RECORDS):
+            store(_record(seq=i))
+        snap = plane.flight_snapshot(limit=10 * SEGMENT_RECORDS)
+        assert len(snap["spans"]) == 2 * SEGMENT_RECORDS == 2_000
+        assert snap["spans"][-1]["attrs"]["seq"] == 5 * SEGMENT_RECORDS - 1
 
     def test_tick_captures_counter_and_fold_deltas(self):
         clock = VirtualClock()
@@ -424,11 +474,15 @@ class TestFlightRecorderRings:
 
 
 class TestFlightRecorderTriggers:
+    @pytest.fixture(autouse=True)
+    def _store(self, span_store):
+        self.span_store = span_store
+
     def _recorder(self, tmp_path, **kw):
         kw.setdefault("clock", VirtualClock())
         kw.setdefault("tick_interval", 0)
         kw.setdefault("min_dump_interval", 0.0)
-        return FlightRecorder(dump_dir=tmp_path / "diag", **kw)
+        return FlightRecorder(dump_dir=tmp_path / "diag", spans=self.span_store, **kw)
 
     def test_trigger_dumps_the_rings_to_disk(self, tmp_path):
         recorder = self._recorder(tmp_path)
@@ -442,9 +496,10 @@ class TestFlightRecorderTriggers:
             recorder.stop()
         assert out is not None and out.is_dir()
         assert "corruption" in out.name
-        meta = json.loads((out / "meta.json").read_text())
+        meta = _meta(out)
         assert meta["reason"] == "corruption"
         assert meta["details"]["error"] == "CorruptionError"
+        assert "span" not in meta  # no span fired this one
         spans = [json.loads(l) for l in (out / "spans.jsonl").read_text().splitlines()]
         assert any(r["name"] == "bank.op.direct_transfer" for r in spans)
         logs = [json.loads(l) for l in (out / "logs.jsonl").read_text().splitlines()]
@@ -475,11 +530,52 @@ class TestFlightRecorderTriggers:
             for _ in range(2):
                 recorder._span_sink(_record(error_type="DeadlineExceeded"))
             assert not recorder._last_triggers
-            recorder._span_sink(_record(error_type="DeadlineExceeded"))
+            last = _record(error_type="DeadlineExceeded", attempt=3)
+            recorder._span_sink(last)
             assert recorder._last_triggers[-1]["reason"] == "deadline_storm"
             assert recorder._last_triggers[-1]["details"]["count"] == 3
         finally:
             recorder.stop()
+        # the store never saw it; the dump carries it anyway
+        (out,) = (tmp_path / "diag").glob("postmortem-*-deadline_storm")
+        assert _meta(out)["span"] == last
+
+    def test_concurrent_deadline_storms_trip_without_sink_errors(self, tmp_path):
+        """Connection threads finish their spans concurrently; the storm
+        window is shared, so it must not raise into the span sink, and
+        every late span counts toward exactly one storm."""
+        threads_n, per_thread = 8, 200
+        recorder = self._recorder(tmp_path, deadline_storm_window=60.0)
+        recorder.dump_dir = None  # count the triggers, write no dumps
+        errors_before = obs_metrics.snapshot()["counters"].get("obs.span_sink_errors", 0)
+        barrier = threading.Barrier(threads_n)
+
+        def late_spans():
+            barrier.wait(timeout=10.0)
+            for _ in range(per_thread):
+                with obs_trace.span("bank.op.direct_transfer") as span:
+                    span.set_error("DeadlineExceeded", "late")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        recorder.start()
+        try:
+            threads = [threading.Thread(target=late_spans) for _ in range(threads_n)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+        finally:
+            recorder.stop()
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        counters = obs_metrics.snapshot()["counters"]
+        assert counters.get("obs.span_sink_errors", 0) == errors_before
+        storms = counters["obs.diag.triggers{reason=deadline_storm}"]
+        assert storms >= 1
+        assert storms * recorder.deadline_storm_threshold + len(recorder._deadlines) == (
+            threads_n * per_thread
+        )
 
     def test_unhandled_dispatch_exception_triggers(self, tmp_path):
         recorder = self._recorder(tmp_path)
@@ -491,14 +587,17 @@ class TestFlightRecorderTriggers:
             ))
             assert not recorder._last_triggers
             # an escaped KeyError is
-            recorder._span_sink(_record(
+            escaped = _record(
                 name="rpc.server.dispatch", error_type="KeyError",
                 method="Bank.Transfer",
-            ))
+            )
+            recorder._span_sink(escaped)
             assert recorder._last_triggers[-1]["reason"] == "unhandled_exception"
             assert recorder._last_triggers[-1]["details"]["method"] == "Bank.Transfer"
         finally:
             recorder.stop()
+        (out,) = (tmp_path / "diag").glob("postmortem-*-unhandled_exception")
+        assert _meta(out)["span"] == escaped
 
     def test_slo_transition_only_pages_trigger(self, tmp_path):
         recorder = self._recorder(tmp_path)
@@ -556,8 +655,9 @@ class TestSLOPageDrill:
         node = ClusterNode(bank, "bank-a", network.connect, poll_interval=0.005)
         plane = DiagPlane(
             profile_hz=200.0, dump_dir=tmp_path / "diag", clock=clock,
-            tick_interval=0, min_dump_interval=0.0,
+            spans=bank.spans, tick_interval=0, min_dump_interval=0.0,
         ).start()
+        obs_trace.add_sink(bank.spans)
         try:
             admin_ident = ca.issue_identity(
                 DistinguishedName("GridBank", "admin"), keypair=keypair_b
@@ -596,6 +696,7 @@ class TestSLOPageDrill:
                 clock.advance(0.5)
             assert bank.slo.worst_state() == "page"
         finally:
+            obs_trace.remove_sink(bank.spans)
             node._stop_replicator()
             plane.stop()
 
@@ -655,13 +756,16 @@ def cluster(ca_keypair, keypair_a, keypair_c, tmp_path):
 
     bank_a, bank_b = boot(A, 2), boot(B, 3)
     plane_a = DiagPlane(profile_hz=200.0, dump_dir=tmp_path / "diag-a",
-                        clock=clock, tick_interval=0).start()
+                        clock=clock, spans=bank_a.spans, tick_interval=0).start()
     plane_b = DiagPlane(profile_hz=200.0, dump_dir=tmp_path / "diag-b",
-                        clock=clock, tick_interval=0)
+                        clock=clock, spans=bank_b.spans, tick_interval=0)
     # only the recorder/profiler, not the global hooks twice-over
     plane_b.recorder.start()
     if plane_b.profiler is not None:
         plane_b.profiler.start()
+    # each bank's store behind serve's workload filter, after the recorders
+    # as in serve (sinks are process-wide: each store sees both nodes' spans)
+    span_sinks = [obs_trace.add_sink(cli._workload_span_sink(bank)) for bank in (bank_a, bank_b)]
     node_a = ClusterNode(bank_a, A, network.connect, poll_interval=0.005, diag=plane_a)
     node_b = ClusterNode(bank_b, B, network.connect, poll_interval=0.005,
                          staleness_bound=30.0, diag=plane_b)
@@ -685,8 +789,10 @@ def cluster(ca_keypair, keypair_a, keypair_c, tmp_path):
         "clock": clock, "network": network, "store": store,
         "banks": (bank_a, bank_b), "planes": (plane_a, plane_b),
         "admin_ident": admin_ident, "alice_ident": alice_ident,
-        "alice": alice, "src": src, "dst": dst,
+        "alice": alice, "src": src, "dst": dst, "diag_a": tmp_path / "diag-a",
     }
+    for sink in span_sinks:
+        obs_trace.remove_sink(sink)
     node_a._stop_replicator()
     node_b._stop_replicator()
     if plane_b.profiler is not None:
@@ -795,6 +901,35 @@ class TestDiagRPCs:
         ops = cluster["banks"][0].ops
         assert not ops["Diag.Profile"].tracked
         assert not ops["Diag.FlightRecord"].tracked
+
+    def test_an_untracked_op_escaping_dumps_its_span(self, cluster):
+        """The store never keeps plumbing spans; a dump one of them fires
+        still holds it, in meta.json."""
+        bank_a = cluster["banks"][0]
+
+        def op_plumbing_bug(subject, params):
+            raise KeyError("no such stripe")
+
+        bank_a.register("Test.PlumbingBug", op_plumbing_bug, access="anyone", tracked=False)
+        client = RPCClient(
+            cluster["network"].connect(A), cluster["alice_ident"], cluster["store"],
+            clock=cluster["clock"],
+        )
+        client.connect()
+        try:
+            with pytest.raises(ReproError, match="KeyError|no such stripe"):
+                client.call("Test.PlumbingBug")
+        finally:
+            client.close()
+        (out,) = cluster["diag_a"].glob("postmortem-*-unhandled_exception")
+        span = json.loads((out / "meta.json").read_text())["span"]
+        assert span["name"] == "rpc.server.dispatch"
+        assert span["error_type"] == "KeyError"
+        assert span["attrs"]["method"] == "Test.PlumbingBug"
+        stored = [json.loads(l) for l in (out / "spans.jsonl").read_text().splitlines()]
+        assert stored, "the store's recent spans belong in the dump too"
+        assert not [r for r in stored if r.get("attrs", {}).get("method") == "Test.PlumbingBug"]
+        assert not [r for r in bank_a.spans.recent() if r["name"] == "bank.op.plumbing_bug"]
 
 
 class TestDebugBundle:

@@ -1,205 +1,26 @@
-"""Adaptive trace sampling: head-rate determinism and tail retention.
+"""The pass-through left of span sampling: every span reaches the store.
 
-The sink's contract is that decisions are pure functions of (policy,
-prior records) — no RNG, no wall clock — so the same record stream
-through a fresh sink reproduces the same keep/drop sequence, all spans
-of one trace share their fate per op, and error/slow spans always
-survive regardless of the head rate.
+``repro.obs.sampling`` survives only because gridbench's cost ledger
+still builds its sinks from it; what it wraps must see every record,
+unchanged, or the ledger's ``obs.cost_us`` would price a filter that
+``gridbank serve`` no longer installs.
 """
-
-import pytest
 
 from repro.obs import metrics as obs_metrics
 from repro.obs.sampling import SamplingPolicy, SamplingSpanSink
 
 
-def rec(trace_id="trace-1", name="bank.op.direct_transfer",
-        duration=0.001, status="ok"):
-    """A minimal finished-span record (the fields sampling reads)."""
-    return {
-        "trace_id": trace_id,
-        "span_id": "s1",
-        "name": name,
-        "duration_seconds": duration,
-        "status": status,
-    }
-
-
-class TestPolicy:
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"default_rate": -0.1},
-            {"default_rate": 1.5},
-            {"op_rates": {"pay": 2.0}},
-            {"slow_percentile": 0.0},
-            {"slow_percentile": 1.0},
-            {"min_samples": 0},
-        ],
-    )
-    def test_invalid_policies_rejected(self, kwargs):
-        with pytest.raises(ValueError):
-            SamplingPolicy(**kwargs)
-
-    def test_rate_for_prefers_op_rate_over_default(self):
-        policy = SamplingPolicy(default_rate=0.5, op_rates={"pay": 0.1})
-        assert policy.rate_for("pay") == 0.1
-        assert policy.rate_for("anything_else") == 0.5
-
-    def test_config_is_json_able(self):
-        policy = SamplingPolicy(default_rate=0.5, op_rates={"pay": 0.1})
-        config = policy.config()
-        assert config["default_rate"] == 0.5
-        assert config["op_rates"] == {"pay": 0.1}
-        assert config["keep_errors"] is True
-        assert config["slow_threshold"] is None
-
-
-class TestHeadSampling:
-    def test_rate_one_keeps_everything(self):
-        kept = []
-        sink = SamplingSpanSink(kept.append, SamplingPolicy(default_rate=1.0))
-        for i in range(20):
-            sink(rec(trace_id=f"t{i}"))
-        assert len(kept) == 20
-
-    def test_rate_zero_drops_everything_healthy(self):
-        obs_metrics.reset()
-        kept = []
-        sink = SamplingSpanSink(kept.append, SamplingPolicy(default_rate=0.0))
-        for i in range(20):
-            sink(rec(trace_id=f"t{i}"))
-        assert kept == []
-        counters = obs_metrics.snapshot()["counters"]
-        assert counters["obs.spans_sampled_out"] == 20
-
-    def test_decisions_are_deterministic_across_sinks(self):
-        """Replaying the identical record stream through a fresh sink
-        reproduces the identical keep/drop sequence — no hidden state."""
-        stream = [
-            rec(trace_id=f"t{i}", duration=0.001 * (i % 7), status="error" if i % 11 == 0 else "ok")
-            for i in range(200)
-        ]
-        policy = SamplingPolicy(default_rate=0.3, min_samples=25)
-
-        def run():
-            kept = []
-            sink = SamplingSpanSink(kept.append, policy)
-            for record in stream:
-                sink(dict(record))
-            return [record["trace_id"] for record in kept]
-
-        assert run() == run()
-
-    def test_head_rate_keeps_roughly_the_configured_fraction(self):
-        kept = []
-        sink = SamplingSpanSink(kept.append, SamplingPolicy(default_rate=0.3, keep_errors=False))
-        for i in range(1000):
-            sink(rec(trace_id=f"trace-{i}", duration=0.0))
-        assert 0.2 < len(kept) / 1000 < 0.4
-
-    def test_spans_of_one_trace_share_their_fate(self):
-        """Every span carrying the same trace id gets the same head
-        decision — a kept trace is kept whole, not in fragments."""
-        decisions = set()
-        sink = SamplingSpanSink(lambda r: None, SamplingPolicy(default_rate=0.5))
-        for _ in range(50):
-            keep, _reason = sink.decide(rec(trace_id="shared-trace", duration=0.0))
-            decisions.add(keep)
-        assert len(decisions) == 1
-
-    def test_missing_trace_id_drops_below_rate_one(self):
-        sink = SamplingSpanSink(lambda r: None, SamplingPolicy(default_rate=0.5))
-        keep, _ = sink.decide(rec(trace_id="", duration=0.0))
-        assert keep is False
-
-
-class TestTailRetention:
-    def test_errors_always_kept_even_at_rate_zero(self):
-        obs_metrics.reset()
-        kept = []
-        sink = SamplingSpanSink(kept.append, SamplingPolicy(default_rate=0.0))
-        sink(rec(trace_id="t1", status="error"))
-        assert len(kept) == 1
-        counters = obs_metrics.snapshot()["counters"]
-        assert counters["obs.spans_retained{reason=error}"] == 1
-
-    def test_keep_errors_false_lets_them_drop(self):
-        kept = []
-        sink = SamplingSpanSink(
-            kept.append, SamplingPolicy(default_rate=0.0, keep_errors=False)
-        )
-        sink(rec(trace_id="t1", status="error"))
-        assert kept == []
-
-    def test_static_slow_threshold_retains_slow_spans(self):
-        obs_metrics.reset()
-        kept = []
-        sink = SamplingSpanSink(
-            kept.append, SamplingPolicy(default_rate=0.0, slow_threshold=0.25)
-        )
-        sink(rec(trace_id="fast", duration=0.1))
-        sink(rec(trace_id="slow", duration=0.3))
-        assert [record["trace_id"] for record in kept] == ["slow"]
-        counters = obs_metrics.snapshot()["counters"]
-        assert counters["obs.spans_retained{reason=slow}"] == 1
-        assert counters["obs.spans_sampled_out"] == 1
-
-    def test_percentile_threshold_waits_for_min_samples(self):
-        """Until the estimator warms up there is no learned threshold, so
-        with rate 0 and no static floor even a glacial span drops."""
-        sink = SamplingSpanSink(
-            lambda r: None,
-            SamplingPolicy(default_rate=0.0, min_samples=50),
-        )
-        keep, _ = sink.decide(rec(duration=60.0))
-        assert keep is False
-        assert sink.slow_threshold_for("direct_transfer") is None
-
-    def test_learned_percentile_retains_the_tail(self):
-        sink = SamplingSpanSink(
-            lambda r: None,
-            SamplingPolicy(default_rate=0.0, min_samples=20, slow_percentile=0.95),
-        )
-        for i in range(100):
-            keep, _ = sink.decide(rec(trace_id=f"warm{i}", duration=0.01))
-        threshold = sink.slow_threshold_for("direct_transfer")
-        assert threshold is not None
-        keep, reason = sink.decide(rec(trace_id="outlier", duration=5.0))
-        assert (keep, reason) == (True, "slow")
-
-    def test_threshold_read_before_observe_keeps_replay_stable(self):
-        """The decision for span N depends only on spans 1..N-1: the
-        first outlier is judged before it inflates the estimator."""
-        sink = SamplingSpanSink(
-            lambda r: None,
-            SamplingPolicy(default_rate=0.0, min_samples=1),
-        )
-        keep_first, _ = sink.decide(rec(trace_id="a", duration=3.0))
-        assert keep_first is False  # estimator still empty at decision time
-        keep_second, reason = sink.decide(rec(trace_id="b", duration=3.0))
-        assert (keep_second, reason) == (True, "slow")
-
-    def test_per_op_estimators_are_independent(self):
-        sink = SamplingSpanSink(
-            lambda r: None,
-            SamplingPolicy(default_rate=0.0, min_samples=5),
-        )
-        for i in range(10):
-            sink.decide(rec(name="bank.op.fast_op", duration=0.001))
-        assert sink.slow_threshold_for("fast_op") is not None
-        assert sink.slow_threshold_for("never_seen_op") is None
-
-
-class TestSinkConfig:
-    def test_config_reports_live_thresholds(self):
-        sink = SamplingSpanSink(
-            lambda r: None,
-            SamplingPolicy(default_rate=1.0, min_samples=2),
-        )
-        sink(rec(name="bank.op.pay", duration=0.01))
-        sink(rec(name="bank.op.pay", duration=0.02))
-        config = sink.config()
-        assert config["default_rate"] == 1.0
-        assert "pay" in config["slow_thresholds"]
-        assert config["slow_thresholds"]["pay"] is not None
+def test_shim_passes_every_span_through():
+    obs_metrics.reset()
+    records = [
+        {"trace_id": f"t{i}", "name": "bank.op.direct_transfer",
+         "duration_seconds": 0.001 * i, "status": "error" if i % 5 == 0 else "ok"}
+        for i in range(20)
+    ]
+    records.append({"trace_id": "", "name": "rpc.server.dispatch"})
+    kept = []
+    for sink in (SamplingSpanSink(kept.append), SamplingSpanSink(kept.append, SamplingPolicy())):
+        for record in records:
+            sink(record)
+    assert kept == records + records
+    assert not any(key.startswith("obs.spans_") for key in obs_metrics.snapshot()["counters"])

@@ -19,7 +19,6 @@ from repro.cli import _workload_span_sink
 from repro.errors import AuthorizationError
 from repro.net.rpc import RPCClient
 from repro.obs import trace as obs_trace
-from repro.obs.sampling import SamplingPolicy, SamplingSpanSink
 from repro.util.money import Credits
 
 from tests.test_replication import A, B, wait_caught_up, world  # noqa: F401 - primary + standby
@@ -32,10 +31,7 @@ TRANSFER_LINE_MAX = 1_800
 
 def _serve_sinks(world):  # noqa: F811
     """What ``cmd_serve`` installs, once per node."""
-    return [
-        SamplingSpanSink(_workload_span_sink(world[bank]), SamplingPolicy())
-        for bank in ("bank_a", "bank_b")
-    ]
+    return [_workload_span_sink(world[bank]) for bank in ("bank_a", "bank_b")]
 
 
 def _wal(tmp_path, name) -> bytes:
@@ -109,7 +105,7 @@ def test_plumbing_spans_stay_out_of_the_ring(world):  # noqa: F811
     primary = world["bank_a"]
     wait_caught_up(primary, world["bank_b"])
     admin = world["admin"]._client
-    sink = SamplingSpanSink(_workload_span_sink(primary), SamplingPolicy())
+    sink = _workload_span_sink(primary)
     obs_trace.add_sink(sink)
     try:
         stored = len(primary.spans)
