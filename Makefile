@@ -21,7 +21,11 @@ lint:
 # recorder's span ring are gone; post-mortems read the span store.
 # repro.obs.sampling survives only as the pass-through shim
 # gridbench/ledger.py imports; ROADMAP 11(viii) deletes it.
-SRC_LINES_MAX := 22642
+# +11: three-prime RSA. crypto/keys.py refuses a private key file whose
+# primes, modulus and exponents disagree (a CRT signature made with a
+# corrupt prime leaks the factors, DESIGN §20) and still reads the
+# two-prime p/q form older homes hold; the k-prime CRT costs 2 lines.
+SRC_LINES_MAX := 22653
 src-budget:
 	@lines=$$(find src -name '*.py' | xargs cat | wc -l); \
 	if [ $$lines -gt $(SRC_LINES_MAX) ]; then \

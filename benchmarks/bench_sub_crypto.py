@@ -29,6 +29,12 @@ def keys():
 
 
 @pytest.fixture(scope="module")
+def keys_1024():
+    """The CLI-default key size: what a served bank signs with."""
+    return generate_keypair(bits=1024, rng=random.Random(1103))
+
+
+@pytest.fixture(scope="module")
 def pki():
     clock = VirtualClock()
     ca = CertificateAuthority(
@@ -51,10 +57,26 @@ def test_crypto_keygen_512(benchmark):
     assert kp.public.bits == 512
 
 
+def test_crypto_keygen_1024(benchmark):
+    seeds = iter(range(10_000))
+
+    def keygen():
+        return generate_keypair(bits=1024, rng=random.Random(next(seeds)))
+
+    kp = benchmark.pedantic(keygen, rounds=10, iterations=1)
+    assert kp.public.bits == 1024
+
+
 def test_crypto_sign(benchmark, keys):
     message = {"op": "transfer", "amount_micro": 4_500_000}
     signature = benchmark(sign, keys.private, message)
     assert verify(keys.public, message, signature)
+
+
+def test_crypto_sign_1024(benchmark, keys_1024):
+    message = {"op": "transfer", "amount_micro": 4_500_000}
+    signature = benchmark(sign, keys_1024.private, message)
+    assert verify(keys_1024.public, message, signature)
 
 
 def test_crypto_verify(benchmark, keys):

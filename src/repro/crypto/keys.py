@@ -7,6 +7,8 @@ and hashable by the canonical serializer.
 
 from __future__ import annotations
 
+import math
+
 from repro.crypto.rsa import RSAPrivateKey, RSAPublicKey
 from repro.errors import ValidationError
 
@@ -37,21 +39,28 @@ def private_key_to_dict(key: RSAPrivateKey) -> dict:
         "n": f"{key.n:x}",
         "e": f"{key.e:x}",
         "d": f"{key.d:x}",
-        "p": f"{key.p:x}",
-        "q": f"{key.q:x}",
+        "primes": [f"{p:x}" for p in key.primes],
     }
 
 
 def private_key_from_dict(data: dict) -> RSAPrivateKey:
+    """Load a key file (older two-prime files hold ``p``/``q``); DESIGN §20."""
     try:
         if data["kty"] != "RSA":
             raise ValidationError(f"unsupported key type {data['kty']!r}")
-        return RSAPrivateKey(
+        hexes = data["primes"] if "primes" in data else [data["p"], data["q"]]
+        key = RSAPrivateKey(
             n=int(data["n"], 16),
             e=int(data["e"], 16),
             d=int(data["d"], 16),
-            p=int(data["p"], 16),
-            q=int(data["q"], 16),
+            primes=tuple(int(p, 16) for p in hexes),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed private key: {exc}") from exc
+    # a CRT signature made with a corrupt prime leaks the other factors
+    primes = key.primes
+    if len(primes) < 2 or len(set(primes)) != len(primes) or math.prod(primes) != key.n:
+        raise ValidationError("private key primes do not multiply to n")
+    if any(p < 3 or key.e * key.d % (p - 1) != 1 for p in primes):
+        raise ValidationError("private exponent does not invert e modulo p-1")
+    return key

@@ -1,8 +1,9 @@
 """RSA key generation and raw modular operations.
 
-Textbook RSA over two Miller–Rabin primes with CRT-accelerated private
-operations. Padding/encoding live in :mod:`repro.crypto.signature`; this
-module only provides the trapdoor permutation and key structures.
+Three-prime RSA (RFC 8017 §3.2, DESIGN §20) over Miller–Rabin primes with a
+k-prime CRT private operation. Padding/encoding live in
+:mod:`repro.crypto.signature`; this module only provides the trapdoor
+permutation and key structures.
 
 Default modulus size is 1024 bits — small enough that seeded key generation
 in pure Python stays well under a second, large enough to exercise real
@@ -11,8 +12,9 @@ multi-precision paths. Sizes are configurable per call.
 
 from __future__ import annotations
 
+import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
@@ -31,6 +33,7 @@ __all__ = [
 
 DEFAULT_BITS = 1024
 _PUBLIC_EXPONENT = 65537
+_PRIMES = 3  # the published maximum for 1,024-bit moduli (DESIGN §20)
 
 
 @dataclass(frozen=True)
@@ -64,13 +67,12 @@ class RSAPublicKey:
 
 @dataclass(frozen=True)
 class RSAPrivateKey:
-    """Private half with CRT components for ~4x faster private operations."""
+    """Private half: *d* and the prime factors of *n*, for CRT private ops."""
 
     n: int
     e: int
-    d: int
-    p: int
-    q: int
+    d: int = field(repr=False)
+    primes: tuple[int, ...] = field(repr=False)
 
     @property
     def byte_length(self) -> int:
@@ -80,20 +82,25 @@ class RSAPrivateKey:
         return RSAPublicKey(n=self.n, e=self.e)
 
     @cached_property
-    def _crt(self) -> tuple[int, int, int]:
-        # (dp, dq, q_inv) are pure functions of the key; cached_property
+    def _crt(self) -> tuple[tuple[int, int, int], ...]:
+        # (r_i, d mod (r_i - 1), (r_1 ... r_{i-1})^-1 mod r_i) per prime; cached_property
         # writes to __dict__ directly, which frozen dataclasses permit
-        return self.d % (self.p - 1), self.d % (self.q - 1), pow(self.q, -1, self.p)
+        terms, product = [], 1
+        for r in self.primes:
+            terms.append((r, self.d % (r - 1), pow(product, -1, r)))
+            product *= r
+        return tuple(terms)
 
     def decrypt_int(self, c: int) -> int:
         """Raw private operation c^d mod n via CRT (also signing)."""
         if not 0 <= c < self.n:
             raise ValidationError("ciphertext representative out of range")
-        dp, dq, q_inv = self._crt
-        m1 = pow(c, dp, self.p)
-        m2 = pow(c, dq, self.q)
-        h = (q_inv * (m1 - m2)) % self.p
-        return m2 + h * self.q
+        m, product = 0, 1
+        for r, d_r, coeff in self._crt:
+            # Garner: lift m (correct mod product) to be correct mod product*r
+            m += product * ((pow(c, d_r, r) - m) * coeff % r)
+            product *= r
+        return m
 
 
 @dataclass(frozen=True)
@@ -137,7 +144,7 @@ def decrypt_bytes(private: RSAPrivateKey, ciphertext: bytes) -> bytes:
 
 
 def generate_keypair(bits: int = DEFAULT_BITS, rng: Optional[random.Random] = None) -> RSAKeyPair:
-    """Generate an RSA keypair with modulus of exactly *bits* bits.
+    """Generate a three-prime RSA keypair with modulus of exactly *bits* bits.
 
     Pass a seeded ``random.Random`` for reproducible keys in tests and
     simulations; an unseeded one is created otherwise.
@@ -147,19 +154,14 @@ def generate_keypair(bits: int = DEFAULT_BITS, rng: Optional[random.Random] = No
     if bits % 2 != 0:
         raise ValidationError("modulus bit size must be even")
     r = rng if rng is not None else random.Random()
-    half = bits // 2
+    sizes = [bits // _PRIMES] * (_PRIMES - 1)
+    sizes.append(bits - sum(sizes))
+    e = _PUBLIC_EXPONENT
     while True:
-        p = generate_prime(half, r)
-        q = generate_prime(half, r)
-        if p == q:
+        primes = tuple(generate_prime(size, r) for size in sizes)
+        n = math.prod(primes)
+        phi = math.prod(p - 1 for p in primes)
+        if n.bit_length() != bits or len(set(primes)) != _PRIMES or phi % e == 0:
             continue
-        n = p * q
-        if n.bit_length() != bits:
-            continue
-        phi = (p - 1) * (q - 1)
-        e = _PUBLIC_EXPONENT
-        if phi % e == 0:
-            continue
-        d = pow(e, -1, phi)
-        private = RSAPrivateKey(n=n, e=e, d=d, p=p, q=q)
+        private = RSAPrivateKey(n=n, e=e, d=pow(e, -1, phi), primes=primes)
         return RSAKeyPair(private=private, public=private.public_key())
