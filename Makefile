@@ -25,7 +25,9 @@ lint:
 # primes, modulus and exponents disagree (a CRT signature made with a
 # corrupt prime leaks the factors, DESIGN §20) and still reads the
 # two-prime p/q form older homes hold; the k-prime CRT costs 2 lines.
-SRC_LINES_MAX := 22653
+# -1: one node. cmd_serve's body is repro.bank.node.Node, the active
+# diagnosis plane is gone, and the CLI dials a bank in one place.
+SRC_LINES_MAX := 22652
 src-budget:
 	@lines=$$(find src -name '*.py' | xargs cat | wc -l); \
 	if [ $$lines -gt $(SRC_LINES_MAX) ]; then \

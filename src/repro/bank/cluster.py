@@ -172,9 +172,8 @@ class ClusterNode:
         self.bank = bank
         self.address = address
         self.connect = connect
-        #: this node's :class:`repro.obs.diag.DiagPlane` (serve wires it);
-        #: None falls back to the process-wide active plane, so the Diag
-        #: RPCs still answer on nodes built without explicit wiring
+        #: the DiagPlane a served :class:`repro.bank.node.Node` hands over;
+        #: without one the Diag RPCs answer ``{"enabled": False}``
         self.diag = diag
         self.peer_subjects = set(peer_subjects)
         self.lease_timeout = lease_timeout
@@ -576,28 +575,19 @@ class ClusterNode:
         snap["net"] = frontend_snapshot(metrics_snap)
         return snap
 
-    def _diag_plane(self):
-        if self.diag is not None:
-            return self.diag
-        from repro.obs import diag as obs_diag
-
-        return obs_diag.active_plane()
-
     def op_diag_profile(self, subject: str, params: dict) -> dict:
         """Per-op CPU attribution + stripe-lock/WAL contention stats for
         ``gridbank profile`` / ``gridbank debug-bundle``."""
-        plane = self._diag_plane()
-        if plane is None:
+        if self.diag is None:
             return {"enabled": False}
-        return plane.profile_snapshot(top=int(params.get("top", 25)))
+        return self.diag.profile_snapshot(top=int(params.get("top", 25)))
 
     def op_diag_flight_record(self, subject: str, params: dict) -> dict:
         """The flight recorder's rings (recent/slow spans, logs, metric
         deltas, fold deltas, trigger history) for bundle collection."""
-        plane = self._diag_plane()
-        if plane is None:
+        if self.diag is None:
             return {"enabled": False}
-        return plane.flight_snapshot(limit=int(params.get("limit", 128)))
+        return self.diag.flight_snapshot(limit=int(params.get("limit", 128)))
 
 
 class StandbyReplicator:

@@ -37,18 +37,18 @@ import json
 import os
 import random
 import sys
+import threading
 from pathlib import Path
 from typing import Optional
 
 from repro.bank.server import GridBankServer
 from repro.crypto.keys import private_key_from_dict, private_key_to_dict
 from repro.db.database import Database
-from repro.errors import CorruptionError, ReproError
+from repro.errors import CorruptionError, ReproError, ValidationError
 from repro.obs import metrics as obs_metrics
-from repro.obs import trace as obs_trace
-from repro.obs.export import FileExporter, HTTPExporter, render_prometheus
+from repro.obs.export import HTTPExporter, render_prometheus
 from repro.obs.logging import configure_from_env
-from repro.obs.slo import Objective, SLOEngine
+from repro.obs.slo import Objective
 from repro.obs.store import render_waterfall
 from repro.pki.ca import CertificateAuthority, Identity
 from repro.pki.certificate import Certificate, DistinguishedName
@@ -82,13 +82,16 @@ def _bank_credential(home: Path):
     """The bank home's own identity + trust store — nodes of one logical
     bank share the bank identity, and holding it is what authorizes the
     replication/repair RPCs against a peer."""
-    identity_blob = canonical_loads((home / _IDENTITY_FILE).read_bytes())
-    identity = Identity(
-        certificate=Certificate.from_dict(identity_blob["certificate"]),
-        private_key=private_key_from_dict(identity_blob["private_key"]),
-    )
+    identity = _identity(canonical_loads((home / _IDENTITY_FILE).read_bytes()))
     root = Certificate.from_dict(canonical_loads((home / _ROOT_FILE).read_bytes()))
     return identity, CertificateStore([root])
+
+
+def _identity(blob: dict) -> Identity:
+    return Identity(
+        certificate=Certificate.from_dict(blob["certificate"]),
+        private_key=private_key_from_dict(blob["private_key"]),
+    )
 
 
 def _load_bank(home: Path, bank_number: int = 1, branch_number: int = 1) -> GridBankServer:
@@ -124,12 +127,7 @@ def cmd_init(args) -> int:
     (home / "ca-key.gbk").write_bytes(
         canonical_dumps({"private_key": private_key_to_dict(ca._private)})
     )
-    db = Database(path=home / _DB_DIR)
-    server = GridBankServer(
-        identity, CertificateStore([ca.root_certificate]), db=db, clock=clock,
-        bank_number=args.bank_number, branch_number=args.branch_number,
-    )
-    server.recover()
+    db = _load_bank(home, args.bank_number, args.branch_number).db
     db.checkpoint()
     db.close()
     print(f"initialized GridBank {args.bank_number:02d}-{args.branch_number:04d} at {home}")
@@ -393,24 +391,28 @@ def cmd_issue_identity(args) -> int:
 
 def _load_credential(path: str):
     blob = canonical_loads(Path(path).read_bytes())
-    identity = Identity(
-        certificate=Certificate.from_dict(blob["certificate"]),
-        private_key=private_key_from_dict(blob["private_key"]),
-    )
-    store = CertificateStore([Certificate.from_dict(blob["trust_root"])])
-    return identity, store
+    return _identity(blob), CertificateStore([Certificate.from_dict(blob["trust_root"])])
+
+
+def _dial(address: str, identity, store, connect=None):
+    """An authenticated RPC client of the bank at *address*."""
+    from repro.net.rpc import RPCClient
+
+    client = RPCClient((connect or _tcp_connect)(address), identity, store)
+    client.connect()
+    return client
 
 
 def _remote_api(args):
     from repro.core.api import GridBankAPI
-    from repro.net.rpc import RPCClient
-    from repro.net.tcp import TCPClientConnection
 
-    identity, store = _load_credential(args.credential)
-    host, _, port = args.address.partition(":")
-    client = RPCClient(TCPClientConnection((host, int(port))), identity, store)
-    client.connect()
-    return GridBankAPI(client)
+    return GridBankAPI(_dial(args.address, *_load_credential(args.credential)))
+
+
+def _remote_call(args, method: str, **params):
+    """One RPC on the bank at --address, as the --credential holder."""
+    with _dial(args.address, *_load_credential(args.credential)) as client:
+        return client.call(method, **params)
 
 
 def cmd_remote_create_account(args) -> int:
@@ -447,45 +449,11 @@ def _tcp_connect(address: str):
     return TCPClientConnection((host, int(port)))
 
 
-def _workload_span_sink(bank):
-    """The span sink of a served bank: its span store (queryable later
-    with ``gridbank trace``) behind the op table's ``tracked`` column.
-    The store is local to the node, so a standby records what it serves
-    just as a primary does."""
-    plumbing: set[str] = set()
-    rows = 0
+def _node_config(args):
+    """Serve's flags as a NodeConfig, checked before anything is opened: a
+    refusal leaves no thread, socket or lock file behind."""
+    from repro.bank.node import NodeConfig
 
-    def persist(record):
-        # plumbing (replication polls, telemetry scrapes, rebalance verbs)
-        # runs at whatever cadence the topology needs; a span per poll
-        # would turn the ring over at the poll rate. Its bank.op span and
-        # its RPC dispatch span are dropped; what it runs underneath
-        # (shard.2pc, integrity.repair) still persists, and the flight
-        # recorder's triggers see everything. Rows are only ever added,
-        # and the shard plane adds its rows after this sink is built.
-        nonlocal rows
-        if rows != len(bank.ops):
-            rows = len(bank.ops)
-            for op in bank.ops.values():
-                if not op.tracked:
-                    plumbing.update((op.span_name, op.method))
-        if record.get("name") in plumbing or record.get("attrs", {}).get("method") in plumbing:
-            return
-        bank.spans(record)
-
-    return persist
-
-
-def cmd_serve(args) -> int:
-    from repro.bank.cluster import ClusterNode
-    from repro.net import frontend_snapshot as _frontend_snapshot
-    from repro.net.aio import AsyncTCPServer
-    from repro.net.tcp import TCPServer
-
-    # flags are checked before anything is opened or started: a refusal
-    # here leaves no thread, socket or lock file behind. The threaded
-    # front end dispatches on each connection's own thread; only the
-    # async one has a pool to size
     problem = None
     if args.workers is not None and args.backend != "async":
         problem = "--workers applies to the async backend only"
@@ -498,207 +466,101 @@ def cmd_serve(args) -> int:
     elif args.rate_limit is not None and args.rate_limit <= 0:
         problem = "--rate-limit must be > 0"
     if problem is not None:
-        print(f"error: {problem}", file=sys.stderr)
-        return 1
-
-    home = Path(args.home)
-    bank = _load_bank(home)
-
-    # the diagnosis plane is on by default: a sampling profiler at
-    # --profile-hz (<5% overhead, asserted by bench_diag) plus a flight
-    # recorder whose rings, and the span store's newest segments, are
-    # dumped into --diag-dir when an anomaly trigger fires (SLO page,
-    # corruption, deadline storm, unhandled dispatch exception). Its
-    # span sink goes in before the store's, so a span that fires a dump
-    # is not stored yet: the dump carries it in meta.json. Exemplar
-    # capture rides along so latency buckets link to trace ids.
-    diag_plane = None
-    if not args.no_diag:
-        from repro.obs.diag import DiagPlane
-
-        diag_dir = Path(args.diag_dir) if args.diag_dir else home / "diag"
-        diag_plane = DiagPlane(
-            profile_hz=args.profile_hz, dump_dir=diag_dir, clock=bank.clock,
-            spans=bank.spans,
-        ).start()
-        obs_metrics.configure_exemplars(True)
-        print(f"diagnosis plane: profiler {args.profile_hz:g}hz, "
-              f"post-mortems under {diag_dir}")
-    # a non-default objective replaces the bank's built-in one; the
-    # engine is swapped whole so the dispatch wrapper (which reads
-    # bank.slo at call time) picks it up atomically
-    if args.slo_target is not None or args.slo_latency is not None:
-        bank.slo = SLOEngine(
-            clock=bank.clock,
-            objectives=(
-                Objective(
-                    op="*",
-                    target=args.slo_target if args.slo_target is not None else 0.999,
-                    latency_threshold=(
-                        args.slo_latency if args.slo_latency is not None else 0.5
-                    ),
-                ),
-            ),
-        )
-
-    # every finished workload span goes to the span store
-    span_sink = obs_trace.add_sink(_workload_span_sink(bank))
-
-    # /healthz for load balancers: readiness = not paging, and (for a
-    # standby under a staleness bound) not lagging past the bound
-    state = {"node": None}
-
-    def _health() -> dict:
-        node = state["node"]
-        lag = node.lag_seconds() if node is not None else 0.0
-        alert = bank.slo.worst_state()
-        lag_ok = (
-            bank.role == "primary"
-            or args.staleness_bound is None
-            or lag <= args.staleness_bound
-        )
-        integrity_state = bank.db.integrity_status()
-        return {
-            "ok": alert != "page" and lag_ok and integrity_state["ok"],
-            "role": bank.role,
-            "primary_address": bank.primary_address or "",
-            "lag_seconds": lag,
-            "alert": alert,
-            "slo": bank.slo.states(),
-            "integrity": integrity_state,
-            "net": _frontend_snapshot(),
-        }
-
-    exporters = []
-    if args.metrics_port is not None:
-        http_exporter = HTTPExporter(port=args.metrics_port, health_fn=_health).start()
-        exporters.append(http_exporter)
-        print(f"metrics scrape endpoint: http://{http_exporter.host}:{http_exporter.port}/metrics")
-        print(f"health check endpoint:   http://{http_exporter.host}:{http_exporter.port}/healthz")
-    if args.metrics_textfile:
-        exporters.append(
-            FileExporter(args.metrics_textfile, interval=args.metrics_interval).start()
-        )
-    node = None
-    # both backends serve the same framed/sealed protocol behind the same
-    # handler factory; --backend picks the concurrency model, the extra
-    # knobs configure the async front end's admission/backpressure plane
-    if args.backend == "async":
-        server_cm = AsyncTCPServer(
-            bank.connection_handler,
-            host=args.host,
-            port=args.port,
-            workers=args.workers if args.workers is not None else 4,
-            max_connections=args.max_connections,
-            dispatch_queue=args.dispatch_queue,
-            rate_limit=args.rate_limit,
-            handshake_timeout=args.handshake_timeout,
-            idle_timeout=args.idle_timeout,
-            overload_signal=bank.overloaded,
-        )
-    else:
-        server_cm = TCPServer(
-            bank.connection_handler,
-            host=args.host,
-            port=args.port,
-            max_connections=args.max_connections,
-            idle_timeout=args.idle_timeout,
-        )
+        raise ValidationError(problem)
+    # a non-default catch-all objective replaces the bank's built-in one
+    overrides = {"target": args.slo_target, "latency_threshold": args.slo_latency}
+    overrides = {key: value for key, value in overrides.items() if value is not None}
     try:
-        with server_cm as server:
+        slo = (Objective(op="*", **overrides),) if overrides else ()
+    except ValueError as exc:
+        raise ValidationError(f"--slo-target/--slo-latency: {exc}") from None
+    shard_map = None
+    if args.shard_map:
+        from repro.bank.shard import ShardMap
+
+        try:
+            shard_map = ShardMap.from_json(Path(args.shard_map).read_bytes())
+        except OSError as exc:
+            raise ValidationError(f"cannot read --shard-map {args.shard_map} ({exc})") from None
+    return NodeConfig(
+        standby_of=args.standby_of, peers=tuple(args.peer or ()),
+        auto_promote=args.auto_promote, lease_timeout=args.lease_timeout,
+        staleness_bound=args.staleness_bound, scrub_interval=args.scrub_interval,
+        slo=slo, diag=not args.no_diag, profile_hz=args.profile_hz,
+        diag_dir=Path(args.diag_dir) if args.diag_dir else None,
+        metrics_port=args.metrics_port, metrics_textfile=args.metrics_textfile,
+        metrics_interval=args.metrics_interval, shard_id=args.shard_id,
+        shard_map=shard_map, resolve_interval=args.resolve_interval,
+    )
+
+
+def _front_end(args, bank):
+    """Bind the socket server. Both backends serve the same sealed protocol
+    behind one handler factory; the async one adds admission knobs."""
+    from repro.net.aio import AsyncTCPServer
+    from repro.net.tcp import TCPServer
+
+    common = dict(host=args.host, port=args.port, max_connections=args.max_connections,
+                  idle_timeout=args.idle_timeout)
+    if args.backend != "async":
+        return TCPServer(bank.connection_handler, **common)
+    return AsyncTCPServer(
+        bank.connection_handler, workers=args.workers or 4, dispatch_queue=args.dispatch_queue,
+        rate_limit=args.rate_limit, handshake_timeout=args.handshake_timeout,
+        overload_signal=bank.overloaded, **common,
+    )
+
+
+def _print_banner(node, args, host: str, port: int) -> None:
+    config, bank = node.config, node.bank
+    if node.diag is not None:
+        print(f"diagnosis plane: profiler {config.profile_hz:g}hz, "
+              f"post-mortems under {node.diag.recorder.dump_dir}")
+    for http in (e for e in node.exporters if isinstance(e, HTTPExporter)):
+        print(f"metrics scrape endpoint: http://{http.host}:{http.port}/metrics")
+        print(f"health check endpoint:   http://{http.host}:{http.port}/healthz")
+    if node.shard is not None:
+        installed = node.shard.installed_map()
+        print(f"serving shard {config.shard_id} (map v{installed.version if installed else 0}, "
+              f"resolver every {config.resolve_interval:g}s)")
+    print(f"GridBank {bank.bank_number:02d}-{bank.branch_number:04d} "
+          f"({bank.subject}) listening on {host}:{port} [{args.backend} backend]")
+    if config.standby_of:
+        note = "promote with `gridbank promote`"
+        if config.auto_promote and config.lease_timeout is not None:
+            note = f"auto-promote after {config.lease_timeout}s silence"
+        print(f"standby of {config.standby_of} (advertised as {node.cluster.address}; {note})")
+
+
+def cmd_serve(args) -> int:
+    from repro.bank.node import Node
+
+    config = _node_config(args)
+    home = Path(args.home)
+    node = Node(_load_bank(home), config, _tcp_connect)
+    try:
+        try:
+            server = _front_end(args, node.bank)
+        except OSError as exc:
+            print(f"error: cannot listen on {args.host}:{args.port} ({exc})", file=sys.stderr)
+            return 1
+        with server:
             host, port = server.address
-            advertise = args.advertise or f"{host}:{port}"
-            # every served bank is a cluster node: the replication
-            # operations are registered, and `gridbank promote` /
-            # `--standby-of` turn single nodes into a replicated pair
-            node = ClusterNode(
-                bank,
-                advertise,
-                _tcp_connect,
-                peer_subjects=args.peer or (),
-                lease_timeout=args.lease_timeout,
-                auto_promote=args.auto_promote,
-                staleness_bound=args.staleness_bound,
-                scrub_interval=args.scrub_interval,
-                diag=diag_plane,
-            )
-            state["node"] = node
-            # sharded deployments attach the shard plane: ownership
-            # guard, cross-shard 2PC coordinator/participant, rebalance
-            # verbs, and the background intent resolver
-            if args.shard_id:
-                from repro.bank.shard import ShardMap, ShardNode
-
-                boot_map = None
-                if args.shard_map:
-                    boot_map = ShardMap.from_json(Path(args.shard_map).read_bytes())
-                shard = ShardNode(
-                    node,
-                    args.shard_id,
-                    shard_map=boot_map,
-                    resolve_interval=args.resolve_interval,
-                )
-                installed = shard.installed_map()
-                print(f"serving shard {args.shard_id} "
-                      f"(map v{installed.version if installed else 0}, "
-                      f"resolver every {args.resolve_interval:g}s)")
-            print(f"GridBank {bank.bank_number:02d}-{bank.branch_number:04d} "
-                  f"({bank.subject}) listening on {host}:{port} "
-                  f"[{args.backend} backend]")
-            if args.standby_of:
-                node.follow(args.standby_of, resync=True)
-                promote_note = (
-                    f"auto-promote after {args.lease_timeout}s silence"
-                    if args.auto_promote and args.lease_timeout is not None
-                    else "promote with `gridbank promote`"
-                )
-                print(f"standby of {args.standby_of} (advertised as {advertise}; "
-                      f"{promote_note})")
+            node.start(args.advertise or f"{host}:{port}")
+            _print_banner(node, args, host, port)
             try:
-                import threading
-
                 threading.Event().wait(args.duration if args.duration else None)
             except KeyboardInterrupt:
                 pass
     finally:
-        if bank.shard is not None:
-            bank.shard.close()
-        if node is not None:
-            node.close()
-        if diag_plane is not None:
-            diag_plane.stop()
-        for exporter in exporters:
-            exporter.stop()
-        obs_trace.remove_sink(span_sink)
-    # both telemetry rings out, whatever this node's role: the buffered
-    # spans, and the live usage period as a partial rollup
-    bank.spans.flush()
-    bank.usage.maybe_rollup(force=True)
-    bank.db.close()
-    # persist the run's metrics so `gridbank metrics` can read them later
-    (home / _METRICS_FILE).write_text(
-        json.dumps(obs_metrics.snapshot(), indent=2, sort_keys=True) + "\n"
-    )
-    # ... and the objectives the run was judged against
-    (home / _TELEMETRY_FILE).write_text(
-        json.dumps(
-            {"slo": [objective.to_dict() for objective in bank.slo.objectives()]},
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n"
-    )
+        node.close()
+    # the run's metrics, for `gridbank metrics` later, and the objectives
+    # the run was judged against
+    slo = [objective.to_dict() for objective in node.bank.slo.objectives()]
+    for name, data in ((_METRICS_FILE, obs_metrics.snapshot()), (_TELEMETRY_FILE, {"slo": slo})):
+        (home / name).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
     print("server stopped")
     return 0
-
-
-def _remote_client(args):
-    from repro.net.rpc import RPCClient
-
-    identity, store = _load_credential(args.credential)
-    client = RPCClient(_tcp_connect(args.address), identity, store)
-    client.connect()
-    return client
 
 
 def cmd_promote(args) -> int:
@@ -708,23 +570,14 @@ def cmd_promote(args) -> int:
     fences the old primary behind a bumped cluster epoch, and starts
     accepting writes. Requires an administrator credential.
     """
-    client = _remote_client(args)
-    try:
-        status = client.call("Cluster.Promote", reason=args.reason)
-    finally:
-        client.close()
-    print(json.dumps(status, indent=2, sort_keys=True))
+    print(json.dumps(_remote_call(args, "Cluster.Promote", reason=args.reason),
+                     indent=2, sort_keys=True))
     return 0
 
 
 def cmd_cluster_status(args) -> int:
     """Show a node's replication position, role, and lag."""
-    client = _remote_client(args)
-    try:
-        status = client.call("Replication.Status")
-    finally:
-        client.close()
-    print(json.dumps(status, indent=2, sort_keys=True))
+    print(json.dumps(_remote_call(args, "Replication.Status"), indent=2, sort_keys=True))
     return 0
 
 
@@ -732,12 +585,7 @@ def cmd_shard_status(args) -> int:
     """Show a node's shard id, installed map version, owned ranges and
     in-flight cross-shard intents. Requires the bank credential or an
     administrator (the same authorization as the replication stream)."""
-    client = _remote_client(args)
-    try:
-        status = client.call("Shard.Status")
-    finally:
-        client.close()
-    print(json.dumps(status, indent=2, sort_keys=True))
+    print(json.dumps(_remote_call(args, "Shard.Status"), indent=2, sort_keys=True))
     return 0
 
 
@@ -839,17 +687,11 @@ def _gather_telemetry(addresses, identity, store, top: int) -> list[dict]:
     """One ``Telemetry.Snapshot`` per node; unreachable nodes become
     ``{"node": address, "error": ...}`` entries instead of failing the
     whole view (an operator runs ``top`` *because* something is wrong)."""
-    from repro.net.rpc import RPCClient
-
     snapshots = []
     for address in addresses:
         try:
-            client = RPCClient(_tcp_connect(address), identity, store)
-            client.connect()
-            try:
+            with _dial(address, identity, store) as client:
                 snap = client.call("Telemetry.Snapshot", top=top)
-            finally:
-                client.close()
             snap.setdefault("node", address)
             snapshots.append(snap)
         except (ReproError, OSError) as exc:
@@ -972,11 +814,7 @@ def cmd_profile(args) -> int:
     always-on sampler plus stripe-lock and WAL-path contention tables."""
     from repro.obs.diag import render_profile
 
-    client = _remote_client(args)
-    try:
-        profile = client.call("Diag.Profile", top=args.top)
-    finally:
-        client.close()
+    profile = _remote_call(args, "Diag.Profile", top=args.top)
     if not profile.get("enabled", False) and "ops" not in profile:
         print("diagnosis plane is disabled on this node (serve --no-diag?)",
               file=sys.stderr)
@@ -989,18 +827,12 @@ def cmd_profile(args) -> int:
 
 
 def _collect_node_diag(address, identity, store, top: int, connect) -> dict:
-    from repro.net.rpc import RPCClient
-
-    client = RPCClient(connect(address), identity, store)
-    client.connect()
-    try:
+    with _dial(address, identity, store, connect) as client:
         return {
             "profile": client.call("Diag.Profile", top=top),
             "flight": client.call("Diag.FlightRecord", limit=256),
             "telemetry": client.call("Telemetry.Snapshot", top=top),
         }
-    finally:
-        client.close()
 
 
 def _gather_debug_bundle(
@@ -1013,8 +845,6 @@ def _gather_debug_bundle(
     import tarfile
     import time as _time
 
-    if connect is None:
-        connect = _tcp_connect
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest: dict = {"collected_epoch": _time.time(), "nodes": [], "errors": []}

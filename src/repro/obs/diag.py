@@ -70,8 +70,6 @@ __all__ = [
     "render_profile",
     "notify_trigger",
     "notify_slo_transition",
-    "active_plane",
-    "set_active_plane",
     "register_diag_thread",
     "unregister_diag_thread",
 ]
@@ -617,9 +615,10 @@ class FlightRecorder:
 class DiagPlane:
     """Profiler + flight recorder + contention hooks as one lifecycle.
 
-    ``gridbank serve`` builds one per process (``--profile-hz 0``
-    disables the sampler, ``--no-diag`` the whole plane) and hands it the
-    bank's span store; tests build throwaway planes with virtual clocks.
+    A served :class:`repro.bank.node.Node` builds one (``--profile-hz 0``
+    disables the sampler, ``--no-diag`` the whole plane), hands it the
+    bank's span store and hands it on to its cluster plane, whose Diag
+    RPCs answer from it; tests build throwaway planes with virtual clocks.
     """
 
     def __init__(
@@ -637,7 +636,6 @@ class DiagPlane:
             profiler=self.profiler, clock=clock, spans=spans, dump_dir=dump_dir,
             **recorder_options,  # type: ignore[arg-type]
         )
-        self._hooks_installed = False
         self._started = False
 
     def start(self) -> "DiagPlane":
@@ -651,11 +649,9 @@ class DiagPlane:
 
         bank_locks.set_wait_hook(record_lock_wait)
         db_database.set_wal_wait_hook(record_wal_wait)
-        self._hooks_installed = True
         if self.profiler is not None:
             self.profiler.start()
         self.recorder.start()
-        set_active_plane(self)
         return self
 
     def stop(self) -> None:
@@ -665,17 +661,13 @@ class DiagPlane:
         self.recorder.stop()
         if self.profiler is not None:
             self.profiler.stop()
-        if self._hooks_installed:
-            from repro.bank import locks as bank_locks
-            from repro.db import database as db_database
+        from repro.bank import locks as bank_locks
+        from repro.db import database as db_database
 
-            if bank_locks.wait_hook() is record_lock_wait:
-                bank_locks.set_wait_hook(None)
-            if db_database.wal_wait_hook() is record_wal_wait:
-                db_database.set_wal_wait_hook(None)
-            self._hooks_installed = False
-        if active_plane() is self:
-            set_active_plane(None)
+        if bank_locks.wait_hook() is record_lock_wait:
+            bank_locks.set_wait_hook(None)
+        if db_database.wal_wait_hook() is record_wal_wait:
+            db_database.set_wal_wait_hook(None)
 
     def profile_snapshot(self, top: int = 25) -> dict:
         """Per-op CPU attribution + contention stats (``Diag.Profile``)."""
@@ -695,17 +687,6 @@ class DiagPlane:
 # -- process-wide notification plumbing ---------------------------------------
 
 _recorders: list[FlightRecorder] = []
-_active: Optional[DiagPlane] = None
-
-
-def set_active_plane(plane: Optional[DiagPlane]) -> None:
-    global _active
-    _active = plane
-
-
-def active_plane() -> Optional[DiagPlane]:
-    """The process's serving DiagPlane, if one is started."""
-    return _active
 
 
 def notify_trigger(reason: str, **details: object) -> None:

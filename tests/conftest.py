@@ -10,6 +10,7 @@ import random
 import pytest
 
 from repro.bank.cluster import ClusterNode
+from repro.bank.node import Node, NodeConfig
 from repro.bank.server import GridBankServer
 from repro.bank.shard import ShardMap, ShardNode
 from repro.crypto.rsa import RSAKeyPair, generate_keypair
@@ -46,6 +47,18 @@ def attach_foreign_shard(bank, account: str) -> ShardNode:
     return ShardNode(node, foreign, shard_map=shard_map)
 
 
+@pytest.fixture()
+def attach():
+    """How ``tests.test_replication``'s world serves each bank: the cluster
+    plane alone. A module that wants all of what ``gridbank serve``
+    attaches overrides this fixture with one that builds Nodes."""
+
+    def attach(bank, address, connect, **options):
+        return ClusterNode(bank, address, connect, poll_interval=0.005, **options)
+
+    return attach
+
+
 @pytest.fixture(scope="session")
 def keypair_a() -> RSAKeyPair:
     return generate_keypair(bits=512, rng=random.Random(1001))
@@ -77,11 +90,10 @@ def attached_bank(ca_keypair, keypair_a):
     )
     identity = ca.issue_identity(DistinguishedName("GridBank", "server"), keypair=keypair_a)
     bank = GridBankServer(identity, CertificateStore([ca.root_certificate]), clock=clock)
-    node = ClusterNode(bank, "here", InProcessNetwork().connect)
-    shard = ShardNode(node, "s1")
+    config = NodeConfig(diag=False, shard_id="s1", resolve_interval=None)
+    node = Node(bank, config, InProcessNetwork().connect).start("here")
     coin.install(bank)
     yield bank
-    shard.close()
     node.close()
 
 

@@ -172,17 +172,53 @@ class TestServe:
             (["--rate-limit", "0"], "--rate-limit must be > 0"),
             (["--workers", "4"], "--workers applies to the async backend only"),
             (["--backend", "threads", "--workers", "0"], "--workers applies to the async backend only"),
+            (["--slo-target", "2"], "objective target must be in (0, 1)"),
+            (["--shard-map", "MAP"], "--shard-map needs --shard-id"),
+            (["--shard-id", "s1", "--shard-map", "/missing.json"], "cannot read --shard-map /missing.json"),
+            (["--metrics-textfile", "m.prom", "--metrics-interval", "0"], "--metrics-interval must be > 0"),
         ],
     )
-    def test_bad_flags_are_refused_before_anything_starts(self, home, capsys, flags, complaint):
-        from repro.obs import diag as obs_diag
+    def test_bad_flags_are_refused_before_anything_starts(self, home, capsys, flags, complaint, tmp_path):
+        from repro.bank import locks as bank_locks
+        from repro.bank.shard import ShardMap
+        from repro.db import database as db_database
 
+        shard_map = tmp_path / "map.json"
+        shard_map.write_bytes(ShardMap.initial({"s1": ("127.0.0.1:1",)}).to_json())
+        flags = [str(shard_map) if flag == "MAP" else flag for flag in flags]
         code, out, err = run(["serve", "--home", home, "--duration", "0.2", *flags], capsys)
         assert code == 1
         assert err.startswith("error: ") and complaint in err and "Traceback" not in err
         assert out == ""  # not even the diagnosis-plane banner
-        assert obs_diag.active_plane() is None
+        # no diagnosis plane was started: neither contention hook is in
+        assert bank_locks.wait_hook() is None and db_database.wal_wait_hook() is None
         # nothing was opened either: the home serves straight afterwards
+        code, out, _ = run(["serve", "--home", home, "--duration", "0.1"], capsys)
+        assert code == 0 and "server stopped" in out
+
+    @pytest.mark.parametrize("backend", ["threads", "async"])
+    def test_a_taken_port_is_an_error_and_leaves_nothing_running(self, home, capsys, backend):
+        import socket
+
+        from repro.bank import locks as bank_locks
+        from repro.db import database as db_database
+        from repro.obs import trace as obs_trace
+
+        sinks = list(obs_trace._sinks)
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen(1)
+            port = str(taken.getsockname()[1])
+            code, out, err = run(
+                ["serve", "--home", home, "--port", port, "--backend", backend,
+                 "--duration", "0.1"], capsys,
+            )
+        assert code == 1
+        assert err.startswith(f"error: cannot listen on 127.0.0.1:{port} (")
+        assert "Traceback" not in err and out == ""
+        assert list(obs_trace._sinks) == sinks
+        assert bank_locks.wait_hook() is None and db_database.wal_wait_hook() is None
+        # the database was closed: the home serves straight afterwards
         code, out, _ = run(["serve", "--home", home, "--duration", "0.1"], capsys)
         assert code == 0 and "server stopped" in out
 

@@ -22,6 +22,7 @@ import pytest
 import repro.cli as cli
 from repro.bank.cluster import ClusterNode, cluster_client
 from repro.bank.locks import AccountLocks
+from repro.bank.node import Node, NodeConfig
 from repro.bank.server import GridBankServer
 from repro.core.api import GridBankAPI
 from repro.db import database as db_database
@@ -51,6 +52,7 @@ from repro.pki.certificate import DistinguishedName
 from repro.pki.validation import CertificateStore
 from repro.util.gbtime import VirtualClock
 from repro.util.money import Credits
+from tests.conftest import deliver_keyed
 
 
 @pytest.fixture(autouse=True)
@@ -63,7 +65,6 @@ def _clean_diag_state():
     yield
     for recorder in list(obs_diag._recorders):
         recorder.stop()
-    obs_diag.set_active_plane(None)
     obs_metrics.configure_exemplars(False)
     obs_metrics.reset()
     LOCK_WAITS.reset()
@@ -755,21 +756,14 @@ def cluster(ca_keypair, keypair_a, keypair_c, tmp_path):
         return bank
 
     bank_a, bank_b = boot(A, 2), boot(B, 3)
-    plane_a = DiagPlane(profile_hz=200.0, dump_dir=tmp_path / "diag-a",
-                        clock=clock, spans=bank_a.spans, tick_interval=0).start()
-    plane_b = DiagPlane(profile_hz=200.0, dump_dir=tmp_path / "diag-b",
-                        clock=clock, spans=bank_b.spans, tick_interval=0)
-    # only the recorder/profiler, not the global hooks twice-over
-    plane_b.recorder.start()
-    if plane_b.profiler is not None:
-        plane_b.profiler.start()
-    # each bank's store behind serve's workload filter, after the recorders
-    # as in serve (sinks are process-wide: each store sees both nodes' spans)
-    span_sinks = [obs_trace.add_sink(cli._workload_span_sink(bank)) for bank in (bank_a, bank_b)]
-    node_a = ClusterNode(bank_a, A, network.connect, poll_interval=0.005, diag=plane_a)
-    node_b = ClusterNode(bank_b, B, network.connect, poll_interval=0.005,
-                         staleness_bound=30.0, diag=plane_b)
-    node_b.follow(A)
+    # two served nodes, each with its own diagnosis plane (sinks are
+    # process-wide: each store sees both nodes' spans)
+    node_a = Node(bank_a, NodeConfig(profile_hz=200.0, diag_dir=tmp_path / "diag-a",
+                                     poll_interval=0.005), network.connect).start(A)
+    node_b = Node(bank_b, NodeConfig(profile_hz=200.0, diag_dir=tmp_path / "diag-b",
+                                     poll_interval=0.005, staleness_bound=30.0),
+                  network.connect).start(B)
+    node_b.cluster.follow(A)
     admin_ident = ca.issue_identity(DistinguishedName("GridBank", "admin"), keypair=keypair_c)
     bank_a.admin.add_administrator(admin_ident.subject)
     alice_ident = ca.issue_identity(DistinguishedName("VO-A", "alice"), keypair=keypair_c)
@@ -787,18 +781,25 @@ def cluster(ca_keypair, keypair_a, keypair_c, tmp_path):
     admin.admin_deposit(src, Credits(100000))
     yield {
         "clock": clock, "network": network, "store": store,
-        "banks": (bank_a, bank_b), "planes": (plane_a, plane_b),
+        "banks": (bank_a, bank_b), "planes": (node_a.diag, node_b.diag),
         "admin_ident": admin_ident, "alice_ident": alice_ident,
         "alice": alice, "src": src, "dst": dst, "diag_a": tmp_path / "diag-a",
     }
-    for sink in span_sinks:
-        obs_trace.remove_sink(sink)
-    node_a._stop_replicator()
-    node_b._stop_replicator()
-    if plane_b.profiler is not None:
-        plane_b.profiler.stop()
-    plane_b.recorder.stop()
-    plane_a.stop()
+    node_b.close()
+    node_a.close()
+
+
+def test_a_node_without_a_plane_answers_from_none(attached_bank, tmp_path):
+    """Each node's Diag RPCs answer from its own plane: one another node
+    started in this process is not this node's."""
+    admin = "/O=GridBank/CN=admin"
+    attached_bank.admin.add_administrator(admin)
+    other = DiagPlane(profile_hz=200.0, dump_dir=tmp_path / "diag", clock=VirtualClock()).start()
+    try:
+        assert deliver_keyed(attached_bank, "Diag.Profile", admin, "k-1") == {"enabled": False}
+        assert deliver_keyed(attached_bank, "Diag.FlightRecord", admin, "k-2") == {"enabled": False}
+    finally:
+        other.stop()
 
 
 def _storm(cluster, workers=4, transfers=12):

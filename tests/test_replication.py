@@ -15,7 +15,7 @@ import time
 
 import pytest
 
-from repro.bank.cluster import ClusterNode, PrimaryRouter, StandbyReplicator, cluster_client
+from repro.bank.cluster import PrimaryRouter, StandbyReplicator, cluster_client
 from repro.bank.server import GridBankServer
 from repro.core.api import GridBankAPI
 from repro.db.database import Database
@@ -57,7 +57,7 @@ def wait_caught_up(primary: GridBankServer, standby: GridBankServer) -> None:
 
 
 @pytest.fixture()
-def world(ca_keypair, keypair_a, keypair_c, tmp_path):
+def world(ca_keypair, keypair_a, keypair_c, tmp_path, attach):
     clock = VirtualClock()
     ca = CertificateAuthority(
         DistinguishedName("GridBank", "Root CA"), clock=clock, keypair=ca_keypair
@@ -79,10 +79,8 @@ def world(ca_keypair, keypair_a, keypair_c, tmp_path):
 
     bank_a = boot(A, 2)
     bank_b = boot(B, 3)
-    node_a = ClusterNode(bank_a, A, network.connect, poll_interval=0.005)
-    node_b = ClusterNode(
-        bank_b, B, network.connect, poll_interval=0.005, staleness_bound=30.0
-    )
+    node_a = attach(bank_a, A, network.connect)
+    node_b = attach(bank_b, B, network.connect, staleness_bound=30.0)
     node_b.follow(A)
 
     # everything below REPLICATES: both WALs carry identical lines from seq 1

@@ -19,7 +19,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import _load_bank, main
+from repro.bank.node import Node, NodeConfig
+from repro.cli import _load_bank, _tcp_connect, main
 from repro.db.database import Database
 from repro.errors import (
     InsufficientFundsError,
@@ -728,11 +729,13 @@ class TestTraceCLI:
             ) == 0
         capsys.readouterr()
 
-        # serve in-process with the durable span sink, as cmd_serve does
+        # serve in-process, as `gridbank serve` does: a Node behind TCP
         bank = _load_bank(Path(home))
-        with obs_trace.sink_installed(bank.spans):
+        node = Node(bank, NodeConfig(), _tcp_connect)
+        try:
             with TCPServer(bank.connection_handler) as server:
                 address = f"{server.address[0]}:{server.address[1]}"
+                node.start(address)
                 assert main(
                     ["remote-create-account", "--credential", alice_cred,
                      "--address", address]
@@ -751,10 +754,10 @@ class TestTraceCLI:
                      "--to-account", gsp_account, "--amount", "40"]
                 ) == 0
                 capsys.readouterr()
-        bank.spans.flush()
-        trace_id = bank.db.select("transfers")[-1]["TraceID"]
-        assert trace_id
-        bank.db.close()  # "process exit"
+            trace_id = bank.db.select("transfers")[-1]["TraceID"]
+            assert trace_id
+        finally:
+            node.close()  # "process exit": spans flushed, database closed
 
         # a fresh process: everything below re-loads from WAL storage
         code = main(["trace", "list", "--home", home])

@@ -25,7 +25,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro.bank.cluster import ClusterNode
+from repro.bank.node import Node, NodeConfig
 from repro.cli import _load_bank, _tcp_connect, main as gridbank
 from repro.db import integrity
 from repro.net.tcp import TCPServer
@@ -79,13 +79,13 @@ def run_drill(work: Path) -> None:
     server_b = TCPServer(bank_b.connection_handler)
     addr_a = f"{server_a.address[0]}:{server_a.address[1]}"
     addr_b = f"{server_b.address[0]}:{server_b.address[1]}"
-    node_a = ClusterNode(bank_a, addr_a, _tcp_connect, poll_interval=0.01)
-    node_b = ClusterNode(bank_b, addr_b, _tcp_connect, poll_interval=0.01)
+    node_a = Node(bank_a, NodeConfig(poll_interval=0.01), _tcp_connect).start(addr_a)
+    node_b = Node(bank_b, NodeConfig(poll_interval=0.01), _tcp_connect).start(addr_b)
     try:
         # no resync: the copied home shares the primary's exact position,
         # so every storm record streams through apply_replicated and
         # lands in the standby's own WAL — the bytes this drill damages
-        node_b.follow(addr_a)
+        node_b.cluster.follow(addr_a)
 
         gsc = bank_a.accounts.create_account("/O=VO-A/CN=alice")
         gsp = bank_a.accounts.create_account("/O=VO-B/CN=gsp")
@@ -100,9 +100,8 @@ def run_drill(work: Path) -> None:
         check(bank_b.accounts.total_bank_funds() == total,
               "standby books diverged before the drill even started")
     finally:
-        node_b.close()
         server_b.close()
-        bank_b.db.close()
+        node_b.close()
 
     # -- the standby is down; its cold bytes rot ---------------------------
     wal_file = home_b / "db" / integrity.WAL_NAME
@@ -139,9 +138,8 @@ def run_drill(work: Path) -> None:
         finally:
             repaired.db.close()
     finally:
-        node_a.close()
         server_a.close()
-        bank_a.db.close()
+        node_a.close()
 
     sys.stdout.write(
         f"corruption-drill: PASS — damage detected, boot refused, "

@@ -33,11 +33,11 @@ import threading
 import time
 from pathlib import Path
 
-from repro.bank.cluster import ClusterNode, cluster_client
+from repro.bank.cluster import cluster_client
+from repro.bank.node import Node, NodeConfig
 from repro.bank.shard import (
     RING_SIZE,
     ShardMap,
-    ShardNode,
     ShardRouter,
     sharded_total_funds,
     split_shard,
@@ -95,12 +95,15 @@ def run_drill(work: Path) -> None:
         {sid: (addrs[sid],) for sid in ("s1", "s2", "s3")},
         [(0, RING_SIZE // 2, "s1"), (RING_SIZE // 2, RING_SIZE, "s2")],
     )
-    nodes, shards = {}, {}
+    nodes = {}
     try:
         for sid, bank in banks.items():
             bank.admin.add_administrator(ADMIN_SUBJECT)
-            nodes[sid] = ClusterNode(bank, addrs[sid], _tcp_connect, poll_interval=0.05)
-            shards[sid] = ShardNode(nodes[sid], sid, shard_map=shard_map)
+            # no background resolver: the drill drives intents home itself
+            config = NodeConfig(poll_interval=0.05, shard_id=sid, shard_map=shard_map,
+                                resolve_interval=None)
+            nodes[sid] = Node(bank, config, _tcp_connect).start(addrs[sid])
+        shards = {sid: node.shard for sid, node in nodes.items()}
 
         accounts = {"s1": [], "s2": []}
         for sid in ("s1", "s2"):
@@ -238,14 +241,10 @@ def run_drill(work: Path) -> None:
             f"v{new_map.version}), {initial_total} conserved\n"
         )
     finally:
-        for shard in shards.values():
-            shard.close()
-        for node in nodes.values():
-            node.close()
         for server in servers.values():
             server.close()
-        for bank in banks.values():
-            bank.db.close()
+        for node in reversed(list(nodes.values())):
+            node.close()
 
 
 def main() -> int:

@@ -15,14 +15,15 @@ Usage: PYTHONPATH=src python tools/slo_smoke.py   (exit 0 = pass)
 import random
 import sys
 
-from repro.bank.cluster import ClusterNode, cluster_client
+from repro.bank.cluster import cluster_client
+from repro.bank.node import Node, NodeConfig
 from repro.bank.server import GridBankServer
 from repro.core.api import GridBankAPI
 from repro.errors import ReproError
 from repro.net.retry import RetryPolicy
 from repro.net.transport import FaultPhase, FaultPlan, FaultSchedule, InProcessNetwork
 from repro.obs import metrics as obs_metrics
-from repro.obs.slo import Objective, SLOEngine
+from repro.obs.slo import Objective
 from repro.pki.ca import CertificateAuthority
 from repro.pki.certificate import DistinguishedName
 from repro.pki.validation import CertificateStore
@@ -64,12 +65,11 @@ def main() -> int:
     network = InProcessNetwork(faults=faults)
 
     bank = GridBankServer(bank_ident, store, clock=clock, rng=random.Random(2))
-    bank.slo = SLOEngine(clock=clock, objectives=(
-        Objective(op="*", target=0.99, latency_threshold=0.15,
-                  fast_window=60.0, slow_window=600.0),
-    ))
     network.listen("bank-a", bank.connection_handler)
-    node = ClusterNode(bank, "bank-a", network.connect, poll_interval=0.005)
+    objective = Objective(op="*", target=0.99, latency_threshold=0.15,
+                          fast_window=60.0, slow_window=600.0)
+    config = NodeConfig(slo=(objective,), diag=False, poll_interval=0.005)
+    node = Node(bank, config, network.connect).start("bank-a")
     try:
         admin_ident = ca.issue_identity(DistinguishedName("GridBank", "admin"), key_bits=512)
         bank.admin.add_administrator(admin_ident.subject)
@@ -126,7 +126,7 @@ def main() -> int:
         sys.stderr.write(f"slo-smoke: FAIL — {exc}\n")
         return 1
     finally:
-        node._stop_replicator()
+        node.close()
 
 
 if __name__ == "__main__":
