@@ -27,7 +27,14 @@ lint:
 # two-prime p/q form older homes hold; the k-prime CRT costs 2 lines.
 # -1: one node. cmd_serve's body is repro.bank.node.Node, the active
 # diagnosis plane is gone, and the CLI dials a bank in one place.
-SRC_LINES_MAX := 22652
+# -1: recovery streams the WAL. The reader that decoded every record
+# into one list is gone (scan_wal walks a line at a time and hands each
+# entry on), WAL frame errors are built in one place, and load_state
+# reloads a table through recovery's loader.
+# +21: the sampling profiler holds the cyclic collector off around
+# sys._current_frames(). On CPython 3.11 a collection inside that call
+# that frees a threading.local deadlocks the process (GIL held).
+SRC_LINES_MAX := 22672
 src-budget:
 	@lines=$$(find src -name '*.py' | xargs cat | wc -l); \
 	if [ $$lines -gt $(SRC_LINES_MAX) ]; then \

@@ -512,19 +512,19 @@ class Database:
         Must be called after all tables are created and before any
         writes. Returns the number of journal transactions replayed.
 
-        Verification policy (see DESIGN §10): the directory is read by
-        :func:`~repro.db.integrity.verify_dir`, the reader ``fsck`` and
-        the scrubber use, so the epoch file, the snapshot's embedded
-        manifest (whole-file CRC32 + record count) and every WAL line's
-        length+CRC32 frame are checked before anything is applied. A
-        torn *final* line — no terminating newline, the expected residue
-        of a crash mid-append — is tolerated: it is truncated away,
-        logged, and counted (``db.wal_torn_tail``). Anything else that
-        fails to verify is *corruption*: the damaged suffix is
-        quarantined (``wal.quarantine.gbdb``), a refusal marker
-        (``CORRUPT.gbdb``) is left so later recoveries cannot silently
-        serve a shortened history, and a typed
-        :class:`~repro.errors.CorruptionError` with the exact
+        The directory is read by :func:`~repro.db.integrity.verify_dir`,
+        the reader ``fsck`` and the scrubber use (DESIGN §10): the epoch
+        file, the snapshot's manifest (whole-file CRC32 + record count)
+        and every WAL line's length+CRC32 frame are checked before the
+        first row is applied; rows then load as the reader decodes them,
+        so beyond its tables recovery holds one WAL line plus the
+        snapshot's raw bytes, however long the history. A torn *final*
+        line — the expected residue of a crash mid-append — is truncated
+        away, logged, and counted (``db.wal_torn_tail``). Anything else
+        that fails to verify is *corruption*: the tables are emptied,
+        the damaged suffix is quarantined (``wal.quarantine.gbdb``), a
+        refusal marker (``CORRUPT.gbdb``) refuses every later boot, and
+        a :class:`~repro.errors.CorruptionError` with the exact
         seq/offset is raised instead of replaying garbage.
         """
         if self._path is None:
@@ -537,14 +537,10 @@ class Database:
             # real file; the real file is still the complete old copy
             for stale in self._path.glob("*.tmp"):
                 stale.unlink()
-            report = integrity.verify_dir(self._path)
+            report = integrity.verify_dir(self._path, load=self._load_rows, apply=self._apply_ops)
             if not report.ok:
                 self._refuse(report)
             self._snapshot_epoch = report.epoch
-            for table_name, rows in report.tables.items():
-                table = self.table(table_name)
-                for row in rows:
-                    table.insert(row)
             scan = report.wal
             wal_file = self._path / integrity.WAL_NAME
             if scan.torn_bytes:
@@ -558,24 +554,28 @@ class Database:
                 obs_metrics.counter("db.wal_torn_tail").inc()
                 _log.warning(
                     "wal.torn_tail", path=str(wal_file),
-                    dropped_bytes=scan.torn_bytes, kept_records=len(scan.records),
+                    dropped_bytes=scan.torn_bytes, kept_records=scan.records,
                 )
-            for entry in scan.records:
-                self._apply_ops(entry["ops"])
-            replayed = len(scan.records)
-            obs_metrics.counter("db.integrity.records_verified").inc(replayed)
-            self._wal_seq = report.base_seq + replayed
+            obs_metrics.counter("db.integrity.records_verified").inc(scan.records)
+            self._wal_seq = report.base_seq + scan.records
             self._wal_handle = self._open_wal(wal_file, "ab")
             if self._group_commit:
                 self._writer = _GroupCommitWriter(self._write_batch, linger=self._commit_linger)
             self._recovered = True
-            return replayed
+            return scan.records
+
+    def _load_rows(self, table_name: str, rows) -> None:
+        table = self.table(table_name)
+        for row in rows:
+            table.insert(row)
 
     def _refuse(self, report: "integrity.IntegrityReport") -> None:
-        """Latch and raise what :meth:`recover` found. A damaged WAL
-        suffix is quarantined first: the verified prefix stays, and the
-        marker left behind refuses every later boot until an operator
-        (or ``fsck --repair``) restores the quarantined records."""
+        """Drop any rows loaded, then latch and raise what :meth:`recover`
+        found. A damaged WAL suffix is quarantined first: the verified
+        prefix stays, and the marker left behind refuses every later boot
+        until an operator (or ``fsck --repair``) restores the records."""
+        for table in self._tables.values():
+            table.clear()
         error = report.corruption
         if report.corruption_source == "marker":
             error = CorruptionError(
@@ -798,11 +798,8 @@ class Database:
             if self._writer is not None:
                 self._writer.drain()
             for name, rows in dump["tables"].items():
-                table = self.table(name)
-                for row in table.all_rows():
-                    table.delete(table.schema.pk_of(row))
-                for row in rows:
-                    table.insert(row)
+                self.table(name).clear()
+                self._load_rows(name, rows)
             with self._io_lock:
                 self._snapshot_epoch = int(dump["epoch"])
                 self._wal_seq = int(dump["seq"])

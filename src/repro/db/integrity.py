@@ -26,8 +26,10 @@ database substrate an end-to-end integrity format:
   never leave a half-written file as the only copy.
 * **One reader** — :func:`verify_dir` reads a database directory for
   recovery, ``fsck`` and the scrubber alike, so a directory one of them
-  refuses is refused by all of them. Nothing outside :mod:`repro.db`
-  names these files (``tools/check_no_print.py`` holds that line).
+  refuses is refused by all of them. It streams the WAL, checking every
+  frame before recovery applies a row, and holds one line plus the
+  snapshot's raw bytes. Nothing outside :mod:`repro.db` names these
+  files (``tools/check_no_print.py`` holds that line).
 * **Scrubbing** — :class:`Scrubber` re-verifies cold bytes on an
   interval so latent corruption (bit rot under a page that is never
   read) is found before a failover depends on it.
@@ -39,12 +41,15 @@ a top-level ``from repro.obs import metrics`` here would be circular.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
+import shutil
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, List, Optional, Tuple
+from typing import BinaryIO, Callable, Iterator, Optional, Tuple, Union
 
 from repro.db.faultfs import crashpoint
 from repro.errors import CorruptionError, ValidationError
@@ -106,6 +111,10 @@ def frame_record(payload: bytes) -> bytes:
     return b"%s %d %s %s\n" % (_WAL_MAGIC, len(payload), crc32_hex(payload), payload)
 
 
+def _bad_record(seq: int, offset: int, why: str) -> CorruptionError:
+    return CorruptionError(f"WAL record {seq} at offset {offset}: {why}", seq=seq, offset=offset)
+
+
 def parse_record(line: bytes, seq: int = -1, offset: int = -1) -> bytes:
     """Verify one newline-stripped WAL line's frame and return its payload.
 
@@ -113,98 +122,69 @@ def parse_record(line: bytes, seq: int = -1, offset: int = -1) -> bytes:
     included), bad length, bad CRC — raises :class:`CorruptionError`
     carrying ``seq``/``offset``.
     """
-    if line.startswith(_WAL_MAGIC + b" "):
-        parts = line.split(b" ", 3)
-        if len(parts) != 4:
-            raise CorruptionError(
-                f"WAL record {seq} at offset {offset}: truncated frame header",
-                seq=seq, offset=offset,
-            )
-        _, length_b, crc_b, payload = parts
-        try:
-            length = int(length_b)
-        except ValueError:
-            raise CorruptionError(
-                f"WAL record {seq} at offset {offset}: unparsable frame length",
-                seq=seq, offset=offset,
-            ) from None
-        if length != len(payload):
-            raise CorruptionError(
-                f"WAL record {seq} at offset {offset}: "
-                f"length mismatch (header {length}, actual {len(payload)})",
-                seq=seq, offset=offset,
-            )
-        if crc_b != crc32_hex(payload):
-            raise CorruptionError(
-                f"WAL record {seq} at offset {offset}: CRC32 mismatch",
-                seq=seq, offset=offset,
-            )
-        return payload
-    raise CorruptionError(
-        f"WAL record {seq} at offset {offset}: unrecognized framing",
-        seq=seq, offset=offset,
-    )
+    if not line.startswith(_WAL_MAGIC + b" "):
+        raise _bad_record(seq, offset, "unrecognized framing")
+    parts = line.split(b" ", 3)
+    if len(parts) != 4:
+        raise _bad_record(seq, offset, "truncated frame header")
+    _, length_b, crc_b, payload = parts
+    try:
+        length = int(length_b)
+    except ValueError:
+        raise _bad_record(seq, offset, "unparsable frame length") from None
+    if length != len(payload):
+        raise _bad_record(seq, offset, f"length mismatch (header {length}, actual {len(payload)})")
+    if crc_b != crc32_hex(payload):
+        raise _bad_record(seq, offset, "CRC32 mismatch")
+    return payload
 
 
 @dataclass
 class WalScan:
-    """Result of scanning raw WAL bytes.
+    """What one walk over a WAL verified: ``records`` lines (frame, CRC
+    and, if the walk decoded, the decode) making up the ``valid_bytes``
+    prefix recovery truncates the file to; ``torn_bytes`` dropped as a
+    torn tail (no terminating newline); or the ``corruption`` where a
+    *complete* line failed and the walk stopped (seq = 1-based record
+    number, ``base_seq``-offset; offset = the line's byte position)."""
 
-    ``records`` holds the fully verified, *decoded* journal entries in
-    order (frame, CRC, and canonical-JSON decode all passed).
-    ``valid_bytes`` is the length of the longest verified prefix —
-    recovery truncates the file to this. ``torn_bytes`` counts trailing
-    bytes dropped as a torn tail (no terminating newline). When a
-    *complete* line fails verification, ``corruption`` carries the
-    typed error (seq = 1-based record number, ``base_seq``-offset;
-    offset = byte position of the damaged line) and scanning stops.
-    """
-
-    records: List[dict] = field(default_factory=list)
+    records: int = 0
     valid_bytes: int = 0
     torn_bytes: int = 0
     corruption: Optional[CorruptionError] = None
 
 
-def scan_wal(data: bytes, base_seq: int = 0) -> WalScan:
-    """Walk raw WAL bytes, verifying and decoding each framed line.
-
-    Applies the torn-vs-corrupt policy: only the *final, unterminated*
-    line may fail without being corruption. A newline-terminated line
-    that fails its frame, CRC, or decode is corruption. ``base_seq``
-    offsets the reported record seq so errors name the global commit
-    sequence when the caller knows the snapshot's base.
-    """
+def scan_wal(wal: Union[bytes, BinaryIO], base_seq: int = 0,
+             apply: Optional[Callable[[list], None]] = None) -> WalScan:
+    """Walk a WAL (a binary file, rewound here, or its bytes) a line at
+    a time, checking each newline-terminated line's frame; with *apply*,
+    also decode it and hand the entry's ops to *apply* before reading
+    on. Only the *final, unterminated* line may fail without being
+    corruption. ``base_seq`` offsets the reported seq to the global one."""
+    if isinstance(wal, bytes):
+        wal = io.BytesIO(wal)
+    wal.seek(0)
     scan = WalScan()
-    offset = 0
-    seq = base_seq
-    while offset < len(data):
-        end = data.find(b"\n", offset)
-        if end < 0:  # no terminating newline: torn tail, not corruption
-            scan.torn_bytes = len(data) - offset
+    for line in wal:
+        if not line.endswith(b"\n"):  # no terminating newline: torn tail, not corruption
+            scan.torn_bytes = len(line)
             break
-        line = data[offset:end]
-        seq += 1
+        seq, offset = base_seq + scan.records + 1, scan.valid_bytes
         try:
-            payload = parse_record(line, seq=seq, offset=offset)
-            try:
-                entry = canonical_loads(payload)
-            except ValidationError as exc:
-                raise CorruptionError(
-                    f"WAL record {seq} at offset {offset}: undecodable payload ({exc})",
-                    seq=seq, offset=offset,
-                ) from exc
-            if not isinstance(entry, dict) or "ops" not in entry:
-                raise CorruptionError(
-                    f"WAL record {seq} at offset {offset}: payload is not a journal entry",
-                    seq=seq, offset=offset,
-                )
-            scan.records.append(entry)
+            payload = parse_record(line[:-1], seq=seq, offset=offset)
+            if apply is not None:
+                try:
+                    entry = canonical_loads(payload)
+                except ValidationError as exc:
+                    raise _bad_record(seq, offset, f"undecodable payload ({exc})") from exc
+                if not isinstance(entry, dict) or "ops" not in entry:
+                    raise _bad_record(seq, offset, "payload is not a journal entry")
+                apply(entry["ops"])
         except CorruptionError as exc:
             scan.corruption = exc
             break
-        offset = end + 1
-        scan.valid_bytes = offset
+        scan.records += 1
+        scan.valid_bytes += len(line)
     return scan
 
 
@@ -215,15 +195,16 @@ def encode_snapshot(payload: bytes, records: int) -> bytes:
     )
 
 
-def decode_snapshot(data: bytes) -> Tuple[bytes, int]:
-    """Verify a snapshot file's manifest; return ``(payload, records)``.
+def decode_snapshot(data: bytes) -> Tuple[memoryview, int]:
+    """Verify a snapshot file's manifest; return ``(payload, records)``,
+    the payload a view into *data*, not a copy.
 
     An empty file decodes as an empty payload with ``records == -1``
     (unknown). A missing or mismatching manifest raises
     :class:`CorruptionError`.
     """
     if not data:
-        return data, -1
+        return memoryview(data), -1
     if not data.startswith(_SNAP_MAGIC + b" "):
         raise CorruptionError("snapshot: unrecognized header magic")
     header_end = data.find(b"\n")
@@ -237,7 +218,7 @@ def decode_snapshot(data: bytes) -> Tuple[bytes, int]:
         records = int(parts[3])
     except ValueError:
         raise CorruptionError("snapshot: unparsable manifest header") from None
-    payload = data[header_end + 1:]
+    payload = memoryview(data)[header_end + 1:]
     if length != len(payload):
         raise CorruptionError(
             f"snapshot: length mismatch (manifest {length}, actual {len(payload)})"
@@ -319,15 +300,13 @@ def write_epoch(directory: Path, epoch: int, base_seq: int) -> None:
 
 @dataclass
 class IntegrityReport:
-    """What :func:`verify_dir` read from one database directory: the
-    verified, decoded contents, or the first thing that failed."""
+    """What :func:`verify_dir` found in one database directory: what
+    verified, or the first thing that failed."""
 
     corruption: Optional[CorruptionError] = None
     corruption_source: str = ""  # "", "marker", "epoch", "snapshot", "wal"
     epoch: int = 1
     base_seq: int = 0
-    #: the snapshot's rows by table, decoded once for whoever loads them
-    tables: dict = field(default_factory=dict)
     snapshot_records: int = -1
     snapshot_bytes: int = 0
     wal: WalScan = field(default_factory=WalScan)
@@ -339,15 +318,11 @@ class IntegrityReport:
 
     @property
     def wal_records(self) -> int:
-        return len(self.wal.records)
-
-    @property
-    def torn_tail_bytes(self) -> int:
-        return self.wal.torn_bytes
+        return self.wal.records
 
     def describe(self) -> str:
         if self.ok:
-            extra = f", torn tail {self.torn_tail_bytes}B" if self.torn_tail_bytes else ""
+            extra = f", torn tail {self.wal.torn_bytes}B" if self.wal.torn_bytes else ""
             return (
                 f"clean: snapshot {self.snapshot_records} record(s) "
                 f"({self.snapshot_bytes}B), wal {self.wal_records} record(s) "
@@ -369,62 +344,84 @@ def _read_or_none(path: Path) -> Optional[bytes]:
 
 def read_dir(directory: Path) -> tuple:
     """The raw contents :func:`verify_dir` checks: ``(marker, epoch,
-    snapshot, wal)``, each ``None`` when absent. Nothing is decoded, so
-    a caller that must keep writers out while it reads (a live
-    database) holds its lock for this part only."""
+    snapshot, wal)``, each ``None`` when absent, the WAL as a file over
+    its bytes. Nothing is decoded, so a caller that must keep writers
+    out while it reads (a live database) holds its lock for this only."""
     directory = Path(directory)
-    return (read_marker(directory),) + tuple(
+    marker, epoch, snapshot, wal = (read_marker(directory),) + tuple(
         _read_or_none(directory / name) for name in (EPOCH_NAME, SNAPSHOT_NAME, WAL_NAME)
     )
+    return marker, epoch, snapshot, None if wal is None else io.BytesIO(wal)
 
 
-def verify_dir(directory: Path, contents: Optional[tuple] = None) -> IntegrityReport:
+def verify_dir(directory: Path, contents: Optional[tuple] = None,
+               load: Optional[Callable[[str, Iterator[dict]], None]] = None,
+               apply: Optional[Callable[[list], None]] = None) -> IntegrityReport:
     """Read and verify one database directory — the one reader behind
     recovery, ``gridbank fsck``, ``verify_storage`` and the scrubber.
 
     Read-only. Checks, in order, the refusal marker, the epoch file,
     the snapshot manifest (length, CRC, and its record count against
-    the rows the payload decodes to) and every WAL frame, and stops at
-    the first failure with its exact seq/offset. A clean report carries
-    the decoded snapshot rows and WAL entries, so recovery decodes each
-    byte once. *contents* is a :func:`read_dir` the caller already
-    took; by default the directory is read here.
-    """
+    the rows the payload decodes to) and every WAL line — walked a line
+    at a time, checking every frame, then decoding each — and stops at
+    the first failure with its exact seq/offset. Only if every frame
+    verified does the decoding walk hand *load* each snapshot table's
+    rows (each dropped as taken) and *apply* each entry's ops; a line
+    that does not decode stops it, for the caller to discard what was
+    applied. *contents* is a :func:`read_dir` the caller already took;
+    by default the WAL is streamed from disk."""
     directory = Path(directory)
-    marker, epoch_data, snapshot_data, wal_data = (
-        contents if contents is not None else read_dir(directory)
-    )
-    report = IntegrityReport()
-    if marker is not None:
-        return report.failed("marker", CorruptionError(
-            f"unresolved corruption marker: {marker.get('reason', 'unknown')}",
-            seq=marker.get("seq", -1), offset=marker.get("offset", -1),
-        ))
-    try:
-        report.epoch, report.base_seq = parse_epoch(epoch_data, directory / EPOCH_NAME)
-    except CorruptionError as exc:
-        return report.failed("epoch", exc)
-
-    if snapshot_data is not None:
-        report.snapshot_bytes = len(snapshot_data)
+    if contents is None:
+        wal_file = directory / WAL_NAME
+        contents = (read_marker(directory), _read_or_none(directory / EPOCH_NAME),
+                    _read_or_none(directory / SNAPSHOT_NAME),
+                    open(wal_file, "rb") if wal_file.exists() else None)
+    marker, epoch_data, snapshot_data, wal = contents
+    contents = None  # so the snapshot's bytes go once decoded
+    with wal or contextlib.nullcontext():
+        report = IntegrityReport()
+        if marker is not None:
+            return report.failed("marker", CorruptionError(
+                f"unresolved corruption marker: {marker.get('reason', 'unknown')}",
+                seq=marker.get("seq", -1), offset=marker.get("offset", -1),
+            ))
         try:
-            payload, records = decode_snapshot(snapshot_data)
-            report.tables = canonical_loads(payload) if payload else {}
-            loaded = sum(len(rows) for rows in report.tables.values())
-            if records >= 0 and records != loaded:
-                raise CorruptionError(
-                    f"snapshot: manifest promises {records} record(s), decoded {loaded}"
-                )
+            report.epoch, report.base_seq = parse_epoch(epoch_data, directory / EPOCH_NAME)
         except CorruptionError as exc:
-            return report.failed("snapshot", exc)
-        report.snapshot_records = records
+            return report.failed("epoch", exc)
 
-    if wal_data is not None:
-        report.wal_bytes = len(wal_data)
-        report.wal = scan_wal(wal_data, base_seq=report.base_seq)
-        if report.wal.corruption is not None:
-            return report.failed("wal", report.wal.corruption)
-    return report
+        tables: dict = {}
+        if snapshot_data is not None:
+            report.snapshot_bytes = len(snapshot_data)
+            try:
+                payload, records = decode_snapshot(snapshot_data)
+                text = str(payload, "ascii")  # the text alone outlives the bytes,
+                del payload, snapshot_data    # so decoding holds one copy
+                tables = canonical_loads(text) if text else {}
+                del text
+                loaded = sum(len(rows) for rows in tables.values())
+                if records >= 0 and records != loaded:
+                    raise CorruptionError(
+                        f"snapshot: manifest promises {records} record(s), decoded {loaded}"
+                    )
+            except ValueError as exc:  # CRC-clean bytes that are not canonical JSON
+                return report.failed("snapshot", CorruptionError(f"snapshot: undecodable ({exc})"))
+            except CorruptionError as exc:
+                return report.failed("snapshot", exc)
+            report.snapshot_records = records
+
+        framed = wal is None or scan_wal(wal, report.base_seq).corruption is None
+        for name in list(tables) if framed and load is not None else ():
+            rows = tables.pop(name)
+            rows.reverse()
+            load(name, (rows.pop() for _ in range(len(rows))))
+        if wal is not None:
+            report.wal_bytes = wal.seek(0, io.SEEK_END)
+            report.wal = scan_wal(wal, report.base_seq,
+                                  apply if framed and apply else lambda ops: None)
+            if report.wal.corruption is not None:
+                return report.failed("wal", report.wal.corruption)
+        return report
 
 
 def set_aside_snapshot(directory: Path) -> None:
@@ -457,18 +454,18 @@ def quarantine_wal_suffix(directory: Path, error: CorruptionError,
     bytes were quarantined.
     """
     directory = Path(directory)
-    wal_file = directory / WAL_NAME
-    data = wal_file.read_bytes() if wal_file.exists() else b""
-    suffix = data[valid_bytes:]
-    if suffix:
-        (directory / QUARANTINE_NAME).write_bytes(suffix)
-    with open(wal_file, "wb") as handle:
-        handle.write(data[:valid_bytes])
+    with open(directory / WAL_NAME, "a+b") as handle:
+        suffix = handle.seek(0, io.SEEK_END) - valid_bytes
+        if suffix:
+            handle.seek(valid_bytes)
+            with open(directory / QUARANTINE_NAME, "wb") as quarantine:
+                shutil.copyfileobj(handle, quarantine)
+        handle.truncate(valid_bytes)
         handle.flush()
         os.fsync(handle.fileno())
     write_marker(directory, str(error), error.seq, error.offset,
-                 quarantined_bytes=len(suffix))
-    return len(suffix)
+                 quarantined_bytes=suffix)
+    return suffix
 
 
 def write_marker(directory: Path, reason: str, seq: int = -1, offset: int = -1,

@@ -85,6 +85,11 @@ class Table:
         self._index_remove(pk, row)
         return row
 
+    def clear(self) -> None:
+        """Drop every row (a reload starting over); no undo."""
+        for store in (self._rows, *self._indexes.values(), *self._ordered.values()):
+            store.clear()
+
     # -- reads ---------------------------------------------------------------
 
     def get(self, pk: tuple) -> dict:

@@ -42,6 +42,7 @@ metering, no SLO sample).
 
 from __future__ import annotations
 
+import gc
 import json
 import sys
 import threading
@@ -211,6 +212,26 @@ def fold_stack(frame, limit: int = _STACK_DEPTH) -> str:
 
 # -- sampling profiler --------------------------------------------------------
 
+_frames_lock = threading.Lock()  # one sampler at a time owns the collector switch
+
+
+def _current_frames() -> dict:
+    """``sys._current_frames()`` with the cyclic collector held off.
+
+    CPython 3.11 builds that dict under the runtime's thread-list lock.
+    A collection one of its allocations sets off, freeing a
+    ``threading.local`` (every Database holds one), takes the same lock
+    again and wedges the whole process, GIL held.
+    """
+    with _frames_lock:
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return sys._current_frames()  # noqa: SLF001 - the documented API
+        finally:
+            if enabled:
+                gc.enable()
+
 
 class SamplingProfiler:
     """Always-on statistical profiler with per-operation attribution.
@@ -262,7 +283,7 @@ class SamplingProfiler:
     def sample_once(self) -> None:
         """Take one sample of every live thread (the runner's step; public
         so tests and virtual-time drills can sample deterministically)."""
-        frames = sys._current_frames()  # noqa: SLF001 - the documented API
+        frames = _current_frames()
         spans = obs_trace.thread_spans()
         with self._lock:
             self._ticks += 1

@@ -85,10 +85,10 @@ def canonical_dumps(value: Any) -> bytes:
         raise ValidationError(f"not canonically serializable: {exc}") from exc
 
 
-def canonical_loads(data: bytes) -> Any:
-    """Inverse of :func:`canonical_dumps`."""
+def canonical_loads(data: bytes | str) -> Any:
+    """Inverse of :func:`canonical_dumps` (its bytes, or their text)."""
     try:
-        return _untag(json.loads(data.decode("ascii")))
+        return _untag(json.loads(data if isinstance(data, str) else data.decode("ascii")))
     except (ValueError, RecursionError) as exc:
         raise ValidationError(f"malformed canonical payload: {exc}") from exc
 

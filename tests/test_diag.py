@@ -11,11 +11,14 @@ histograms, and the registry-vs-profiler race the plane must survive.
 """
 
 import json
+import os
 import random
+import subprocess
 import sys
 import tarfile
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -225,6 +228,32 @@ class TestSamplingProfiler:
         assert snap["ticks"] > 0
         assert snap["duration_seconds"] > 0
         assert not profiler.running
+
+    def test_a_collection_during_a_sample_does_not_wedge_the_process(self):
+        """A sample's allocations may set off the cyclic collector. On
+        CPython 3.11 one that frees a ``threading.local`` while
+        ``sys._current_frames()`` holds the thread list deadlocks the
+        process; the sampler holds the collector off, so this child ends."""
+        script = (
+            "import gc, threading\n"
+            "from repro.obs.diag import SamplingProfiler\n"
+            "class Cycle:\n"
+            "    def __init__(self):\n"
+            "        self.tls, self.me = threading.local(), self\n"
+            "stop = threading.Event()\n"
+            "threads = [threading.Thread(target=stop.wait) for _ in range(4)]\n"
+            "for t in threads: t.start()\n"
+            "profiler = SamplingProfiler()\n"
+            "gc.set_threshold(1)  # collect on (nearly) every allocation\n"
+            "for _ in range(2000):\n"
+            "    Cycle()\n"
+            "    profiler.sample_once()\n"
+            "stop.set()\n"
+            "assert gc.isenabled()\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(obs_diag.__file__).parents[2])}
+        result = subprocess.run([sys.executable, "-c", script], env=env, timeout=60)
+        assert result.returncode == 0
 
     def test_render_profile_shows_ops_and_waits(self):
         LOCK_WAITS.record("stripe-3/exclusive", 0.25)

@@ -12,8 +12,10 @@ the scrub detects it, and replica-backed repair restores a byte-verified
 replica that rejoins the stream.
 """
 
+import gc
 import random
 import threading
+import tracemalloc
 
 import pytest
 
@@ -131,7 +133,7 @@ class TestScanWal:
     def test_clean_wal(self):
         data = b"".join(self._lines(3))
         scan = integrity.scan_wal(data)
-        assert len(scan.records) == 3
+        assert scan.records == 3
         assert scan.valid_bytes == len(data)
         assert scan.torn_bytes == 0
         assert scan.corruption is None
@@ -140,7 +142,7 @@ class TestScanWal:
         lines = self._lines(2)
         data = b"".join(lines) + lines[0][: len(lines[0]) // 2]  # mid-write crash
         scan = integrity.scan_wal(data)
-        assert len(scan.records) == 2
+        assert scan.records == 2
         assert scan.valid_bytes == len(lines[0]) + len(lines[1])
         assert scan.torn_bytes == len(lines[0]) // 2
         assert scan.corruption is None
@@ -150,7 +152,7 @@ class TestScanWal:
         damaged = bytearray(lines[1])
         damaged[len(damaged) // 2] ^= 0x10
         scan = integrity.scan_wal(lines[0] + bytes(damaged) + lines[2], base_seq=10)
-        assert len(scan.records) == 1  # verified prefix only
+        assert scan.records == 1  # verified prefix only
         assert scan.valid_bytes == len(lines[0])
         assert scan.corruption is not None
         assert scan.corruption.seq == 12  # base_seq-offset global sequence
@@ -261,6 +263,14 @@ class TestRecoveryPolicy:
         report = integrity.verify_dir(tmp_path)
         assert not report.ok and report.corruption_source == "snapshot"
 
+    @pytest.mark.parametrize("payload", [b"[not json", b'{"kv": ["\xff"]}'])
+    def test_snapshot_that_verifies_but_does_not_decode_is_corruption(self, tmp_path, payload):
+        (tmp_path / integrity.SNAPSHOT_NAME).write_bytes(integrity.encode_snapshot(payload, 1))
+        with pytest.raises(CorruptionError, match="snapshot: undecodable"):
+            kv_db(tmp_path)
+        report = integrity.verify_dir(tmp_path)
+        assert not report.ok and report.corruption_source == "snapshot"
+
     def test_stale_tmp_from_crashed_atomic_write_is_swept(self, tmp_path):
         db = kv_db(tmp_path)
         kv_fill(db, 2)
@@ -271,6 +281,157 @@ class TestRecoveryPolicy:
         assert revived.count("kv") == 2
         assert not stale.exists()
         revived.close()
+
+
+class TestRefusedRecoveryAppliesNothing:
+    """A refused recovery leaves every table empty, whichever walk of
+    the WAL found the damage: a bad frame (found before anything is
+    applied) or a line that frames but is not a journal entry (found
+    while applying, after the entries before it landed)."""
+
+    def _refused(self, tmp_path, data: bytes):
+        (tmp_path / integrity.WAL_NAME).write_bytes(data)
+        db = Database(path=tmp_path)
+        db.create_table(
+            TableSchema(
+                "kv",
+                [Column.make("K", VarChar(8)), Column.make("V", Integer())],
+                primary_key=["K"],
+            )
+        )
+        with pytest.raises(CorruptionError) as excinfo:
+            db.recover()
+        assert db.count("kv") == 0
+        return excinfo.value
+
+    def _six_lines(self, tmp_path):
+        db = kv_db(tmp_path)
+        kv_fill(db, 6)
+        db.close()
+        return (tmp_path / integrity.WAL_NAME).read_bytes().splitlines(keepends=True)
+
+    def _assert_quarantined(self, tmp_path, error, lines, bad: int):
+        offset = sum(len(line) for line in lines[:bad])
+        assert (error.seq, error.offset) == (bad + 1, offset)
+        assert (tmp_path / integrity.WAL_NAME).read_bytes() == b"".join(lines[:bad])
+        assert (tmp_path / integrity.QUARANTINE_NAME).read_bytes() == b"".join(lines[bad:])
+        marker = integrity.read_marker(tmp_path)
+        assert (marker["seq"], marker["offset"]) == (bad + 1, offset)
+
+    def test_crc_damage_on_the_last_complete_line(self, tmp_path):
+        lines = self._six_lines(tmp_path)
+        damaged = bytearray(lines[5])
+        damaged[-3] ^= 0x01  # inside the payload, before the newline
+        lines[5] = bytes(damaged)
+        error = self._refused(tmp_path, b"".join(lines))
+        assert "CRC32 mismatch" in str(error)
+        self._assert_quarantined(tmp_path, error, lines, 5)
+
+    def test_framed_line_that_is_not_a_journal_entry(self, tmp_path):
+        lines = self._six_lines(tmp_path)
+        lines[2] = integrity.frame_record(b'{"x":1}')
+        error = self._refused(tmp_path, b"".join(lines))
+        assert "not a journal entry" in str(error)
+        self._assert_quarantined(tmp_path, error, lines, 2)
+
+    def test_first_failure_wins_across_both_walks(self, tmp_path):
+        # line 3 frames but does not decode, line 5 fails its CRC: the
+        # frame walk meets line 5 first, yet line 3 is the first failure
+        lines = self._six_lines(tmp_path)
+        lines[2] = integrity.frame_record(b"[not json")
+        damaged = bytearray(lines[4])
+        damaged[-3] ^= 0x01
+        lines[4] = bytes(damaged)
+        error = self._refused(tmp_path, b"".join(lines))
+        assert "undecodable payload" in str(error)
+        self._assert_quarantined(tmp_path, error, lines, 2)
+
+
+# -- bounded transient --------------------------------------------------------
+
+#: allowance for allocator and bookkeeping noise (dict resizes, metrics)
+_SLACK = 256 * 1024
+
+
+def _traced(run):
+    """``(result, peak, live)`` of *run* under tracemalloc, in bytes
+    allocated since it started."""
+    gc.collect()
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = run()
+        gc.collect()
+        live, peak = tracemalloc.get_traced_memory()
+    finally:
+        if started:
+            tracemalloc.stop()
+    return result, peak - base, live - base
+
+
+class TestBoundedTransient:
+    """What reading a database directory holds at once does not grow
+    with its history: recovery holds one WAL line beyond the tables it
+    builds, the scrubber's pass the raw bytes it read and one line."""
+
+    def _home(self, path, count):
+        db = kv_db(path)
+        kv_fill(db, count)
+        db.close()
+
+    def _recovery_transient(self, path) -> int:
+        db, peak, live = _traced(lambda: kv_db(path))
+        db.close()
+        return peak - live
+
+    def test_recovery_transient_does_not_grow_with_history(self, tmp_path):
+        self._home(tmp_path / "n", 1000)
+        self._home(tmp_path / "4n", 4000)
+        small = self._recovery_transient(tmp_path / "n")
+        large = self._recovery_transient(tmp_path / "4n")
+        assert large - small <= _SLACK, (small, large)
+
+    def test_verify_storage_grows_by_the_raw_bytes_only(self, tmp_path):
+        grown = []
+        for name, count in (("n", 1000), ("4n", 4000)):
+            self._home(tmp_path / name, count)
+            db = kv_db(tmp_path / name)
+            report, peak, _ = _traced(db.verify_storage)
+            db.close()
+            assert report.ok and report.wal_records == count
+            raw = sum(f.stat().st_size for f in (tmp_path / name).iterdir())
+            grown.append((peak, raw))
+        (small, small_raw), (large, large_raw) = grown
+        assert large - small <= (large_raw - small_raw) + _SLACK, grown
+
+    def test_snapshot_load_releases_rows_as_it_inserts(self, tmp_path):
+        db = Database(path=tmp_path)
+        schema = TableSchema(
+            "docs",
+            [Column.make("K", VarChar(8)), Column.make("Body", VarChar(256))],
+            primary_key=["K"],
+        )
+        db.create_table(schema)
+        db.recover()
+        for i in range(5000):
+            db.insert("docs", {"K": "d%05d" % i, "Body": ("%05d" % i) * 40})
+        db.checkpoint()
+        db.close()
+        raw = (tmp_path / integrity.SNAPSHOT_NAME).stat().st_size
+
+        def load():
+            revived = Database(path=tmp_path)
+            revived.create_table(schema)
+            revived.recover()
+            return revived
+
+        revived, peak, live = _traced(load)
+        assert revived.count("docs") == 5000
+        revived.close()
+        assert peak - live <= raw + _SLACK, (peak - live, raw)
 
 
 # -- disk fault injection -----------------------------------------------------
