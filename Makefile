@@ -34,7 +34,11 @@ lint:
 # +21: the sampling profiler holds the cyclic collector off around
 # sys._current_frames(). On CPython 3.11 a collection inside that call
 # that frees a threading.local deadlocks the process (GIL held).
-SRC_LINES_MAX := 22672
+# -70: one instrument lifecycle. GridCheque, GridHash and GridCoin share
+# one issue / settle / release (payments.instruments.InstrumentProtocol)
+# and one client base; redeem_batch, the per-kind result types and the
+# lifetime knobs are gone. Net of +14 for the public-key size cap (F5).
+SRC_LINES_MAX := 22602
 src-budget:
 	@lines=$$(find src -name '*.py' | xargs cat | wc -l); \
 	if [ $$lines -gt $(SRC_LINES_MAX) ]; then \

@@ -850,7 +850,7 @@ class GridBankServer:
             rur_blob=params.get("rur_blob", b""),
         )
         return {
-            "cheque_id": result.cheque_id,
+            "cheque_id": result.instrument_id,
             "transaction_id": result.transaction_id,
             "paid": result.paid,
             "released": result.released,
@@ -863,9 +863,7 @@ class GridBankServer:
         are monotone in batch position); a rejected cheque does not abort
         the rest of the batch — it yields an ``ok: False`` entry carrying
         the error type, and a warning log line, while every other cheque
-        still settles. (The protocol-level
-        :meth:`~repro.payments.cheque.GridChequeProtocol.redeem_batch`
-        keeps its all-or-nothing semantics for callers that want them.)
+        still settles.
         """
         results: list[dict] = []
         rejected = obs_metrics.counter("bank.cheque_batch.rejected")
@@ -908,7 +906,7 @@ class GridBankServer:
                 {
                     "ok": True,
                     "position": position,
-                    "cheque_id": result.cheque_id,
+                    "cheque_id": result.instrument_id,
                     "transaction_id": result.transaction_id,
                     "paid": result.paid,
                     "released": result.released,
@@ -951,11 +949,11 @@ class GridBankServer:
             rur_blob=params.get("rur_blob", b""),
         )
         return {
-            "commitment_id": result.commitment_id,
+            "commitment_id": result.instrument_id,
             "transaction_id": result.transaction_id,
             "paid": result.paid,
             "released": result.released,
-            "links_redeemed": result.links_redeemed,
+            "links_redeemed": result.units,
         }
 
     def op_estimate_price(self, subject: str, params: dict) -> dict:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 
-from repro.crypto.rsa import RSAPrivateKey, RSAPublicKey
+from repro.crypto.rsa import MAX_BITS, RSAPrivateKey, RSAPublicKey
 from repro.errors import ValidationError
 
 __all__ = [
@@ -25,12 +25,20 @@ def public_key_to_dict(key: RSAPublicKey) -> dict:
 
 
 def public_key_from_dict(data: dict) -> RSAPublicKey:
+    """Parse a public key, refusing any whose size would let its sender
+    choose the cost of a verification: a modulus over ``MAX_BITS``, or an
+    exponent that is even, below 3, or 2**32 and up."""
     try:
         if data["kty"] != "RSA":
             raise ValidationError(f"unsupported key type {data['kty']!r}")
-        return RSAPublicKey(n=int(data["n"], 16), e=int(data["e"], 16))
+        n, e = int(data["n"], 16), int(data["e"], 16)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed public key: {exc}") from exc
+    if n.bit_length() > MAX_BITS:
+        raise ValidationError(f"public key modulus over {MAX_BITS} bits")
+    if e < 3 or e % 2 == 0 or e >= 2**32:
+        raise ValidationError("public key exponent must be odd, at least 3 and below 2**32")
+    return RSAPublicKey(n=n, e=e)
 
 
 def private_key_to_dict(key: RSAPrivateKey) -> dict:

@@ -29,9 +29,13 @@ __all__ = [
     "encrypt_bytes",
     "decrypt_bytes",
     "DEFAULT_BITS",
+    "MAX_BITS",
 ]
 
 DEFAULT_BITS = 1024
+#: the largest modulus the bank makes or accepts: a peer's key sizes an
+#: exponentiation run with the GIL held, before anything is authenticated
+MAX_BITS = 4096
 _PUBLIC_EXPONENT = 65537
 _PRIMES = 3  # the published maximum for 1,024-bit moduli (DESIGN §20)
 
@@ -151,6 +155,8 @@ def generate_keypair(bits: int = DEFAULT_BITS, rng: Optional[random.Random] = No
     """
     if bits < 256:
         raise ValidationError("modulus must be at least 256 bits")
+    if bits > MAX_BITS:
+        raise ValidationError(f"modulus must be at most {MAX_BITS} bits")
     if bits % 2 != 0:
         raise ValidationError("modulus bit size must be even")
     r = rng if rng is not None else random.Random()

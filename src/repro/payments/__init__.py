@@ -13,10 +13,12 @@ GB Accounts but never touches the database directly:
   (sec 3.4), redeemable singly or in batches.
 
 New schemes "can be added without need to modify GB Accounts or GB
-Security modules" — each module here depends only on the GBAccounts API.
+Security modules": the funds-locking ones share one issue / settle /
+release lifecycle (:class:`~repro.payments.instruments.InstrumentProtocol`)
+and write only their own checks.
 """
 
-from repro.payments.instruments import InstrumentRegistry, verify_instrument
+from repro.payments.instruments import InstrumentProtocol, InstrumentRegistry, Settlement
 from repro.payments.cheque import GridCheque, GridChequeProtocol
 from repro.payments.hashchain import (
     GridHashCommitment,
@@ -29,8 +31,9 @@ from repro.payments.direct import DirectTransferProtocol, TransferConfirmation
 from repro.payments.coin import GridCoin, GridCoinProtocol
 
 __all__ = [
+    "InstrumentProtocol",
     "InstrumentRegistry",
-    "verify_instrument",
+    "Settlement",
     "GridCheque",
     "GridChequeProtocol",
     "GridHashCommitment",

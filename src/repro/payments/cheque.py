@@ -16,38 +16,20 @@ remainder back to the drawer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
-
-from repro.bank.accounts import GBAccounts
-from repro.crypto.rsa import RSAPrivateKey, RSAPublicKey
-from repro.crypto.signature import Signed
 from repro.errors import InstrumentError, ReproError, ValidationError
 from repro.obs import metrics as obs_metrics
-from repro.payments.instruments import (
-    InstrumentRegistry,
-    require_amount,
-    require_not_expired,
-    verify_instrument,
-)
-from repro.util.gbtime import Clock
+from repro.payments.instruments import Instrument, InstrumentProtocol, Settlement, require_amount
 from repro.util.money import Credits, ZERO
 
-__all__ = ["GridCheque", "GridChequeProtocol", "DEFAULT_CHEQUE_LIFETIME"]
+__all__ = ["GridCheque", "GridChequeProtocol", "CHEQUE_LIFETIME"]
 
-INSTRUMENT_TYPE = "GridCheque"
-DEFAULT_CHEQUE_LIFETIME = 7 * 24 * 3600.0
+CHEQUE_LIFETIME = 7 * 24 * 3600.0
 
 
-@dataclass(frozen=True)
-class GridCheque:
+class GridCheque(Instrument):
     """Client-side view of an issued cheque."""
 
-    signed: Signed
-
-    @property
-    def payload(self) -> dict:
-        return self.signed.payload
+    kind = "GridCheque"
 
     @property
     def cheque_id(self) -> str:
@@ -65,44 +47,14 @@ class GridCheque:
     def drawer_account(self) -> str:
         return self.payload["drawer_account"]
 
-    def verify(self, bank_key: RSAPublicKey) -> dict:
-        payload = verify_instrument(self.signed, bank_key, INSTRUMENT_TYPE)
-        return payload
 
-    def to_dict(self) -> dict:
-        return self.signed.to_dict()
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "GridCheque":
-        return cls(signed=Signed.from_dict(data))
-
-
-@dataclass(frozen=True)
-class RedemptionResult:
-    cheque_id: str
-    transaction_id: Optional[int]
-    paid: Credits
-    released: Credits
-
-
-class GridChequeProtocol:
+class GridChequeProtocol(InstrumentProtocol):
     """Server-side GridCheque module (Figure 3, Payment Protocol Layer)."""
 
-    def __init__(
-        self,
-        accounts: GBAccounts,
-        registry: InstrumentRegistry,
-        bank_private_key: RSAPrivateKey,
-        bank_subject: str,
-        clock: Clock,
-        lifetime_seconds: float = DEFAULT_CHEQUE_LIFETIME,
-    ) -> None:
-        self.accounts = accounts
-        self.registry = registry
-        self._key = bank_private_key
-        self._subject = bank_subject
-        self.clock = clock
-        self.lifetime = lifetime_seconds
+    instrument = GridCheque
+    prefix = "chq"
+    noun = "cheque"
+    lifetime = CHEQUE_LIFETIME
 
     # -- issue (Request GridCheque, sec 5.2) ---------------------------------
 
@@ -112,34 +64,15 @@ class GridChequeProtocol:
         drawer_account: str,
         payee_subject: str,
         amount: Credits,
-        payee_account: str = "",
     ) -> GridCheque:
         """Lock *amount* on the drawer and return the bank-signed cheque."""
         amount = require_amount(amount, "cheque amount")
         if not payee_subject:
             raise ValidationError("cheque must be made out to a payee")
-        account = self.accounts.require_open(drawer_account)
-        if account["CertificateName"] != drawer_subject:
-            raise InstrumentError("cheque drawer does not own the account")
-        with self.accounts.db.transaction():
-            self.accounts.lock_funds(drawer_account, amount)  # payment guarantee
-            cheque_id = self.registry.new_id("chq")
-            now = self.clock.now().epoch
-            payload = {
-                "instrument": INSTRUMENT_TYPE,
-                "id": cheque_id,
-                "drawer_account": drawer_account,
-                "drawer_subject": drawer_subject,
-                "payee_subject": payee_subject,
-                "payee_account": payee_account,
-                "amount_limit": amount,
-                "currency": account["Currency"],
-                "issued_at": now,
-                "expires_at": now + self.lifetime,
-            }
-            self.registry.register(cheque_id, INSTRUMENT_TYPE, drawer_account, payee_subject, amount)
-            obs_metrics.counter("payments.cheque.issued").inc()
-            return GridCheque(signed=Signed.make(self._key, payload, signer=self._subject))
+        fields = {"drawer_subject": drawer_subject, "payee_account": ""}
+        cheque = self._issue(drawer_subject, drawer_account, payee_subject, amount, fields)[0]
+        obs_metrics.counter("payments.cheque.issued").inc()
+        return cheque
 
     # -- redeem (Redeem GridCheque, sec 5.2) --------------------------------------
 
@@ -150,83 +83,38 @@ class GridChequeProtocol:
         payee_account: str,
         charge: Credits,
         rur_blob: bytes = b"",
-    ) -> RedemptionResult:
+    ) -> Settlement:
         """Settle *charge* (<= cheque limit) to *payee_account*.
 
         The unused remainder of the locked reservation returns to the
         drawer's available balance. A zero charge releases everything.
         """
         try:
-            return self._redeem(redeemer_subject, cheque, payee_account, charge, rur_blob)
+            settlement = self._settle(redeemer_subject, cheque, payee_account, charge, rur_blob)
         except ReproError:
             obs_metrics.counter("payments.cheque.bounced").inc()
             raise
+        obs_metrics.counter("payments.cheque.redeemed").inc()
+        obs_metrics.counter("payments.cheque.settled_value").inc(settlement.paid.to_float())
+        return settlement
 
-    def _redeem(
-        self,
-        redeemer_subject: str,
-        cheque: GridCheque,
-        payee_account: str,
-        charge: Credits,
-        rur_blob: bytes,
-    ) -> RedemptionResult:
-        payload = cheque.verify(self._key.public_key())
-        require_not_expired(payload, self.clock)
-        if payload["payee_subject"] != redeemer_subject:
-            raise InstrumentError("cheque is made out to a different payee")
-        payee_row = self.accounts.require_open(payee_account)
-        if payee_row["CertificateName"] != redeemer_subject:
-            raise InstrumentError("payee account is not owned by the redeemer")
+    def _claim(self, payload: dict, limit: Credits, charge) -> tuple[Credits, int]:
         charge = Credits(charge)
         if charge < ZERO:
             raise ValidationError("charge must be >= 0")
-        limit = Credits(payload["amount_limit"])
         if charge > limit:
             raise InstrumentError(
                 f"charge {charge} exceeds cheque limit {limit}"
             )
-        with self.accounts.db.transaction():
-            self.registry.require_issued(payload["id"])
-            drawer_account = payload["drawer_account"]
-            txn_id: Optional[int] = None
-            if charge > ZERO:
-                txn_id = self.accounts.transfer_from_locked(
-                    drawer_account, payee_account, charge, rur_blob=rur_blob
-                )
-            released = limit - charge
-            if released > ZERO:
-                self.accounts.unlock_funds(drawer_account, released)
-            self.registry.mark_redeemed(payload["id"])
-            obs_metrics.counter("payments.cheque.redeemed").inc()
-            obs_metrics.counter("payments.cheque.settled_value").inc(charge.to_float())
-            return RedemptionResult(
-                cheque_id=payload["id"], transaction_id=txn_id, paid=charge, released=released
-            )
-
-    def redeem_batch(
-        self,
-        redeemer_subject: str,
-        items: Sequence[tuple[GridCheque, str, Credits, bytes]],
-    ) -> list[RedemptionResult]:
-        """Redeem many cheques in one bank interaction ("can be done in
-        batches"). Atomic: all redeem or none do."""
-        with self.accounts.db.transaction():
-            return [
-                self.redeem(redeemer_subject, cheque, payee_account, charge, rur_blob)
-                for cheque, payee_account, charge, rur_blob in items
-            ]
+        return charge, 0
 
     # -- cancel (drawer reclaims an unredeemed cheque) ---------------------------
 
     def cancel(self, drawer_subject: str, cheque: GridCheque) -> Credits:
         """Cancel an unredeemed cheque and unlock its reservation."""
-        payload = cheque.verify(self._key.public_key())
+        payload = cheque.verify(self._public)
         if payload["drawer_subject"] != drawer_subject:
             raise InstrumentError("only the drawer may cancel a cheque")
-        with self.accounts.db.transaction():
-            self.registry.require_issued(payload["id"])
-            amount = Credits(payload["amount_limit"])
-            self.accounts.unlock_funds(payload["drawer_account"], amount)
-            self.registry.mark_cancelled(payload["id"])
-            obs_metrics.counter("payments.cheque.cancelled").inc()
-            return amount
+        released = self._release(payload)
+        obs_metrics.counter("payments.cheque.cancelled").inc()
+        return released

@@ -4,9 +4,9 @@ payment protocol.
 This module exists to demonstrate the paper's layering claim (sec 3.2):
 "Any other payment scheme that defines its own data structures and
 communication protocol can be added without need to modify GB Accounts or
-GB Security modules." GridCoin is built exclusively on the public
-GBAccounts API (lock at mint, transfer-from-locked at redemption) and the
-shared instrument registry — zero changes anywhere else; the server wires
+GB Security modules." GridCoin is the shared instrument lifecycle
+(lock at mint, transfer-from-locked at redemption, unlock at refund) plus
+a count and a bearer rule — zero changes anywhere else; the server wires
 it in by registering three more operations.
 
 Semantics (after NetCash [Medvinsky & Neuman 1993], which the paper
@@ -18,36 +18,19 @@ presenter lose. Coins may change hands offline any number of times.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.bank.accounts import GBAccounts
-from repro.crypto.rsa import RSAPrivateKey, RSAPublicKey
-from repro.crypto.signature import Signed
 from repro.errors import InstrumentError
-from repro.payments.instruments import (
-    InstrumentRegistry,
-    require_amount,
-    require_not_expired,
-    verify_instrument,
-)
-from repro.util.gbtime import Clock
+from repro.payments.instruments import Instrument, InstrumentProtocol, require_amount
 from repro.util.money import Credits
 
 __all__ = ["GridCoin", "GridCoinProtocol"]
 
-INSTRUMENT_TYPE = "GridCoin"
-DEFAULT_COIN_LIFETIME = 30 * 24 * 3600.0
+COIN_LIFETIME = 30 * 24 * 3600.0
 
 
-@dataclass(frozen=True)
-class GridCoin:
+class GridCoin(Instrument):
     """A bearer note: whoever holds it may redeem it (once)."""
 
-    signed: Signed
-
-    @property
-    def payload(self) -> dict:
-        return self.signed.payload
+    kind = "GridCoin"
 
     @property
     def coin_id(self) -> str:
@@ -57,35 +40,15 @@ class GridCoin:
     def value(self) -> Credits:
         return self.payload["amount_limit"]
 
-    def verify(self, bank_key: RSAPublicKey) -> dict:
-        return verify_instrument(self.signed, bank_key, INSTRUMENT_TYPE)
 
-    def to_dict(self) -> dict:
-        return self.signed.to_dict()
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "GridCoin":
-        return cls(signed=Signed.from_dict(data))
-
-
-class GridCoinProtocol:
+class GridCoinProtocol(InstrumentProtocol):
     """Server-side GridCoin module — pure Payment Protocol Layer code."""
 
-    def __init__(
-        self,
-        accounts: GBAccounts,
-        registry: InstrumentRegistry,
-        bank_private_key: RSAPrivateKey,
-        bank_subject: str,
-        clock: Clock,
-        lifetime_seconds: float = DEFAULT_COIN_LIFETIME,
-    ) -> None:
-        self.accounts = accounts
-        self.registry = registry
-        self._key = bank_private_key
-        self._subject = bank_subject
-        self.clock = clock
-        self.lifetime = lifetime_seconds
+    instrument = GridCoin
+    prefix = "coin"
+    noun = "coin"
+    lifetime = COIN_LIFETIME
+    bearer = True
 
     def mint(self, drawer_subject: str, drawer_account: str, value: Credits,
              count: int = 1) -> list[GridCoin]:
@@ -97,58 +60,29 @@ class GridCoinProtocol:
         value = require_amount(value, "coin value")
         if not isinstance(count, int) or count < 1:
             raise InstrumentError("coin count must be a positive int")
-        account = self.accounts.require_open(drawer_account)
-        if account["CertificateName"] != drawer_subject:
-            raise InstrumentError("coin drawer does not own the account")
-        coins = []
-        with self.accounts.db.transaction():
-            self.accounts.lock_funds(drawer_account, value * count)
-            now = self.clock.now().epoch
-            for _ in range(count):
-                coin_id = self.registry.new_id("coin")
-                payload = {
-                    "instrument": INSTRUMENT_TYPE,
-                    "id": coin_id,
-                    "drawer_account": drawer_account,
-                    "payee_subject": "",  # bearer note: no payee
-                    "amount_limit": value,
-                    "currency": account["Currency"],
-                    "issued_at": now,
-                    "expires_at": now + self.lifetime,
-                }
-                self.registry.register(coin_id, INSTRUMENT_TYPE, drawer_account, "", value)
-                coins.append(GridCoin(signed=Signed.make(self._key, payload, signer=self._subject)))
-        return coins
+        # a bearer note names neither its drawer's subject nor a payee
+        return self._issue(drawer_subject, drawer_account, "", value, {}, count)
 
     def redeem(self, redeemer_subject: str, coin: GridCoin, payee_account: str,
                rur_blob: bytes = b"") -> dict:
         """First presenter wins; the coin's full value settles to them."""
-        payload = coin.verify(self._key.public_key())
-        require_not_expired(payload, self.clock)
-        payee_row = self.accounts.require_open(payee_account)
-        if payee_row["CertificateName"] != redeemer_subject:
-            raise InstrumentError("payee account is not owned by the redeemer")
-        value = Credits(payload["amount_limit"])
-        with self.accounts.db.transaction():
-            self.registry.require_issued(payload["id"])
-            txn_id = self.accounts.transfer_from_locked(
-                payload["drawer_account"], payee_account, value, rur_blob=rur_blob
-            )
-            self.registry.mark_redeemed(payload["id"])
-        return {"coin_id": payload["id"], "transaction_id": txn_id, "paid": value}
+        settlement = self._settle(redeemer_subject, coin, payee_account, None, rur_blob)
+        return {
+            "coin_id": settlement.instrument_id,
+            "transaction_id": settlement.transaction_id,
+            "paid": settlement.paid,
+        }
+
+    def _claim(self, payload: dict, limit: Credits, claim: None) -> tuple[Credits, int]:
+        return limit, 0
 
     def refund(self, drawer_subject: str, coin: GridCoin) -> Credits:
         """The drawer reclaims an unspent coin it still holds."""
-        payload = coin.verify(self._key.public_key())
+        payload = coin.verify(self._public)
         drawer = self.accounts.get_account(payload["drawer_account"])
         if drawer["CertificateName"] != drawer_subject:
             raise InstrumentError("only the original drawer may refund a coin")
-        with self.accounts.db.transaction():
-            self.registry.require_issued(payload["id"])
-            value = Credits(payload["amount_limit"])
-            self.accounts.unlock_funds(payload["drawer_account"], value)
-            self.registry.mark_cancelled(payload["id"])
-            return value
+        return self._release(payload)
 
 
 def install(server) -> GridCoinProtocol:

@@ -25,20 +25,12 @@ import hashlib
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.bank.accounts import GBAccounts
 from repro.crypto.hashes import HashChain, verify_link
-from repro.crypto.rsa import RSAPrivateKey, RSAPublicKey
-from repro.crypto.signature import Signed
+from repro.crypto.rsa import RSAPublicKey
 from repro.errors import InstrumentError, PaymentError, ValidationError
 from repro.obs import metrics as obs_metrics
-from repro.payments.instruments import (
-    InstrumentRegistry,
-    require_amount,
-    require_not_expired,
-    verify_instrument,
-)
-from repro.util.gbtime import Clock
-from repro.util.money import Credits, ZERO
+from repro.payments.instruments import Instrument, InstrumentProtocol, Settlement, require_amount
+from repro.util.money import Credits
 
 __all__ = [
     "GridHashCommitment",
@@ -48,19 +40,13 @@ __all__ = [
     "PaymentTick",
 ]
 
-INSTRUMENT_TYPE = "GridHash"
-DEFAULT_COMMITMENT_LIFETIME = 24 * 3600.0
+COMMITMENT_LIFETIME = 24 * 3600.0
 
 
-@dataclass(frozen=True)
-class GridHashCommitment:
+class GridHashCommitment(Instrument):
     """Bank-signed commitment to a consumer's hash chain."""
 
-    signed: Signed
-
-    @property
-    def payload(self) -> dict:
-        return self.signed.payload
+    kind = "GridHash"
 
     @property
     def commitment_id(self) -> str:
@@ -79,19 +65,12 @@ class GridHashCommitment:
         return self.payload["length"]
 
     def verify(self, bank_key: RSAPublicKey) -> dict:
-        payload = verify_instrument(self.signed, bank_key, INSTRUMENT_TYPE)
+        payload = super().verify(bank_key)
         if not isinstance(payload.get("root"), bytes) or len(payload["root"]) != 32:
             raise InstrumentError("GridHash commitment has a malformed root")
         if not isinstance(payload.get("length"), int) or payload["length"] < 1:
             raise InstrumentError("GridHash commitment has a malformed length")
         return payload
-
-    def to_dict(self) -> dict:
-        return self.signed.to_dict()
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "GridHashCommitment":
-        return cls(signed=Signed.from_dict(data))
 
 
 @dataclass(frozen=True)
@@ -179,33 +158,13 @@ class HashChainVerifier:
         return self.commitment.link_value * self._last_index
 
 
-@dataclass(frozen=True)
-class HashRedemptionResult:
-    commitment_id: str
-    transaction_id: Optional[int]
-    paid: Credits
-    released: Credits
-    links_redeemed: int
-
-
-class GridHashProtocol:
+class GridHashProtocol(InstrumentProtocol):
     """Server-side GridHash module (Figure 3, Payment Protocol Layer)."""
 
-    def __init__(
-        self,
-        accounts: GBAccounts,
-        registry: InstrumentRegistry,
-        bank_private_key: RSAPrivateKey,
-        bank_subject: str,
-        clock: Clock,
-        lifetime_seconds: float = DEFAULT_COMMITMENT_LIFETIME,
-    ) -> None:
-        self.accounts = accounts
-        self.registry = registry
-        self._key = bank_private_key
-        self._subject = bank_subject
-        self.clock = clock
-        self.lifetime = lifetime_seconds
+    instrument = GridHashCommitment
+    prefix = "hsh"
+    noun = "commitment"
+    lifetime = COMMITMENT_LIFETIME
 
     def issue(
         self,
@@ -222,31 +181,17 @@ class GridHashProtocol:
             raise ValidationError("chain length must be a positive int")
         if not isinstance(root, bytes) or len(root) != 32:
             raise ValidationError("chain root must be 32 bytes")
-        account = self.accounts.require_open(drawer_account)
-        if account["CertificateName"] != drawer_subject:
-            raise InstrumentError("commitment drawer does not own the account")
-        total = link_value * length
-        with self.accounts.db.transaction():
-            self.accounts.lock_funds(drawer_account, total)
-            commitment_id = self.registry.new_id("hsh")
-            now = self.clock.now().epoch
-            payload = {
-                "instrument": INSTRUMENT_TYPE,
-                "id": commitment_id,
-                "drawer_account": drawer_account,
-                "drawer_subject": drawer_subject,
-                "payee_subject": payee_subject,
-                "amount_limit": total,
-                "root": root,
-                "length": length,
-                "link_value": link_value,
-                "currency": account["Currency"],
-                "issued_at": now,
-                "expires_at": now + self.lifetime,
-            }
-            self.registry.register(commitment_id, INSTRUMENT_TYPE, drawer_account, payee_subject, total)
-            obs_metrics.counter("payments.hashchain.issued").inc()
-            return GridHashCommitment(signed=Signed.make(self._key, payload, signer=self._subject))
+        fields = {
+            "drawer_subject": drawer_subject,
+            "root": root,
+            "length": length,
+            "link_value": link_value,
+        }
+        commitment = self._issue(
+            drawer_subject, drawer_account, payee_subject, link_value * length, fields
+        )[0]
+        obs_metrics.counter("payments.hashchain.issued").inc()
+        return commitment
 
     def redeem(
         self,
@@ -255,19 +200,18 @@ class GridHashProtocol:
         payee_account: str,
         tick: Optional[PaymentTick],
         rur_blob: bytes = b"",
-    ) -> HashRedemptionResult:
+    ) -> Settlement:
         """Redeem the highest verified tick; release the rest of the lock.
 
         ``tick=None`` redeems nothing (releases the whole reservation back
         to the drawer — e.g. the service was never delivered).
         """
-        payload = commitment.verify(self._key.public_key())
-        require_not_expired(payload, self.clock)
-        if payload["payee_subject"] != redeemer_subject:
-            raise InstrumentError("commitment is made out to a different payee")
-        payee_row = self.accounts.require_open(payee_account)
-        if payee_row["CertificateName"] != redeemer_subject:
-            raise InstrumentError("payee account is not owned by the redeemer")
+        settlement = self._settle(redeemer_subject, commitment, payee_account, tick, rur_blob)
+        obs_metrics.counter("payments.hashchain.redeemed").inc()
+        obs_metrics.counter("payments.hashchain.links_redeemed").inc(settlement.units)
+        return settlement
+
+    def _claim(self, payload: dict, limit: Credits, tick: Optional[PaymentTick]) -> tuple[Credits, int]:
         links = 0
         if tick is not None:
             if tick.commitment_id != payload["id"]:
@@ -281,27 +225,4 @@ class GridHashProtocol:
             if digest != payload["root"]:
                 raise InstrumentError("tick does not hash back to the committed root")
             links = tick.index
-        link_value = Credits(payload["link_value"])
-        paid = link_value * links
-        total = Credits(payload["amount_limit"])
-        with self.accounts.db.transaction():
-            self.registry.require_issued(payload["id"])
-            drawer_account = payload["drawer_account"]
-            txn_id: Optional[int] = None
-            if paid > ZERO:
-                txn_id = self.accounts.transfer_from_locked(
-                    drawer_account, payee_account, paid, rur_blob=rur_blob
-                )
-            released = total - paid
-            if released > ZERO:
-                self.accounts.unlock_funds(drawer_account, released)
-            self.registry.mark_redeemed(payload["id"], redeemed_units=links)
-            obs_metrics.counter("payments.hashchain.redeemed").inc()
-            obs_metrics.counter("payments.hashchain.links_redeemed").inc(links)
-            return HashRedemptionResult(
-                commitment_id=payload["id"],
-                transaction_id=txn_id,
-                paid=paid,
-                released=released,
-                links_redeemed=links,
-            )
+        return Credits(payload["link_value"]) * links, links

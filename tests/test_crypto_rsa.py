@@ -172,3 +172,30 @@ def test_malformed_key_dicts_rejected():
         public_key_from_dict({"n": "1"})
     with pytest.raises(ValidationError):
         private_key_from_dict({"kty": "RSA", "n": "zz"})
+
+
+@pytest.mark.parametrize(
+    "n_bits, e, refused",
+    [
+        (4096, 65537, None),
+        (4097, 65537, "over 4096 bits"),
+        (512, 65536, "exponent"),  # even
+        (512, 1, "exponent"),  # below 3
+        (512, 2**32 + 1, "exponent"),  # 2**32 and up
+        (512, 2**32 - 1, None),
+        (512, 3, None),
+    ],
+)
+def test_public_key_parse_bounds_the_verify_cost(n_bits, e, refused):
+    n = (1 << (n_bits - 1)) | 1
+    data = {"kty": "RSA", "n": f"{n:x}", "e": f"{e:x}"}
+    if refused is None:
+        assert public_key_from_dict(data).bits == n_bits
+    else:
+        with pytest.raises(ValidationError, match=refused):
+            public_key_from_dict(data)
+
+
+def test_keygen_refuses_a_modulus_the_parser_would_refuse():
+    with pytest.raises(ValidationError, match="at most 4096 bits"):
+        generate_keypair(bits=4098, rng=random.Random(1))

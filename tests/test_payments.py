@@ -1,4 +1,4 @@
-"""Unit tests for the payment protocol modules (cheque, hashchain, direct)."""
+"""Unit tests for the payment protocol modules (cheque, hashchain, coin, direct)."""
 
 import random
 
@@ -17,6 +17,7 @@ from repro.errors import (
     ValidationError,
 )
 from repro.payments.cheque import GridCheque, GridChequeProtocol
+from repro.payments.coin import GridCoinProtocol
 from repro.payments.direct import DirectTransferProtocol, TransferConfirmation
 from repro.payments.hashchain import (
     GridHashProtocol,
@@ -26,6 +27,7 @@ from repro.payments.hashchain import (
 )
 from repro.payments.instruments import InstrumentRegistry
 from repro.util.gbtime import VirtualClock
+from repro.util.serialize import canonical_dumps
 from repro.util.money import Credits, ZERO
 
 GSC = "/O=VO-A/CN=alice"
@@ -168,25 +170,6 @@ class TestGridCheque:
     def test_drawer_must_own_account(self, world):
         with pytest.raises(InstrumentError):
             world["cheques"].issue(GSP, world["gsc_account"], GSP, Credits(10))
-
-    def test_batch_redemption_atomic(self, world):
-        cheques = [
-            world["cheques"].issue(GSC, world["gsc_account"], GSP, Credits(10)) for _ in range(3)
-        ]
-        results = world["cheques"].redeem_batch(
-            GSP, [(c, world["gsp_account"], Credits(10), b"") for c in cheques]
-        )
-        assert len(results) == 3
-        assert world["accounts"].available_balance(world["gsp_account"]) == Credits(30)
-        # A batch containing an already-redeemed cheque fails atomically.
-        more = [world["cheques"].issue(GSC, world["gsc_account"], GSP, Credits(10)) for _ in range(2)]
-        bad_batch = [(more[0], world["gsp_account"], Credits(10), b""), (cheques[0], world["gsp_account"], Credits(10), b"")]
-        before = world["accounts"].available_balance(world["gsp_account"])
-        with pytest.raises(DoubleSpendError):
-            world["cheques"].redeem_batch(GSP, bad_batch)
-        assert world["accounts"].available_balance(world["gsp_account"]) == before
-        # the good cheque from the failed batch is still redeemable
-        world["cheques"].redeem(GSP, more[0], world["gsp_account"], Credits(10))
 
     def test_dict_roundtrip(self, world):
         cheque = world["cheques"].issue(GSC, world["gsc_account"], GSP, Credits(10))
@@ -352,3 +335,120 @@ class TestDirectTransfer:
         again = TransferConfirmation.from_dict(confirmation.to_dict())
         again.verify(world["bank_public"])
         assert again.amount == Credits(5)
+
+
+def _coins(world) -> GridCoinProtocol:
+    return GridCoinProtocol(
+        world["accounts"], world["registry"], world["bank_key"], "/O=GB/CN=bank", world["clock"]
+    )
+
+
+def _kind(world, kind: str):
+    """(issue, settle, release) for *kind*, each over the world's accounts.
+    An instrument locks 10 G$; a settle pays 6 of it (a coin pays all 10).
+    GridHash has no release operation of its own, so its row calls the
+    shared lifecycle's release directly."""
+    drawer, payee = world["gsc_account"], world["gsp_account"]
+    if kind == "cheque":
+        protocol = world["cheques"]
+        return (
+            lambda: protocol.issue(GSC, drawer, GSP, Credits(10)),
+            lambda cheque: protocol.redeem(GSP, cheque, payee, Credits(6)),
+            lambda cheque: protocol.cancel(GSC, cheque),
+        )
+    if kind == "hash":
+        protocol = world["hashchains"]
+        chains = {}
+
+        def issue():
+            chain = HashChain(10, rng=random.Random(len(chains)))
+            commitment = protocol.issue(GSC, drawer, GSP, chain.root, 10, Credits(1))
+            chains[commitment.commitment_id] = chain
+            return commitment
+
+        def settle(commitment):
+            link = chains[commitment.commitment_id].link(6)
+            return protocol.redeem(GSP, commitment, payee, PaymentTick(commitment.commitment_id, 6, link))
+
+        return issue, settle, lambda commitment: protocol._release(commitment.verify(world["bank_public"]))
+    protocol = _coins(world)
+    return (
+        lambda: protocol.mint(GSC, drawer, Credits(10))[0],
+        lambda coin: protocol.redeem(GSP, coin, payee),
+        lambda coin: protocol.refund(GSC, coin),
+    )
+
+
+@pytest.mark.parametrize("kind", ["cheque", "hash", "coin"])
+def test_one_lifecycle_for_every_kind(world, kind):
+    """Release ends a lock as settle does, and each ends the instrument.
+
+    A second settle is a double spend for every kind already
+    (test_double_redeem_rejected, test_redeem_double_spend_rejected,
+    test_coin_circulates_but_redeems_once); this table adds what those
+    leave out: release for GridHash at all, the locked balance after a
+    release, conservation at every step, and each order of settle and
+    release on one instrument."""
+    accounts = world["accounts"]
+    drawer, payee = world["gsc_account"], world["gsp_account"]
+    issue, settle, release = _kind(world, kind)
+
+    def held() -> tuple:
+        available = accounts.available_balance(drawer)
+        locked = accounts.locked_balance(drawer)
+        paid = accounts.available_balance(payee)
+        assert available + locked + paid == Credits(1000)
+        return locked, paid
+
+    settled, released = issue(), issue()
+    assert held() == (Credits(20), ZERO)
+    settle(settled)
+    locked, paid = held()
+    assert locked == Credits(10) and paid > ZERO
+    assert release(released) == Credits(10)
+    assert held() == (ZERO, paid)
+    with pytest.raises(InstrumentError, match="is cancelled"):
+        settle(released)
+    with pytest.raises(InstrumentError, match="is cancelled"):
+        release(released)
+    with pytest.raises(DoubleSpendError):
+        release(settled)
+    assert held() == (ZERO, paid)
+
+
+#: a fresh VirtualClock reads 2003-01-01T00:00:00Z: every pinned payload's issue time
+ISSUED_AT = 1041379200.0
+
+
+def test_issued_payloads_are_pinned(world):
+    """The signed payload of each kind, key for key and byte for byte."""
+    drawer = world["gsc_account"]
+    chain = HashChain(4, rng=random.Random(5))
+    issued = {
+        "cheque": world["cheques"].issue(GSC, drawer, GSP, Credits(10)),
+        "hash": world["hashchains"].issue(GSC, drawer, GSP, chain.root, 4, Credits(2)),
+        "coin": _coins(world).mint(GSC, drawer, Credits(3))[0],
+    }
+    common = {"drawer_account": drawer, "currency": "GridDollar", "issued_at": ISSUED_AT}
+    expected = {
+        "cheque": {
+            **common, "instrument": "GridCheque", "id": "chq-00000001",
+            "drawer_subject": GSC, "payee_subject": GSP, "payee_account": "",
+            "amount_limit": Credits(10), "expires_at": ISSUED_AT + 7 * 24 * 3600,
+        },
+        "hash": {
+            **common, "instrument": "GridHash", "id": "hsh-00000002",
+            "drawer_subject": GSC, "payee_subject": GSP, "amount_limit": Credits(8),
+            "root": chain.root, "length": 4, "link_value": Credits(2),
+            "expires_at": ISSUED_AT + 24 * 3600,
+        },
+        "coin": {
+            **common, "instrument": "GridCoin", "id": "coin-00000003",
+            "payee_subject": "", "amount_limit": Credits(3),
+            "expires_at": ISSUED_AT + 30 * 24 * 3600,
+        },
+    }
+    for kind, instrument in issued.items():
+        assert instrument.payload == expected[kind], kind
+        assert canonical_dumps(instrument.payload) == canonical_dumps(expected[kind]), kind
+        assert instrument.signed.signer == "/O=GB/CN=bank"

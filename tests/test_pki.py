@@ -1,10 +1,11 @@
 """Unit tests for certificates, CA, proxies, chain validation, mapfile."""
 
+import dataclasses
 import random
 
 import pytest
 
-from repro.crypto.rsa import generate_keypair
+from repro.crypto.rsa import RSAPublicKey, generate_keypair
 from repro.errors import CertificateError, DuplicateError, NotFoundError, ValidationError
 from repro.pki.ca import CertificateAuthority
 from repro.pki.certificate import Certificate, DistinguishedName, make_body
@@ -121,6 +122,32 @@ class TestChainValidation:
         subject = validate_chain(proxy.chain(), store, clock.now())
         assert subject == alice.subject
         assert proxy.subject == alice.subject + "/CN=proxy"
+
+    def test_oversized_signer_key_refused_before_any_exponentiation(
+        self, alice, store, clock, keypair_b, monkeypatch
+    ):
+        """A peer's chain picks the key its proxy signature is checked
+        with. An 8,192-bit modulus in the signing certificate's body is
+        refused when the key is parsed, so no exponentiation runs."""
+        proxy_cert, user_cert = issue_proxy(alice, clock=clock, keypair=keypair_b).chain()
+        n = (1 << 8191) | random.Random(8).getrandbits(8190) | 1
+        forged_body = dataclasses.replace(
+            user_cert.body, public_key={"kty": "RSA", "n": f"{n:x}", "e": "10001"}
+        )
+        chain = [
+            dataclasses.replace(proxy_cert, signature=b"\x01" * 1024),
+            dataclasses.replace(user_cert, body=forged_body),
+        ]
+        exponentiations = []
+
+        def encrypt_int(key, m):
+            exponentiations.append(key.bits)
+            raise AssertionError(f"a {key.bits}-bit exponentiation ran")
+
+        monkeypatch.setattr(RSAPublicKey, "encrypt_int", encrypt_int)
+        with pytest.raises(ValidationError, match="over 4096 bits"):
+            validate_chain(chain, store, clock.now())
+        assert exponentiations == []
 
     def test_empty_chain_rejected(self, store, clock):
         with pytest.raises(CertificateError):
