@@ -38,7 +38,14 @@ lint:
 # one issue / settle / release (payments.instruments.InstrumentProtocol)
 # and one client base; redeem_batch, the per-kind result types and the
 # lifetime knobs are gone. Net of +14 for the public-key size cap (F5).
-SRC_LINES_MAX := 22602
+# +136: a row is a tuple (DESIGN §23). The snapshot is walked a row at
+# a time through a text window, so recovery and the scrubber hold its
+# raw bytes, not its decoded tables (+95: integrity.snapshot_tables and
+# serialize.canonical_load_at); Table packs rows by column position and
+# moves only the index entries of columns that changed (+47). Net of -6
+# for the four unqueried indexes, the payee check moved into _issue and
+# Settlement.links_redeemed.
+SRC_LINES_MAX := 22738
 src-budget:
 	@lines=$$(find src -name '*.py' | xargs cat | wc -l); \
 	if [ $$lines -gt $(SRC_LINES_MAX) ]; then \

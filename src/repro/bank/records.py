@@ -130,7 +130,7 @@ def account_schema() -> TableSchema:
             Column.make("Status", VarChar(10), default=ACCOUNT_STATUS_OPEN),
         ],
         primary_key=["AccountID"],
-        indexes=["CertificateName", "Status"],
+        indexes=["CertificateName"],
     )
 
 
@@ -147,7 +147,7 @@ def transaction_schema() -> TableSchema:
             Column.make("TraceID", VarChar(32), default=""),
         ],
         primary_key=["EntryID"],
-        indexes=["AccountID", "TransactionID"],
+        indexes=["AccountID"],
     )
 
 
@@ -164,7 +164,6 @@ def transfer_schema() -> TableSchema:
             Column.make("TraceID", VarChar(32), default=""),
         ],
         primary_key=["TransactionID"],
-        indexes=["DrawerAccountID", "RecipientAccountID"],
     )
 
 

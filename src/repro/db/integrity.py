@@ -26,9 +26,9 @@ database substrate an end-to-end integrity format:
   never leave a half-written file as the only copy.
 * **One reader** — :func:`verify_dir` reads a database directory for
   recovery, ``fsck`` and the scrubber alike, so a directory one of them
-  refuses is refused by all of them. It streams the WAL, checking every
-  frame before recovery applies a row, and holds one line plus the
-  snapshot's raw bytes. Nothing outside :mod:`repro.db` names these
+  refuses is refused by all of them. It streams the WAL and the
+  snapshot, checking every frame and snapshot row before recovery
+  applies a row, and holds one line plus the snapshot's raw bytes. Nothing outside :mod:`repro.db` names these
   files (``tools/check_no_print.py`` holds that line).
 * **Scrubbing** — :class:`Scrubber` re-verifies cold bytes on an
   interval so latent corruption (bit rot under a page that is never
@@ -49,12 +49,12 @@ import shutil
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterator, Optional, Tuple, Union
+from typing import Any, BinaryIO, Callable, Iterator, Optional, Tuple, Union
 
 from repro.db.faultfs import crashpoint
 from repro.errors import CorruptionError, ValidationError
 from repro.util.runner import Runner
-from repro.util.serialize import canonical_loads
+from repro.util.serialize import canonical_load_at, canonical_loads
 
 __all__ = [
     "SNAPSHOT_NAME",
@@ -69,6 +69,7 @@ __all__ = [
     "WalScan",
     "encode_snapshot",
     "decode_snapshot",
+    "snapshot_tables",
     "atomic_write",
     "fsync_dir",
     "parse_epoch",
@@ -228,6 +229,94 @@ def decode_snapshot(data: bytes) -> Tuple[memoryview, int]:
     return payload, records
 
 
+#: payload bytes decoded to text at a time; a longer row widens the window
+_SNAPSHOT_WINDOW = 1 << 16
+
+
+class _SnapshotText:
+    """A cursor over a snapshot payload that decodes one canonical value
+    at a time from a window of its text, so a walk holds the payload's
+    bytes and one window, never the whole text or every decoded row.
+    Anything but the canonical layout is corruption."""
+
+    def __init__(self, payload: memoryview) -> None:
+        self._payload, self._read = payload, 0
+        self._text, self._pos = "", 0
+
+    def corrupt(self, why: str) -> CorruptionError:
+        at = self._read - len(self._text) + self._pos
+        return CorruptionError(f"snapshot: undecodable ({why} at byte {at})")
+
+    def _widen(self) -> bool:
+        """Append the next payload bytes to the window; False at the end."""
+        if self._read >= len(self._payload):
+            return False
+        size = max(_SNAPSHOT_WINDOW, len(self._text) - self._pos)
+        try:
+            chunk = str(self._payload[self._read:self._read + size], "ascii")
+        except UnicodeDecodeError:
+            raise self.corrupt("non-ASCII byte") from None
+        self._text, self._pos = self._text[self._pos:] + chunk, 0
+        self._read += size
+        return True
+
+    def peek(self) -> str:
+        """The next character, or "" at the end of the payload."""
+        if self._pos == len(self._text) and not self._widen():
+            return ""
+        return self._text[self._pos]
+
+    def take(self, chars: str) -> str:
+        char = self.peek()
+        if not char or char not in chars:
+            raise self.corrupt(f"expected one of {chars!r}")
+        self._pos += 1
+        return char
+
+    def value(self, kind: type) -> Any:
+        """Decode the value at the cursor, which must be a *kind*."""
+        while True:
+            try:
+                value, self._pos = canonical_load_at(self._text, self._pos)
+                break
+            except ValidationError as exc:
+                if not self._widen():
+                    raise self.corrupt(str(exc)) from None
+        if type(value) is not kind:
+            raise self.corrupt(f"a {type(value).__name__} where a {kind.__name__} belongs")
+        return value
+
+    def items(self, opener: str, closer: str) -> Iterator[None]:
+        """Walk ``opener item,item closer``, yielding with the cursor at
+        each item for the caller to consume."""
+        self.take(opener)
+        if self.peek() == closer:
+            self.take(closer)
+            return
+        yield
+        while self.take("," + closer) == ",":
+            yield
+
+
+def snapshot_tables(payload: memoryview) -> Iterator[Tuple[str, Iterator[dict]]]:
+    """Each table of a snapshot payload as ``(name, rows)``, in order,
+    the rows decoded one at a time as taken: what ``canonical_loads``
+    makes of the payload, without holding it all. Raises
+    :class:`CorruptionError` at the first byte out of canonical layout."""
+    text = _SnapshotText(payload)
+    if not text.peek():
+        return
+    for _ in text.items("{", "}"):
+        name = text.value(str)
+        text.take(":")
+        rows = (text.value(dict) for _ in text.items("[", "]"))
+        yield name, rows
+        for _ in rows:  # the rows a loader left, so the cursor reaches the next table
+            pass
+    if text.peek():
+        raise text.corrupt("trailing data")
+
+
 def fsync_dir(path: Path) -> None:
     """fsync a directory so a just-renamed entry survives power loss.
 
@@ -362,14 +451,15 @@ def verify_dir(directory: Path, contents: Optional[tuple] = None,
 
     Read-only. Checks, in order, the refusal marker, the epoch file,
     the snapshot manifest (length, CRC, and its record count against
-    the rows the payload decodes to) and every WAL line — walked a line
-    at a time, checking every frame, then decoding each — and stops at
-    the first failure with its exact seq/offset. Only if every frame
-    verified does the decoding walk hand *load* each snapshot table's
-    rows (each dropped as taken) and *apply* each entry's ops; a line
-    that does not decode stops it, for the caller to discard what was
-    applied. *contents* is a :func:`read_dir` the caller already took;
-    by default the WAL is streamed from disk."""
+    the rows a walk of the payload decodes) and every WAL line — walked
+    a line at a time, checking every frame, then decoding each — and
+    stops at the first failure with its exact seq/offset. Only if every
+    frame verified does a second walk of the snapshot hand *load* each
+    table's rows (each decoded as taken) and the decoding walk of the
+    WAL *apply* each entry's ops; a line that does not decode stops it,
+    for the caller to discard what was applied. *contents* is a
+    :func:`read_dir` the caller already took; by default the WAL is
+    streamed from disk."""
     directory = Path(directory)
     if contents is None:
         wal_file = directory / WAL_NAME
@@ -377,7 +467,7 @@ def verify_dir(directory: Path, contents: Optional[tuple] = None,
                     _read_or_none(directory / SNAPSHOT_NAME),
                     open(wal_file, "rb") if wal_file.exists() else None)
     marker, epoch_data, snapshot_data, wal = contents
-    contents = None  # so the snapshot's bytes go once decoded
+    contents = None  # so the snapshot's bytes go once loaded
     with wal or contextlib.nullcontext():
         report = IntegrityReport()
         if marker is not None:
@@ -390,31 +480,25 @@ def verify_dir(directory: Path, contents: Optional[tuple] = None,
         except CorruptionError as exc:
             return report.failed("epoch", exc)
 
-        tables: dict = {}
+        payload = memoryview(b"")
         if snapshot_data is not None:
             report.snapshot_bytes = len(snapshot_data)
             try:
                 payload, records = decode_snapshot(snapshot_data)
-                text = str(payload, "ascii")  # the text alone outlives the bytes,
-                del payload, snapshot_data    # so decoding holds one copy
-                tables = canonical_loads(text) if text else {}
-                del text
-                loaded = sum(len(rows) for rows in tables.values())
+                loaded = sum(1 for _, rows in snapshot_tables(payload) for _ in rows)
                 if records >= 0 and records != loaded:
                     raise CorruptionError(
                         f"snapshot: manifest promises {records} record(s), decoded {loaded}"
                     )
-            except ValueError as exc:  # CRC-clean bytes that are not canonical JSON
-                return report.failed("snapshot", CorruptionError(f"snapshot: undecodable ({exc})"))
             except CorruptionError as exc:
                 return report.failed("snapshot", exc)
             report.snapshot_records = records
+            snapshot_data = None  # the payload view holds the bytes until they are loaded
 
         framed = wal is None or scan_wal(wal, report.base_seq).corruption is None
-        for name in list(tables) if framed and load is not None else ():
-            rows = tables.pop(name)
-            rows.reverse()
-            load(name, (rows.pop() for _ in range(len(rows))))
+        for name, rows in snapshot_tables(payload) if framed and load is not None else ():
+            load(name, rows)
+        payload = None
         if wal is not None:
             report.wal_bytes = wal.seek(0, io.SEEK_END)
             report.wal = scan_wal(wal, report.base_seq,

@@ -67,8 +67,6 @@ class GridChequeProtocol(InstrumentProtocol):
     ) -> GridCheque:
         """Lock *amount* on the drawer and return the bank-signed cheque."""
         amount = require_amount(amount, "cheque amount")
-        if not payee_subject:
-            raise ValidationError("cheque must be made out to a payee")
         fields = {"drawer_subject": drawer_subject, "payee_account": ""}
         cheque = self._issue(drawer_subject, drawer_account, payee_subject, amount, fields)[0]
         obs_metrics.counter("payments.cheque.issued").inc()

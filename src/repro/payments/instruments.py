@@ -25,7 +25,7 @@ from repro.bank.records import credits_to_db, db_to_credits
 from repro.crypto.rsa import RSAPrivateKey, RSAPublicKey
 from repro.crypto.signature import Signed
 from repro.db.database import Database
-from repro.errors import DoubleSpendError, InstrumentError
+from repro.errors import DoubleSpendError, InstrumentError, ValidationError
 from repro.util.gbtime import Clock, Timestamp
 from repro.util.ids import IdGenerator
 from repro.util.money import Credits, ZERO
@@ -83,11 +83,6 @@ class Settlement:
     paid: Credits
     released: Credits
     units: int
-
-    @property
-    def links_redeemed(self) -> int:
-        """GridHash's name for ``units``, as in the ``RedeemGridHash`` reply."""
-        return self.units
 
 
 class InstrumentRegistry:
@@ -223,6 +218,8 @@ class InstrumentProtocol:
         """Lock ``amount x count`` on the drawer and sign *count*
         instruments of *amount* each, all in one transaction. *fields* are
         the kind's own payload entries beside the common ones."""
+        if not self.bearer and not payee_subject:
+            raise ValidationError(f"{self.noun} must be made out to a payee")
         account = self.accounts.require_open(drawer_account)
         if account["CertificateName"] != drawer_subject:
             raise InstrumentError(f"{self.noun} drawer does not own the account")

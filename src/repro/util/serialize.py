@@ -18,7 +18,7 @@ from repro.errors import ValidationError
 from repro.util.gbtime import Timestamp
 from repro.util.money import Credits
 
-__all__ = ["canonical_dumps", "canonical_loads", "to_bytes"]
+__all__ = ["canonical_dumps", "canonical_loads", "canonical_load_at", "to_bytes"]
 
 _TAG_BYTES = "!b"
 _TAG_CREDITS = "!c"
@@ -41,6 +41,7 @@ def _tag(value: Any) -> list:
     raise ValidationError(f"type {type(value).__name__} has no canonical form")
 
 
+_DECODER = json.JSONDecoder()
 _ENCODER = json.JSONEncoder(
     sort_keys=True, separators=(",", ":"), ensure_ascii=True, allow_nan=False, default=_tag
 )
@@ -89,6 +90,16 @@ def canonical_loads(data: bytes | str) -> Any:
     """Inverse of :func:`canonical_dumps` (its bytes, or their text)."""
     try:
         return _untag(json.loads(data if isinstance(data, str) else data.decode("ascii")))
+    except (ValueError, RecursionError) as exc:
+        raise ValidationError(f"malformed canonical payload: {exc}") from exc
+
+
+def canonical_load_at(text: str, pos: int) -> tuple[Any, int]:
+    """The canonical value that starts at *pos* in *text*, and the index
+    just past it: a long canonical text decoded one value at a time."""
+    try:
+        value, end = _DECODER.raw_decode(text, pos)
+        return _untag(value), end
     except (ValueError, RecursionError) as exc:
         raise ValidationError(f"malformed canonical payload: {exc}") from exc
 

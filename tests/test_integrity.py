@@ -19,7 +19,10 @@ import tracemalloc
 
 import pytest
 
+from repro.bank.accounts import GBAccounts
+from repro.bank.admin import GBAdmin
 from repro.bank.cluster import ClusterNode
+from repro.bank.replies import ReplyCache
 from repro.bank.server import GridBankServer
 from repro.db import (
     Column,
@@ -40,7 +43,7 @@ from repro.pki.certificate import DistinguishedName
 from repro.pki.validation import CertificateStore
 from repro.util.gbtime import VirtualClock
 from repro.util.money import Credits
-from repro.util.serialize import canonical_dumps
+from repro.util.serialize import canonical_dumps, canonical_loads
 
 
 # -- frame format -------------------------------------------------------------
@@ -432,6 +435,111 @@ class TestBoundedTransient:
         assert revived.count("docs") == 5000
         revived.close()
         assert peak - live <= raw + _SLACK, (peak - live, raw)
+
+    def test_verify_storage_of_a_checkpointed_home_holds_its_raw_bytes(self, tmp_path):
+        """The scrubber walks the snapshot a row at a time: beside the
+        bytes it read, it holds one window of text, not the decoded
+        tables."""
+        self._home(tmp_path, 4000)
+        db = kv_db(tmp_path)
+        db.checkpoint()
+        raw = (tmp_path / integrity.SNAPSHOT_NAME).stat().st_size
+        report, peak, _ = _traced(db.verify_storage)
+        db.close()
+        assert report.ok and report.snapshot_records == 4000
+        assert peak <= raw + _SLACK, (peak, raw)
+
+    def _ledger(self, path):
+        db = Database(path=path)
+        clock = VirtualClock()
+        accounts, replies = GBAccounts(db, clock=clock), ReplyCache(db, clock)
+        db.recover()
+        return db, accounts, replies
+
+    def test_live_table_bytes_per_keyed_transfer(self, tmp_path):
+        """A keyed transfer leaves two entries, a transfer and a reply
+        row; a recovered ledger holds them in at most 2.4 kB (3.8 kB as
+        dicts of fresh strings; tuples with interned strings, DESIGN §23)."""
+        transfers, subject = 2000, "/O=VO-Bench/CN=consumer"
+        db, accounts, replies = self._ledger(tmp_path)
+        admin = GBAdmin(accounts)
+        drawers = [accounts.create_account(subject) for _ in range(64)]
+        recipients = [accounts.create_account(subject) for _ in range(64)]
+        for drawer in drawers:
+            admin.deposit(drawer, Credits(1_000_000))
+        rng = random.Random(42)
+        signature = bytes(rng.getrandbits(8) for _ in range(128))
+        for index in range(transfers):
+            drawer, recipient = rng.choice(drawers), rng.choice(recipients)
+            amount = Credits(rng.randint(1, 5))
+            with db.transaction():
+                txn_id = accounts.transfer(drawer, recipient, amount)
+                confirmation = {
+                    "payload": {
+                        "confirmation": "DirectTransfer", "transaction_id": txn_id,
+                        "drawer_account": drawer, "recipient_account": recipient,
+                        "amount": amount, "recipient_address": "",
+                        "committed_at": accounts.clock.now().epoch,
+                    },
+                    "signature": signature,
+                    "signer": "/O=GridBank/CN=server",
+                }
+                replies.store(f"aged:{index}", subject, "RequestDirectTransfer",
+                              {"confirmation": confirmation})
+        db.close()
+        (revived, _, _), _, live = _traced(lambda: self._ledger(tmp_path))
+        assert revived.count("transfers") == transfers
+        revived.close()
+        assert live / transfers <= 2400, live / transfers
+
+
+class TestStreamedSnapshot:
+    """The snapshot is decoded a row at a time (DESIGN §23): the walk
+    yields what decoding it whole would, and refuses a payload that is
+    not the canonical layout before any row is loaded."""
+
+    TABLES = {
+        "docs": [{"Blob": b"\x00\xffz", "K": "a", "Money": Credits(1.25)},
+                 {"Blob": b"", "K": "b", "Money": Credits(0), "Note": None}],
+        "empty": [],
+        "kv": [{"K": "k%d" % i, "V": i} for i in range(3)],
+    }
+
+    def test_yields_what_canonical_loads_yields(self):
+        payload = canonical_dumps(self.TABLES)
+        assert canonical_loads(payload) == self.TABLES
+        walked = {name: list(rows) for name, rows in integrity.snapshot_tables(memoryview(payload))}
+        assert walked == canonical_loads(payload)
+        assert list(integrity.snapshot_tables(memoryview(b""))) == []
+
+    def test_rows_longer_than_the_window_decode(self, monkeypatch):
+        monkeypatch.setattr(integrity, "_SNAPSHOT_WINDOW", 7)
+        payload = canonical_dumps(self.TABLES)
+        walked = {name: list(rows) for name, rows in integrity.snapshot_tables(memoryview(payload))}
+        assert walked == self.TABLES
+
+    def _refused(self, tmp_path, payload: bytes, records: int) -> str:
+        (tmp_path / integrity.SNAPSHOT_NAME).write_bytes(integrity.encode_snapshot(payload, records))
+        loaded = []
+        report = integrity.verify_dir(tmp_path, load=lambda name, rows: loaded.append(list(rows)))
+        assert not report.ok and report.corruption_source == "snapshot"
+        assert loaded == []
+        return str(report.corruption)
+
+    def test_row_count_mismatch_is_refused_before_loading(self, tmp_path):
+        error = self._refused(tmp_path, canonical_dumps(self.TABLES), 6)
+        assert error == "snapshot: manifest promises 6 record(s), decoded 5"
+
+    @pytest.mark.parametrize("payload", [
+        b'{"kv":[{"K":"a","V":1}]}x',                 # trailing data
+        b'{"kv":[{"K":"a","V":1}]}{"kv":[]}',          # a second document
+        b'{"kv":[{"K":"a","V":1},7]}',                 # a row that is not an object
+        b'{"kv":[{"K":"a","V":1},{"K":"b"',            # a row cut short
+        b'{"kv":[{"K":"a","V":1}],7:[]}',              # a table name that is not a string
+        b'{"kv":{"K":"a","V":1}}',                     # rows that are not a list
+    ])
+    def test_malformed_payload_is_refused_before_loading(self, tmp_path, payload):
+        assert self._refused(tmp_path, payload, 1).startswith("snapshot: undecodable")
 
 
 # -- disk fault injection -----------------------------------------------------

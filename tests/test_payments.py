@@ -190,6 +190,15 @@ class TestGridHash:
         self._issue(world, length=10, link_value=Credits(2))
         assert world["accounts"].locked_balance(world["gsc_account"]) == Credits(20)
 
+    def test_commitment_without_a_payee_is_refused_and_locks_nothing(self, world):
+        """An empty payee is bearer only for a bearer kind: a commitment
+        made out to nobody could never be redeemed or released."""
+        chain = HashChain(10, rng=random.Random(5))
+        with pytest.raises(ValidationError, match="commitment must be made out to a payee"):
+            world["hashchains"].issue(GSC, world["gsc_account"], "", chain.root, 10, Credits(2))
+        assert world["accounts"].locked_balance(world["gsc_account"]) == ZERO
+        assert world["registry"].outstanding_for(world["gsc_account"]) == []
+
     def test_wallet_and_verifier_flow(self, world):
         chain, commitment = self._issue(world)
         wallet = HashChainWallet(chain, commitment)
@@ -250,7 +259,7 @@ class TestGridHash:
         )
         assert result.paid == Credits(14)
         assert result.released == Credits(6)
-        assert result.links_redeemed == 7
+        assert result.units == 7
         assert world["accounts"].available_balance(world["gsp_account"]) == Credits(14)
         assert world["accounts"].locked_balance(world["gsc_account"]) == ZERO
 

@@ -31,7 +31,7 @@ Fourth rule, same walk: the storage format has one owner. A module under
 ``src/`` outside ``src/repro/db/`` that names a database file
 (``WAL_NAME``, ``SNAPSHOT_NAME``, ``EPOCH_NAME``, ``QUARANTINE_NAME``)
 or calls a format primitive (``atomic_write``, ``encode_snapshot``,
-``decode_snapshot``, ``scan_wal``, ``parse_record``,
+``decode_snapshot``, ``snapshot_tables``, ``scan_wal``, ``parse_record``,
 ``quarantine_wal_suffix``) fails: it reads or writes a database
 directory through ``Database`` and ``repro.db.integrity``'s directory
 verbs instead.
@@ -93,7 +93,7 @@ def _row_checks(function: ast.AST) -> list[tuple[int, str]]:
 # directory and the primitives that read or write their format
 STORAGE_NAMES = {"WAL_NAME", "SNAPSHOT_NAME", "EPOCH_NAME", "QUARANTINE_NAME"}
 STORAGE_CALLS = {
-    "atomic_write", "encode_snapshot", "decode_snapshot", "scan_wal",
+    "atomic_write", "encode_snapshot", "decode_snapshot", "snapshot_tables", "scan_wal",
     "parse_record", "quarantine_wal_suffix",
 }
 STORAGE_OWNER = Path("repro/db")
