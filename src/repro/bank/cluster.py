@@ -511,7 +511,7 @@ class ClusterNode:
         register("Telemetry.Snapshot", self.op_telemetry_snapshot)
         register("Integrity.Status", self.op_integrity_status)
         register("Integrity.Repair", self.op_integrity_repair, access="admin")
-        register("Diag.Profile", self.op_diag_profile)
+        register("Diag.Profile", self.op_diag_profile, blocking=True)
         register("Diag.FlightRecord", self.op_diag_flight_record)
 
     def op_replication_status(self, subject: str, params: dict) -> dict:
@@ -576,15 +576,18 @@ class ClusterNode:
         return snap
 
     def op_diag_profile(self, subject: str, params: dict) -> dict:
-        """Per-op CPU attribution + stripe-lock/WAL contention stats for
-        ``gridbank profile`` / ``gridbank debug-bundle``."""
+        """Stripe-lock/WAL contention stats, plus per-op CPU attribution
+        sampled for ``seconds`` on this thread, for ``gridbank profile`` /
+        ``gridbank debug-bundle``."""
         if self.diag is None:
             return {"enabled": False}
-        return self.diag.profile_snapshot(top=int(params.get("top", 25)))
+        return self.diag.profile_snapshot(
+            top=int(params.get("top", 25)), seconds=float(params.get("seconds", 0.0))
+        )
 
     def op_diag_flight_record(self, subject: str, params: dict) -> dict:
         """The flight recorder's rings (recent/slow spans, logs, metric
-        deltas, fold deltas, trigger history) for bundle collection."""
+        deltas, trigger history) for bundle collection."""
         if self.diag is None:
             return {"enabled": False}
         return self.diag.flight_snapshot(limit=int(params.get("limit", 128)))

@@ -43,9 +43,8 @@ class NodeConfig:
     poll_interval: float = 0.02
     #: objectives replacing the bank's built-in one; empty keeps it
     slo: tuple[Objective, ...] = ()
-    #: False is ``--no-diag``: no profiler, flight recorder or exemplars
+    #: False is ``--no-diag``: no Diag RPCs, flight recorder or exemplars
     diag: bool = True
-    profile_hz: float = 25.0
     #: post-mortem directory; None is ``<home>/diag`` (no dumps in memory)
     diag_dir: Optional[Path] = None
     metrics_port: Optional[int] = None
@@ -122,10 +121,7 @@ class Node:
         # along so latency buckets link to trace ids
         if config.diag:
             dump_dir = config.diag_dir or (bank.db.path and bank.db.path.parent / "diag")
-            self.diag = DiagPlane(
-                profile_hz=config.profile_hz, dump_dir=dump_dir, clock=bank.clock,
-                spans=bank.spans,
-            ).start()
+            self.diag = DiagPlane(dump_dir=dump_dir, clock=bank.clock, spans=bank.spans).start()
             obs_metrics.configure_exemplars(True)
         # the engine is swapped whole so the dispatch wrapper (which
         # reads bank.slo at call time) picks it up atomically

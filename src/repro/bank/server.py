@@ -336,6 +336,7 @@ class GridBankServer:
         reply_key: Optional[Callable[[dict], str]] = None,
         moved: Optional[Callable[[dict, Any], Any]] = None,
         tracked: bool = True,
+        blocking: bool = False,
     ) -> Op:
         """Add *method* to the op table and expose it on the endpoint.
 
@@ -346,9 +347,10 @@ class GridBankServer:
         *access* (a key of ``bank.access``; there is no default, so a row
         cannot be added without saying who may call it), the exactly-once
         envelope, usage metering and the ``bank.op.<name>.*`` instruments.
-        *guard_accounts* defaults to *accounts_of*. Instruments are
-        resolved once, here, so a dispatch pays no registry lookup for
-        them.
+        *guard_accounts* defaults to *accounts_of*. A *blocking* row may
+        hold its thread for seconds, so an event-loop front end never runs
+        it on its loop. Instruments are resolved once, here, so a dispatch
+        pays no registry lookup for them.
         """
         if kind not in (READ, PRIMARY, WRITE):
             raise ValueError(f"{method}: unknown row kind {kind!r}")
@@ -372,7 +374,7 @@ class GridBankServer:
             dedup_hits=obs_metrics.counter("bank.dedup_hits"),
             rejections=obs_metrics.counter("bank.not_primary_rejections"),
         )
-        self.endpoint.register(method, functools.partial(self.dispatch, op))
+        self.endpoint.register(method, functools.partial(self.dispatch, op), blocking=blocking)
         self.ops[method] = op
         return op
 

@@ -486,7 +486,7 @@ def _node_config(args):
         standby_of=args.standby_of, peers=tuple(args.peer or ()),
         auto_promote=args.auto_promote, lease_timeout=args.lease_timeout,
         staleness_bound=args.staleness_bound, scrub_interval=args.scrub_interval,
-        slo=slo, diag=not args.no_diag, profile_hz=args.profile_hz,
+        slo=slo, diag=not args.no_diag,
         diag_dir=Path(args.diag_dir) if args.diag_dir else None,
         metrics_port=args.metrics_port, metrics_textfile=args.metrics_textfile,
         metrics_interval=args.metrics_interval, shard_id=args.shard_id,
@@ -514,8 +514,7 @@ def _front_end(args, bank):
 def _print_banner(node, args, host: str, port: int) -> None:
     config, bank = node.config, node.bank
     if node.diag is not None:
-        print(f"diagnosis plane: profiler {config.profile_hz:g}hz, "
-              f"post-mortems under {node.diag.recorder.dump_dir}")
+        print(f"diagnosis plane: post-mortems under {node.diag.recorder.dump_dir}")
     for http in (e for e in node.exporters if isinstance(e, HTTPExporter)):
         print(f"metrics scrape endpoint: http://{http.host}:{http.port}/metrics")
         print(f"health check endpoint:   http://{http.host}:{http.port}/healthz")
@@ -809,12 +808,17 @@ def render_top(snapshots: list[dict], top: int = 5) -> str:
     return "\n".join(lines)
 
 
+#: seconds ``gridbank profile`` and ``debug-bundle`` sample each node for
+PROFILE_WINDOW_SECONDS = 2.0
+
+
 def cmd_profile(args) -> int:
-    """Render a node's live CPU profile: per-op attribution from the
-    always-on sampler plus stripe-lock and WAL-path contention tables."""
+    """Render a node's live CPU profile: per-op attribution sampled for
+    :data:`PROFILE_WINDOW_SECONDS` plus stripe-lock and WAL-path
+    contention tables."""
     from repro.obs.diag import render_profile
 
-    profile = _remote_call(args, "Diag.Profile", top=args.top)
+    profile = _remote_call(args, "Diag.Profile", top=args.top, seconds=PROFILE_WINDOW_SECONDS)
     if not profile.get("enabled", False) and "ops" not in profile:
         print("diagnosis plane is disabled on this node (serve --no-diag?)",
               file=sys.stderr)
@@ -829,7 +833,7 @@ def cmd_profile(args) -> int:
 def _collect_node_diag(address, identity, store, top: int, connect) -> dict:
     with _dial(address, identity, store, connect) as client:
         return {
-            "profile": client.call("Diag.Profile", top=top),
+            "profile": client.call("Diag.Profile", top=top, seconds=PROFILE_WINDOW_SECONDS),
             "flight": client.call("Diag.FlightRecord", limit=256),
             "telemetry": client.call("Telemetry.Snapshot", top=top),
         }
@@ -1020,14 +1024,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="background-scrub the WAL/snapshot every this many seconds "
                         "(re-verifies every CRC; corruption triggers a replica-backed "
                         "repair when a peer is known)")
-    p.add_argument("--profile-hz", type=float, default=25.0,
-                   help="always-on sampling profiler rate (0 disables the "
-                        "profiler but keeps the flight recorder)")
     p.add_argument("--diag-dir", default=None, metavar="DIR",
                    help="directory for flight-recorder post-mortem dumps "
                         "(default: HOME/diag)")
     p.add_argument("--no-diag", action="store_true",
-                   help="disable the diagnosis plane entirely (profiler, "
+                   help="disable the diagnosis plane entirely (Diag RPCs, "
                         "flight recorder, exemplars)")
     p.add_argument("--backend", choices=["threads", "async"], default="threads",
                    help="front-end concurrency model: thread-per-connection "

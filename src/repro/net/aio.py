@@ -36,8 +36,10 @@ and is dispatched inline on the loop once it proves cheaper than
 ``_OFFLOAD_THRESHOLD``. Stages start pessimistic (offloaded) and a stage
 that turns expensive again (the average rises) moves back to the pool,
 so the loop never blocks longer than roughly the threshold per
-misclassified call. Crypto handshakes and ledger commits stay on the
-pool; echo-cheap steady-state work skips the hop entirely.
+misclassified call. A request the handler's ``blocks(request)`` names
+(a profiling window) always goes to the pool. Crypto handshakes and
+ledger commits stay on the pool; echo-cheap steady-state work skips the
+hop entirely.
 
 Timeout enforcement is also off the per-read path: instead of arming a
 timer around every read (``wait_for`` allocates a task per call), each
@@ -147,7 +149,7 @@ class _StageCost:
 class _Connection:
     """Loop-side state for one accepted socket."""
 
-    __slots__ = ("handler", "reader", "writer", "seal_lock", "inflight",
+    __slots__ = ("handler", "blocks", "reader", "writer", "seal_lock", "inflight",
                  "last_activity", "mid_frame", "established")
 
     def __init__(
@@ -157,6 +159,8 @@ class _Connection:
         writer: asyncio.StreamWriter,
     ) -> None:
         self.handler = handler
+        #: ``(request) -> bool``: calls never run inline (None: no such calls)
+        self.blocks = getattr(handler, "blocks", None)
         self.reader = reader
         self.writer = writer
         # a *threading* lock: seal may run on a pool worker or inline on
@@ -540,7 +544,9 @@ class AsyncTCPServer:
                 # phases 2+3 fused into one pool hop (or run inline once
                 # the stage has proven itself cheap): complete, then seal
                 # and enqueue the write under the connection's seal lock
-                if self._complete_cost.offload:
+                if self._complete_cost.offload or (
+                    conn.blocks is not None and conn.blocks(request)
+                ):
                     await self._loop.run_in_executor(
                         self._pool, self._complete_and_send, conn, request
                     )

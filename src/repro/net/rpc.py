@@ -295,6 +295,10 @@ class _ServerConnection:
         """
         return self._context.peer_subject if self._open else None
 
+    def blocks(self, request: Any) -> bool:
+        """Is *request* a call to an operation registered as blocking?"""
+        return isinstance(request, dict) and request.get("method") in self._endpoint.blocking
+
     def handle(self, payload: bytes) -> Optional[bytes]:
         kind, value = self.prepare(payload)
         if kind != "call":
@@ -508,6 +512,8 @@ class ServiceEndpoint:
         # instances are not safe to share across threads unguarded
         self._rng_lock = threading.Lock()
         self.operations: dict[str, Operation] = {}
+        #: methods whose operation may hold its thread for seconds
+        self.blocking: set[str] = set()
         #: bearer ticket -> the session it resumes (reusable until it
         #: stops being live or 1,024 newer ones push it out)
         self.session_tickets = SessionCache(1024)
@@ -523,11 +529,13 @@ class ServiceEndpoint:
         # wire volume of principal workload lands in the usage rollups
         self.usage_sink: Optional[Callable[[str, str, int, int], None]] = None
 
-    def register(self, method: str, operation: Operation) -> None:
+    def register(self, method: str, operation: Operation, blocking: bool = False) -> None:
         """Expose ``operation(subject, params) -> result`` as *method*."""
         if method in self.operations:
             raise ProtocolError(f"operation already registered: {method!r}")
         self.operations[method] = operation
+        if blocking:
+            self.blocking.add(method)
 
     def connection_handler(self) -> _ServerConnection:
         """Factory for per-connection handlers (plug into a transport)."""

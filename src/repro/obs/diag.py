@@ -1,29 +1,27 @@
-"""Diagnosis plane — always-on profiler, flight recorder, debug bundles.
+"""Diagnosis plane — on-request profiler, flight recorder, debug bundles.
 
 The telemetry stack (metrics, spans, SLO burn alerts, usage metering)
 answers *what* happened; this module answers *why it was slow or wedged*
-— the evidence an operator needs when a page fires, captured before the
-anomaly rather than reconstructed after it.
+— the evidence an operator needs when a page fires.
 
 Three cooperating pieces:
 
-* :class:`SamplingProfiler` — a daemon thread walking
-  ``sys._current_frames()`` at a configurable hz and folding each
-  thread's stack into collapsed form. Samples are attributed per
-  operation by joining the thread ident against the active-span registry
-  (:func:`repro.obs.trace.thread_spans`), so the output reads "62% of
-  CPU under ``bank.op.direct_transfer``, hottest frame ``rsa:decrypt``".
-  At the default 25 hz a sample is a dict walk over a handful of
-  threads; measured overhead on the transfer storm is well under the 5%
-  budget (``benchmarks/bench_diag.py`` asserts it).
+* :class:`SamplingProfiler` — folds every thread's stack, read from
+  ``sys._current_frames()``, into collapsed form. Samples are attributed
+  per operation by joining the thread ident against the active-span
+  registry (:func:`repro.obs.trace.thread_spans`), so the output reads
+  "62% of CPU under ``bank.op.direct_transfer``, hottest frame
+  ``rsa:decrypt``". Nothing samples in the background: a
+  ``Diag.Profile`` call that names a window samples on the thread
+  serving it, for that long, and then stops.
 
 * :class:`FlightRecorder` — bounded rings of the recent past: log
-  records, per-second metric counter deltas, and profile-fold deltas;
-  finished spans it reads from the node's span store, newest segments
-  only. When a trigger fires — SLO page transition, corruption latch,
-  deadline-exceeded storm, unhandled dispatch exception — the rings and
-  those spans are snapshotted into a timestamped post-mortem directory.
-  Dumps are rate-limited so a flapping trigger cannot fill a disk.
+  records and per-second metric counter deltas; finished spans it reads
+  from the node's span store, newest segments only. When a trigger
+  fires — SLO page transition, corruption latch, deadline-exceeded
+  storm, unhandled dispatch exception — the rings and those spans are
+  snapshotted into a timestamped post-mortem directory. Dumps are
+  rate-limited so a flapping trigger cannot fill a disk.
 
 * :class:`DiagPlane` — wires both into the process: installs the
   stripe-lock wait hook (:func:`repro.bank.locks.set_wait_hook`) and the
@@ -35,9 +33,9 @@ Three cooperating pieces:
 Everything here is observation of the observer, so the cardinal rule is
 *do no harm*: hooks are single ``is not None`` checks when disabled,
 ring appends are O(1) deque operations, trigger paths swallow their own
-errors into counters, the plane's own threads are excluded from
-profiles, and its RPCs are untracked rows of the op table (no usage
-metering, no SLO sample).
+errors into counters, a sampling thread skips itself, and the plane's
+RPCs are untracked rows of the op table (no usage metering, no SLO
+sample).
 """
 
 from __future__ import annotations
@@ -71,32 +69,10 @@ __all__ = [
     "render_profile",
     "notify_trigger",
     "notify_slo_transition",
-    "register_diag_thread",
-    "unregister_diag_thread",
+    "MAX_PROFILE_SECONDS",
 ]
 
 _log = obs_logging.get_logger("obs.diag")
-
-# Idents of the background threads (every :class:`~repro.util.runner.Runner`
-# thread registers itself: profiler, recorder ticker and the other jobs).
-# The profiler skips them so neither self-observation nor housekeeping
-# shows up in per-op CPU attribution.
-_diag_threads: set[int] = set()
-
-
-def register_diag_thread(ident: Optional[int] = None) -> None:
-    """Mark a thread (default: the calling one) as diagnosis-plane
-    internal, excluding it from profiles."""
-    _diag_threads.add(ident if ident is not None else threading.get_ident())
-
-
-def unregister_diag_thread(ident: Optional[int] = None) -> None:
-    """Remove a thread from the diagnosis-plane set. A runner thread
-    calls this on exit — the OS reuses thread idents, so a stale entry
-    would silently blind the profiler to whatever unrelated thread
-    inherits the ident next."""
-    _diag_threads.discard(ident if ident is not None else threading.get_ident())
-
 
 # -- wait/contention accounting -----------------------------------------------
 
@@ -234,13 +210,15 @@ def _current_frames() -> dict:
 
 
 class SamplingProfiler:
-    """Always-on statistical profiler with per-operation attribution.
+    """Statistical profiler with per-operation attribution, for one window.
 
-    A daemon thread wakes ``hz`` times per second, snapshots every
-    thread's current frame via ``sys._current_frames()``, folds each
-    stack, and attributes the sample to the span running on that thread
-    (via :func:`repro.obs.trace.thread_spans`). Threads outside any span
-    are attributed ``(untraced)``; the plane's own threads are skipped.
+    :meth:`sample_for` runs on the caller's thread: ``hz`` times a second
+    it snapshots every other thread's current frame via
+    ``sys._current_frames()``, folds each stack, and attributes the
+    sample to the span running on that thread (via
+    :func:`repro.obs.trace.thread_spans`). Threads outside any span —
+    idle connections, background runners — are attributed
+    ``(untraced)``; the sampling thread skips itself.
 
     Fold storage is bounded: once ``max_stacks`` distinct (op, stack)
     keys exist, new stacks collapse into an ``(overflow)`` bucket per op
@@ -259,36 +237,28 @@ class SamplingProfiler:
         self._op_samples: dict[str, int] = {}
         self._samples = 0
         self._ticks = 0
-        self._runner = Runner("gridbank-diag-profiler", self.sample_once, 1.0 / self.hz)
-        self._started_perf: Optional[float] = None  # None while stopped
-        self._elapsed = 0.0  # accumulated across start/stop cycles
+        self._elapsed = 0.0
 
-    @property
-    def running(self) -> bool:
-        return self._started_perf is not None
-
-    def start(self) -> "SamplingProfiler":
-        if self._started_perf is None:
-            self._started_perf = time.perf_counter()
-            self._runner.start()
-        return self
-
-    def stop(self) -> None:
-        if self._started_perf is None:
-            return
-        self._runner.stop()
-        self._elapsed += time.perf_counter() - self._started_perf
-        self._started_perf = None
+    def sample_for(self, seconds: float) -> None:
+        """Sample ``round(hz * seconds)`` times (at least once), one tick
+        every ``1 / hz`` seconds, on the calling thread."""
+        started = time.perf_counter()
+        for tick in range(max(1, round(self.hz * seconds))):
+            pause = started + tick / self.hz - time.perf_counter()
+            if pause > 0:
+                time.sleep(pause)
+            self.sample_once()
+        self._elapsed += time.perf_counter() - started
 
     def sample_once(self) -> None:
-        """Take one sample of every live thread (the runner's step; public
-        so tests and virtual-time drills can sample deterministically)."""
+        """Take one sample of every live thread but the calling one."""
         frames = _current_frames()
         spans = obs_trace.thread_spans()
+        me = threading.get_ident()
         with self._lock:
             self._ticks += 1
             for ident, frame in frames.items():
-                if ident in _diag_threads:
+                if ident == me:
                     continue
                 entry = spans.get(ident)
                 op = entry[0] if entry is not None else "(untraced)"
@@ -298,23 +268,6 @@ class SamplingProfiler:
                 self._folds[key] = self._folds.get(key, 0) + 1
                 self._op_samples[op] = self._op_samples.get(op, 0) + 1
                 self._samples += 1
-
-    def _duration(self) -> float:
-        if self._started_perf is not None:
-            return self._elapsed + (time.perf_counter() - self._started_perf)
-        return self._elapsed
-
-    def fold_counts(self) -> dict[tuple[str, str], int]:
-        """Cumulative (op, stack) -> sample count (copy)."""
-        with self._lock:
-            return dict(self._folds)
-
-    def fold_lines(self) -> list[str]:
-        """Collapsed-stack lines (``op;frame;...;frame count``) — the
-        format flamegraph tooling ingests directly."""
-        with self._lock:
-            items = sorted(self._folds.items(), key=lambda kv: -kv[1])
-        return [f"{op};{stack} {count}" for (op, stack), count in items]
 
     def snapshot(self, top: int = 25) -> dict:
         """JSON-ready profile: per-op CPU shares plus the hottest stacks."""
@@ -335,20 +288,13 @@ class SamplingProfiler:
             "hz": self.hz,
             "ticks": ticks,
             "samples": samples,
-            "duration_seconds": self._duration(),
+            "duration_seconds": self._elapsed,
             "ops": ops,
             "hot_stacks": [
                 {"op": op, "stack": stack, "samples": count}
                 for (op, stack), count in folds
             ],
         }
-
-    def reset(self) -> None:
-        with self._lock:
-            self._folds = {}
-            self._op_samples = {}
-            self._samples = 0
-            self._ticks = 0
 
 
 # -- flight recorder ----------------------------------------------------------
@@ -376,11 +322,10 @@ def _repro_error_names() -> frozenset:
     return frozenset(names)
 
 
-#: ring sizes of the flight recorder: log records, per-tick metric
-#: deltas (two minutes at the default tick) and per-tick fold deltas
+#: ring sizes of the flight recorder: log records and per-tick metric
+#: deltas (two minutes at the default tick)
 _LOG_CAPACITY = 512
 _DELTA_CAPACITY = 120
-_FOLD_CAPACITY = 64
 
 
 class FlightRecorder:
@@ -388,8 +333,7 @@ class FlightRecorder:
 
     Rings (all ``deque(maxlen=...)``, so appends are O(1) and memory is
     flat): log records (via a :class:`~repro.obs.logging.RingHandler` on
-    the gridbank root), per-tick metric counter deltas, and per-tick
-    profile-fold deltas. Finished spans are not copied: *spans* is the
+    the gridbank root) and per-tick metric counter deltas. Finished spans are not copied: *spans* is the
     node's span store, read with :meth:`SpanStore.recent` when a dump or
     a snapshot is taken.
 
@@ -404,7 +348,6 @@ class FlightRecorder:
 
     def __init__(
         self,
-        profiler: Optional[SamplingProfiler] = None,
         clock: Optional[Clock] = None,
         spans: Optional[SpanStore] = None,
         dump_dir: Optional[Union[str, Path]] = None,
@@ -413,7 +356,6 @@ class FlightRecorder:
         deadline_storm_threshold: int = 8,
         deadline_storm_window: float = 5.0,
     ) -> None:
-        self.profiler = profiler
         self.clock = clock if clock is not None else SystemClock()
         self.spans = spans if spans is not None else SpanStore()
         self.dump_dir = Path(dump_dir) if dump_dir is not None else None
@@ -422,7 +364,6 @@ class FlightRecorder:
         self.deadline_storm_threshold = deadline_storm_threshold
         self.deadline_storm_window = deadline_storm_window
         self._deltas: deque = deque(maxlen=_DELTA_CAPACITY)
-        self._folds: deque = deque(maxlen=_FOLD_CAPACITY)
         self._log_handler = obs_logging.RingHandler(capacity=_LOG_CAPACITY)
         self._prev_level = 0
         self._deadlines: deque = deque()
@@ -432,7 +373,6 @@ class FlightRecorder:
         self._dump_count = 0
         self._last_triggers: deque = deque(maxlen=16)
         self._prev_counters: dict = {}
-        self._prev_folds: dict = {}
         self._error_names: frozenset = frozenset()
         self._ticker = Runner("gridbank-diag-recorder", self.tick, tick_interval)
         self._started = False
@@ -498,9 +438,8 @@ class FlightRecorder:
             )
 
     def tick(self) -> None:
-        """Capture one metric-delta (and profile-fold-delta) sample (the
-        runner's step; public so tests and virtual-time drills can tick
-        deterministically)."""
+        """Capture one metric-delta sample (the runner's step; public so
+        tests and virtual-time drills can tick deterministically)."""
         counters = obs_metrics.snapshot()["counters"]
         delta = {}
         for key, value in counters.items():
@@ -508,26 +447,7 @@ class FlightRecorder:
             if moved:
                 delta[key] = moved
         self._prev_counters = counters
-        epoch = self.clock.epoch()
-        self._deltas.append({"epoch": epoch, "counters": delta})
-        if self.profiler is not None:
-            folds = self.profiler.fold_counts()
-            fresh = []
-            for key, count in folds.items():
-                moved = count - self._prev_folds.get(key, 0)
-                if moved > 0:
-                    fresh.append((key, moved))
-            self._prev_folds = folds
-            if fresh:
-                fresh.sort(key=lambda kv: -kv[1])
-                self._folds.append(
-                    {
-                        "epoch": epoch,
-                        "folds": [
-                            [op, stack, count] for (op, stack), count in fresh[:50]
-                        ],
-                    }
-                )
+        self._deltas.append({"epoch": self.clock.epoch(), "counters": delta})
 
     # -- triggering and dumping -----------------------------------------------
 
@@ -599,20 +519,13 @@ class FlightRecorder:
             ),
             encoding="utf-8",
         )
-        if self.profiler is not None:
-            (out / "profile.folded").write_text(
-                "\n".join(self.profiler.fold_lines()) + "\n", encoding="utf-8"
-            )
-            (out / "profile.json").write_text(
-                json.dumps(self.profiler.snapshot(), indent=2), encoding="utf-8"
-            )
         obs_metrics.counter("obs.diag.dumps").inc()
         _log.warning("diag.dump", reason=reason, path=str(out))
         return out
 
     def snapshot(self, limit: int = 128) -> dict:
         """JSON-ready view of the rings for the ``Diag.FlightRecord``
-        RPC: recent + slowest spans, logs, metric deltas, fold deltas."""
+        RPC: recent + slowest spans, logs, metric deltas."""
         spans = self.spans.recent()
         slow = sorted(
             spans, key=lambda r: r.get("duration_seconds", 0.0), reverse=True
@@ -623,7 +536,6 @@ class FlightRecorder:
             "slow_spans": _jsonable(slow),
             "logs": self._log_handler.tail(limit),
             "metric_deltas": _jsonable(list(self._deltas)[-limit:]),
-            "profile_folds": _jsonable(list(self._folds)[-limit:]),
             "recent_triggers": list(self._last_triggers),
             "dump_count": self._dump_count,
             "metrics": obs_metrics.snapshot(),
@@ -633,13 +545,20 @@ class FlightRecorder:
 # -- the plane ----------------------------------------------------------------
 
 
-class DiagPlane:
-    """Profiler + flight recorder + contention hooks as one lifecycle.
+#: the longest window one ``Diag.Profile`` call may sample for (seconds);
+#: a longer request is clamped to it
+MAX_PROFILE_SECONDS = 5.0
 
-    A served :class:`repro.bank.node.Node` builds one (``--profile-hz 0``
-    disables the sampler, ``--no-diag`` the whole plane), hands it the
-    bank's span store and hands it on to its cluster plane, whose Diag
-    RPCs answer from it; tests build throwaway planes with virtual clocks.
+
+class DiagPlane:
+    """On-request profiler + flight recorder + contention hooks as one
+    lifecycle.
+
+    A served :class:`repro.bank.node.Node` builds one (``--no-diag``
+    leaves it out), hands it the bank's span store and hands it on to its
+    cluster plane, whose Diag RPCs answer from it; tests build throwaway
+    planes with virtual clocks. *profile_hz* is the sampling rate during
+    a ``Diag.Profile`` window (``0`` refuses windows).
     """
 
     def __init__(
@@ -650,11 +569,9 @@ class DiagPlane:
         spans: Optional[SpanStore] = None,
         **recorder_options: object,
     ) -> None:
-        self.profiler = (
-            SamplingProfiler(hz=profile_hz) if profile_hz and profile_hz > 0 else None
-        )
+        self.profile_hz = profile_hz
         self.recorder = FlightRecorder(
-            profiler=self.profiler, clock=clock, spans=spans, dump_dir=dump_dir,
+            clock=clock, spans=spans, dump_dir=dump_dir,
             **recorder_options,  # type: ignore[arg-type]
         )
         self._started = False
@@ -670,8 +587,6 @@ class DiagPlane:
 
         bank_locks.set_wait_hook(record_lock_wait)
         db_database.set_wal_wait_hook(record_wal_wait)
-        if self.profiler is not None:
-            self.profiler.start()
         self.recorder.start()
         return self
 
@@ -680,8 +595,6 @@ class DiagPlane:
             return
         self._started = False
         self.recorder.stop()
-        if self.profiler is not None:
-            self.profiler.stop()
         from repro.bank import locks as bank_locks
         from repro.db import database as db_database
 
@@ -690,13 +603,17 @@ class DiagPlane:
         if db_database.wal_wait_hook() is record_wal_wait:
             db_database.set_wal_wait_hook(None)
 
-    def profile_snapshot(self, top: int = 25) -> dict:
-        """Per-op CPU attribution + contention stats (``Diag.Profile``)."""
-        data = (
-            self.profiler.snapshot(top=top)
-            if self.profiler is not None
-            else {"enabled": False, "ops": {}, "hot_stacks": []}
-        )
+    def profile_snapshot(self, top: int = 25, seconds: float = 0.0) -> dict:
+        """Contention stats, plus per-op CPU attribution sampled on this
+        thread for *seconds* (at most :data:`MAX_PROFILE_SECONDS`); no
+        window answers an empty profile (``Diag.Profile``)."""
+        if self.profile_hz > 0:
+            profiler = SamplingProfiler(hz=self.profile_hz)
+            if seconds > 0:
+                profiler.sample_for(min(seconds, MAX_PROFILE_SECONDS))
+            data = profiler.snapshot(top=top)
+        else:
+            data = {"enabled": False, "ops": {}, "hot_stacks": []}
         data["lock_waits"] = LOCK_WAITS.snapshot()
         data["wal_waits"] = WAL_WAITS.snapshot()
         return data

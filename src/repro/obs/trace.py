@@ -83,9 +83,9 @@ _current: contextvars.ContextVar[Optional[SpanContext]] = contextvars.ContextVar
 # thread, but the sampling profiler (:mod:`repro.obs.diag`) must join
 # ``sys._current_frames()`` — keyed by thread ident — against the active
 # span to attribute CPU samples per operation. Individual dict get/set/del
-# on a plain dict are atomic under the GIL, so the (single) profiler
-# thread can read this without taking a lock; torn views across *multiple*
-# entries are acceptable for sampling.
+# on a plain dict are atomic under the GIL, so a thread sampling a
+# profile window can read this without taking a lock; torn views across
+# *multiple* entries are acceptable for sampling.
 _active_by_thread: dict[int, tuple[str, str]] = {}
 
 

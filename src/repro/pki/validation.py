@@ -1,10 +1,14 @@
 """Certificate chain validation.
 
-Validation walks a presented chain leaf-first, checking at every hop:
-signature by the next certificate's key, validity window, revocation, and
-proxy rules (a proxy must be issued by the certificate it extends and may
-not outlive it). The chain must terminate at a trusted CA root held in the
-verifier's :class:`CertificateStore`.
+A presented chain has one of two shapes, leaf first: ``[user]`` or
+``[proxy, user]``. Only a root is a CA (:mod:`repro.pki.ca` issues no
+intermediates) and a proxy cannot issue a proxy, so nothing longer can
+be valid. Validation checks every certificate's validity window and
+revocation, parses every key, and then verifies from the root down: the
+user certificate against its trusted CA root held in the verifier's
+:class:`CertificateStore`, then the proxy (which must extend the user's
+subject and may not outlive it) with the user's now-verified key. No key
+is used before it has been verified.
 
 Returns the *canonical subject* — for proxy chains this is the user
 certificate's subject, so accounting always records the real principal.
@@ -61,52 +65,40 @@ def validate_chain(
     store: CertificateStore,
     when: Timestamp,
 ) -> str:
-    """Validate *chain* (leaf first) against *store* at time *when*.
+    """Validate *chain* (``[user]`` or ``[proxy, user]``) against *store*
+    at time *when*.
 
     Returns the canonical subject name (user subject for proxy chains).
     Raises :class:`CertificateError` on any failure.
     """
     if not chain:
         raise CertificateError("empty certificate chain")
-
-    canonical_subject: Optional[str] = None
-    for position, cert in enumerate(chain):
+    if len(chain) > 2:
+        raise CertificateError(f"a chain is [user] or [proxy, user], not {len(chain)} certificates")
+    user, proxy = chain[-1], chain[0] if len(chain) == 2 else None
+    if user.body.is_proxy:
+        raise CertificateError("proxy certificate without its signing certificate")
+    if proxy is not None and not proxy.body.is_proxy:
+        raise CertificateError(f"{proxy.subject!r} is not a proxy of {user.subject!r}")
+    for cert in chain:
         cert.require_valid_at(when)
         if store.is_revoked(cert):
             raise CertificateError(f"certificate {cert.subject!r} is revoked")
-
-        if cert.body.is_proxy:
-            if position + 1 >= len(chain):
-                raise CertificateError("proxy certificate without its signing certificate")
-            signer = chain[position + 1]
-            if cert.issuer != signer.subject:
-                raise CertificateError("proxy issuer does not match signing certificate")
-            if cert.subject != signer.subject + PROXY_CN_SUFFIX:
-                raise CertificateError("proxy subject must extend the user subject")
-            if cert.body.not_after > signer.body.not_after:
-                raise CertificateError("proxy outlives its signing certificate")
-            if not cert.verify_signature(signer.public_key()):
-                raise CertificateError("proxy signature invalid")
-            continue
-
-        # First non-proxy certificate is the canonical principal.
-        if canonical_subject is None:
-            canonical_subject = cert.subject
-
-        root = store.root_for(cert.issuer)
-        if root is not None:
-            root.require_valid_at(when)
-            if not cert.verify_signature(root.public_key()):
-                raise CertificateError(f"certificate {cert.subject!r} not signed by trusted CA")
-            return canonical_subject
-
-        # Otherwise the next element must be an intermediate/issuer cert.
-        if position + 1 >= len(chain):
-            raise CertificateError(f"untrusted issuer {cert.issuer!r}")
-        signer = chain[position + 1]
-        if signer.subject != cert.issuer or not signer.body.is_ca:
-            raise CertificateError(f"broken chain at {cert.subject!r}")
-        if not cert.verify_signature(signer.public_key()):
-            raise CertificateError(f"signature on {cert.subject!r} invalid")
-
-    raise CertificateError("chain does not terminate at a trusted root")
+    if proxy is not None:
+        if proxy.issuer != user.subject:
+            raise CertificateError("proxy issuer does not match signing certificate")
+        if proxy.subject != user.subject + PROXY_CN_SUFFIX:
+            raise CertificateError("proxy subject must extend the user subject")
+        if proxy.body.not_after > user.body.not_after:
+            raise CertificateError("proxy outlives its signing certificate")
+    # parse every key (its size check) before the first exponentiation
+    keys = [cert.public_key() for cert in chain]
+    root = store.root_for(user.issuer)
+    if root is None:
+        raise CertificateError(f"untrusted issuer {user.issuer!r}")
+    root.require_valid_at(when)
+    if not user.verify_signature(root.public_key()):
+        raise CertificateError(f"certificate {user.subject!r} not signed by trusted CA")
+    if proxy is not None and not proxy.verify_signature(keys[-1]):
+        raise CertificateError("proxy signature invalid")
+    return user.subject

@@ -1,7 +1,7 @@
 """The one background runner: a job is a ``step()``, a :class:`Runner` its thread.
 
 Everything the bank does beside requests is a thread-free ``step``
-callable a test can call directly (DESIGN section 17 lists the seven);
+callable a test can call directly (DESIGN section 17 lists the six);
 in production each is handed to a :class:`Runner`, which gives them all
 one thread lifecycle and one error policy. No module under ``bank/``,
 ``db/`` or ``obs/`` constructs a ``threading.Thread`` (``make lint``).
@@ -25,12 +25,7 @@ __all__ = ["Runner"]
 
 
 class Runner:
-    """One daemon thread calling ``step`` until :meth:`stop`.
-
-    The thread is excluded from the sampling profiler for exactly as long
-    as it lives: the OS reuses thread idents, so the exclusion is dropped
-    on the way out however the loop ends.
-    """
+    """One daemon thread calling ``step`` until :meth:`stop`."""
 
     #: how long :meth:`stop` waits for a step in flight before it gives up
     JOIN_TIMEOUT = 5.0
@@ -88,27 +83,23 @@ class Runner:
         # db/ and obs/ import this module, so it reaches back into them
         # only once a thread runs, never at import time
         from repro.db.faultfs import SimulatedCrashError
-        from repro.obs import diag, metrics
+        from repro.obs import metrics
         from repro.obs.logging import get_logger
 
         log = get_logger("util.runner")
-        diag.register_diag_thread()
-        try:
-            delay: Optional[float] = None
-            while not stopped.wait(self.interval if delay is None else delay):
-                try:
-                    delay = self.step()
-                except SimulatedCrashError as exc:
-                    log.error("runner.crashed", name=self.name, reason=str(exc))
-                    return
-                except Exception as exc:  # noqa: BLE001 - one failed step must
-                    # not end the job; the count and the log line keep it visible
-                    delay = None
-                    metrics.counter("runner.step_errors", runner=self.name).inc()
-                    log.error(
-                        "runner.step_error",
-                        name=self.name, error=type(exc).__name__, reason=str(exc),
-                    )
-        finally:
-            diag.unregister_diag_thread()
+        delay: Optional[float] = None
+        while not stopped.wait(self.interval if delay is None else delay):
+            try:
+                delay = self.step()
+            except SimulatedCrashError as exc:
+                log.error("runner.crashed", name=self.name, reason=str(exc))
+                return
+            except Exception as exc:  # noqa: BLE001 - one failed step must
+                # not end the job; the count and the log line keep it visible
+                delay = None
+                metrics.counter("runner.step_errors", runner=self.name).inc()
+                log.error(
+                    "runner.step_error",
+                    name=self.name, error=type(exc).__name__, reason=str(exc),
+                )
 

@@ -149,6 +149,37 @@ class TestChainValidation:
             validate_chain(chain, store, clock.now())
         assert exponentiations == []
 
+    def test_chains_verify_from_the_root_down(
+        self, ca, alice, store, clock, keypair_b, monkeypatch
+    ):
+        """A chain is [user] or [proxy, user], checked root first: a longer
+        chain is refused before any key is used, and a forged user key is
+        never used, because the root's signature over it fails first."""
+        proxy_cert, user_cert = issue_proxy(alice, clock=clock, keypair=keypair_b).chain()
+        n = (1 << 1023) | random.Random(9).getrandbits(1022) | 1
+        forged = dataclasses.replace(
+            user_cert,
+            body=dataclasses.replace(
+                user_cert.body, public_key={"kty": "RSA", "n": f"{n:x}", "e": "10001"}
+            ),
+        )
+        exponentiations = []
+        real_encrypt_int = RSAPublicKey.encrypt_int
+
+        def encrypt_int(key, m):
+            exponentiations.append(key.n)
+            return real_encrypt_int(key, m)
+
+        monkeypatch.setattr(RSAPublicKey, "encrypt_int", encrypt_int)
+        with pytest.raises(CertificateError, match="3 certificates"):
+            validate_chain([proxy_cert, user_cert, ca.root_certificate], store, clock.now())
+        assert exponentiations == []
+
+        signed_to_size = dataclasses.replace(proxy_cert, signature=b"\x01" * 128)
+        with pytest.raises(CertificateError, match="not signed by trusted CA"):
+            validate_chain([signed_to_size, forged], store, clock.now())
+        assert exponentiations == [ca.root_certificate.public_key().n]
+
     def test_empty_chain_rejected(self, store, clock):
         with pytest.raises(CertificateError):
             validate_chain([], store, clock.now())

@@ -1,6 +1,6 @@
 """The one background runner: lifecycle, pacing, error policy.
 
-The seven jobs' steps are tested where they live, thread-free; this file
+The six jobs' steps are tested where they live, thread-free; this file
 tests the loop every one of them runs under. Waits are on events with a
 bound, never fixed sleeps; the only timing assertions are lower bounds
 (an ``Event.wait`` cannot return early) and "much faster than the
@@ -13,7 +13,6 @@ import time
 from pathlib import Path
 
 from repro.db.faultfs import SimulatedCrashError
-from repro.obs import diag as obs_diag
 from repro.obs import logging as obs_logging
 from repro.obs import metrics as obs_metrics
 from repro.util.runner import Runner
@@ -155,37 +154,6 @@ class TestLifecycle:
         release.set()
         assert joined(runner)
         assert runner.stop()
-
-    def test_the_thread_is_excluded_from_profiles_only_while_it_lives(self):
-        idents = []
-        seen = threading.Event()
-
-        def step():
-            ident = threading.get_ident()
-            idents.append((ident, ident in obs_diag._diag_threads))
-            seen.set()
-
-        runner = Runner("t-excluded", step, 0.01)
-        runner.start()
-        assert seen.wait(BOUND)
-        assert runner.stop()
-        ident, excluded_while_running = idents[0]
-        assert excluded_while_running
-        # the OS reuses idents: a stale entry would blind the profiler to
-        # whichever thread gets this one next
-        assert ident not in obs_diag._diag_threads
-
-    def test_the_exclusion_is_dropped_when_a_crash_ends_the_loop(self):
-        idents = []
-
-        def step():
-            idents.append(threading.get_ident())
-            raise SimulatedCrashError("died")
-
-        runner = Runner("t-crash-excluded", step, 0.01)
-        runner.start()
-        assert joined(runner)
-        assert idents and idents[0] not in obs_diag._diag_threads
 
 
 class TestLintRule:
